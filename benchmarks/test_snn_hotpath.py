@@ -1,12 +1,16 @@
 """SNN-engine hot-path benchmark: scalar vs lockstep-batched execution.
 
-Two workloads, mirroring ``test_engine_hotpath.py`` one tier up:
+Three workloads, mirroring ``test_engine_hotpath.py`` one tier up:
 
 * **stepping throughput** — V corrupted variants of one Diehl&Cook network
   advanced through identical Poisson rasters, per-variant on the scalar
   :class:`~repro.snn.network.Network` vs one lockstep pass on
   :class:`~repro.snn.batched.BatchedNetwork`.  ``extra_info`` records
   variant-steps/second for both engines.
+* **single-variant training** — one network (``V == 1``) trained on the
+  lockstep engine vs the scalar loop.  ``extra_info`` records µs per
+  training step for both; this margin is why single-attack runs train on
+  the lockstep engine too.
 * **campaign sweep wall-clock** — a Fig. 8-shaped layer-threshold sweep
   (threshold change × fraction grid, the benchmark-scale ``fig8`` grid) run
   once per engine on dedicated pipelines.  This is the number the PR-level
@@ -26,7 +30,7 @@ import time
 import numpy as np
 
 from repro.attacks.campaign import AttackCampaign
-from repro.core import ClassificationPipeline
+from repro.core import ClassificationPipeline, ExperimentConfig
 from repro.snn import BatchedNetwork, DiehlAndCook2015, DiehlAndCookParameters
 
 #: Fig. 8-shaped grid at benchmark scale (5 unique train-and-evaluate runs).
@@ -44,6 +48,11 @@ STEP_PRESENTATIONS = 4
 #: the reference container; the sweep floor is the PR-level claim).
 MIN_STEP_SPEEDUP = 1.8
 MIN_SWEEP_SPEEDUP = 3.0
+
+#: Presentations of the single-variant training case, and its loose floor
+#: (measured 1.3-1.6x).
+SINGLE_PRESENTATIONS = 12
+MIN_SINGLE_VARIANT_SPEEDUP = 1.1
 
 
 def _variant_networks(n_variants: int = N_VARIANTS):
@@ -94,6 +103,52 @@ def test_lockstep_stepping_beats_scalar_loop(benchmark):
     assert speedup >= MIN_STEP_SPEEDUP, (
         f"lockstep stepping speedup {speedup:.2f}x below the "
         f"{MIN_STEP_SPEEDUP}x floor"
+    )
+
+
+def test_single_variant_lockstep_training_beats_scalar(benchmark):
+    """V = 1: the lockstep engine must out-train the scalar loop on its own.
+
+    The smoke-scale network, with input rasters as sparse as its Poisson
+    encodings (about 2 % of 784 inputs spike per step).
+    """
+    parameters = ExperimentConfig.smoke().network
+    rng = np.random.default_rng(29)
+    rasters = [
+        rng.random((STEP_TIME, parameters.n_inputs)) < 0.02
+        for _ in range(SINGLE_PRESENTATIONS)
+    ]
+    steps = SINGLE_PRESENTATIONS * STEP_TIME
+
+    def scalar_pass():
+        network = DiehlAndCook2015(parameters, rng=5)
+        for raster in rasters:
+            network.present(raster, learning=True)
+        return network
+
+    def batched_pass():
+        batched = BatchedNetwork.from_networks([DiehlAndCook2015(parameters, rng=5)])
+        for raster in rasters:
+            batched.present({"input": raster}, learning=True)
+        return batched
+
+    scalar_seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        network = scalar_pass()
+        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
+    batched = benchmark.pedantic(batched_pass, rounds=3, iterations=1)
+    batched_seconds = benchmark.stats.stats.min
+
+    for key, connection in network.connections.items():
+        assert np.array_equal(batched.variant_weights(key, 0), connection.w)
+    speedup = scalar_seconds / batched_seconds
+    benchmark.extra_info["scalar_us_per_step"] = 1e6 * scalar_seconds / steps
+    benchmark.extra_info["lockstep_us_per_step"] = 1e6 * batched_seconds / steps
+    benchmark.extra_info["single_variant_speedup"] = speedup
+    assert speedup >= MIN_SINGLE_VARIANT_SPEEDUP, (
+        f"single-variant lockstep training speedup {speedup:.2f}x below the "
+        f"{MIN_SINGLE_VARIANT_SPEEDUP}x floor"
     )
 
 

@@ -21,8 +21,9 @@ Engine selection
 * ``"batched"`` — the lockstep engine (:mod:`repro.snn.batched`): the label
   assignment and evaluation passes present ``example_chunk`` examples at
   once, and :meth:`run_batch` trains a whole batch of attack variants in one
-  lockstep pass.  Results are bit-identical to the scalar engine (that is
-  the batched engine's contract, pinned by ``tests/test_snn_batched.py``).
+  lockstep pass (:meth:`run` is a batch of one).  Results are bit-identical
+  to the scalar engine (that is the batched engine's contract, pinned by
+  ``tests/test_snn_batched.py``).
 * ``"auto"`` (default) — ``"batched"`` unless the runtime fails the
   engine's reduction-order self-check, then ``"scalar"``.
 * ``"sparse"`` — accepted for symmetry with the circuit tier (where it
@@ -277,28 +278,21 @@ class ClassificationPipeline:
 
     # ------------------------------------------------------------------- runs
     def run(self, attack: Optional[PowerAttack] = None) -> ExperimentResult:
-        """Train and evaluate one network, optionally under a persistent attack."""
+        """Train and evaluate one network, optionally under a persistent attack.
+
+        On the batched engine this is ``run_batch([attack])[0]``: a single
+        attack trains on the lockstep engine too (one variant), which beats
+        the scalar loop even at ``V == 1``.  ``engine="scalar"`` runs the
+        reference path, the oracle every other route is checked against.
+        """
+        if self.resolved_engine == "batched":
+            return self.run_batch([attack])[0]
         attack = attack or NoAttack()
         network, records = self._attacked_network(attack)
         self.train(network)
         assignments, _rates = self.assign(network)
         accuracy, mean_spikes = self.evaluate(network, assignments)
-        baseline = (
-            self._baseline_result.accuracy
-            if self._baseline_result is not None
-            else (accuracy if isinstance(attack, NoAttack) else None)
-        )
-        result = ExperimentResult(
-            attack_label=attack.label(),
-            accuracy=accuracy,
-            baseline_accuracy=baseline,
-            mean_excitatory_spikes=mean_spikes,
-            fault_descriptions=[record.describe() for record in records],
-            scale_name=self.config.scale_name,
-        )
-        if isinstance(attack, NoAttack) and self._baseline_result is None:
-            self._baseline_result = result
-        return result
+        return self._results([attack], [accuracy], [mean_spikes], [records])[0]
 
     def run_batch(
         self, attacks: Sequence[Optional[PowerAttack]]
@@ -306,19 +300,20 @@ class ClassificationPipeline:
         """Evaluate a batch of attacks in one lockstep variant pass.
 
         Every attack's network shares the Diehl&Cook topology and differs
-        only in the injected per-neuron corruptions, so the whole grid
-        trains together on the batched engine: one pass over the training
-        images advances every variant, then the assignment and evaluation
-        passes batch variants × examples.  Each returned
-        :class:`ExperimentResult` is bit-identical to ``run(attack)``.
+        only in the injected per-neuron corruptions, so the whole batch —
+        a grid, or a single attack — trains together on the batched engine:
+        one pass over the training images advances every variant, then the
+        assignment and evaluation passes batch variants × examples.  Each
+        returned :class:`ExperimentResult` is bit-identical to the scalar
+        engine's ``run(attack)``.
 
         ``None`` entries request the attack-free baseline.  Raises
         :class:`~repro.snn.batched.BatchedNetworkError` subclasses when the
-        lockstep engine cannot host the network (callers fall back to
-        per-attack runs); with ``engine="scalar"`` it simply loops.
+        lockstep engine cannot host the network; with ``engine="scalar"`` it
+        simply loops over :meth:`run`.
         """
         attacks = [attack or NoAttack() for attack in attacks]
-        if self.resolved_engine != "batched" or len(attacks) == 1:
+        if self.resolved_engine != "batched":
             return [self.run(attack) for attack in attacks]
 
         networks: List[DiehlAndCook2015] = []
@@ -353,7 +348,20 @@ class ClassificationPipeline:
                 classification_accuracy(predictions, self.eval_labels)
             )
             mean_spikes.append(float(eval_counts[variant].sum(axis=1).mean()))
+        return self._results(attacks, accuracies, mean_spikes, fault_records)
 
+    def _results(
+        self,
+        attacks: Sequence[PowerAttack],
+        accuracies: Sequence[float],
+        mean_spikes: Sequence[float],
+        fault_records: Sequence[List],
+    ) -> List[ExperimentResult]:
+        """Package a batch's numbers, back-referencing the baseline accuracy.
+
+        The baseline is the cached attack-free run, else the batch's own
+        ``NoAttack`` entry; the first baseline result seen is cached.
+        """
         baseline_accuracy = (
             self._baseline_result.accuracy if self._baseline_result is not None else None
         )

@@ -40,6 +40,7 @@ from repro.snn.batched import (
 )
 from repro.snn.encoding import (
     bernoulli_encode,
+    NonFiniteIntensityError,
     poisson_encode,
     poisson_encode_batch,
     regular_rate_encode,
@@ -85,6 +86,7 @@ __all__ = [
     "NetworkTopologyMismatchError",
     "UnsupportedNetworkError",
     "reduction_contract_holds",
+    "NonFiniteIntensityError",
     "bernoulli_encode",
     "poisson_encode",
     "poisson_encode_batch",

@@ -28,21 +28,25 @@ inputs — not "close", identical.  Every batched operation is chosen so its
 per-lane result provably equals the scalar op:
 
 * elementwise updates (leak, integrate, fire, traces, theta) are identical
-  regardless of stacking;
+  regardless of stacking, and run in place;
 * the scalar synaptic drive ``w[spikes].sum(axis=0)`` reduces over a
   *strided* axis, which NumPy accumulates sequentially — the stacked form
   ``w[:, spikes, :].sum(axis=1)`` reduces in the same per-lane order
-  (verified at runtime by :func:`reduction_contract_holds`);
+  (verified at runtime by :func:`reduction_contract_holds`), and example
+  batches or per-variant sources add every lane's k-th spiking row at
+  once, which keeps that order with no loop over lanes;
 * the one-to-one and lateral-inhibition projections of the Diehl&Cook
   wiring are detected structurally and evaluated in closed form whose
   exactness is *checked against the scalar reduction* when the engine is
-  compiled (falling back to a per-lane loop when the check fails);
-* STDP updates with per-lane spike masks loop over the affected lanes
-  applying exactly the scalar expression; weight clamping is applied to
-  the touched rows/columns only (a clip of an in-range value is the
-  identity, so skipping untouched entries cannot change anything), with a
-  full-matrix clip after every normalisation — mirroring where the scalar
-  path's full clip actually has an effect.
+  compiled (falling back to the generic drive when the check fails);
+* STDP finds the spiking ``(variant, index)`` pairs once and applies each
+  half of the rule as one gather/modify/scatter over them — the scalar
+  expression per cell, no loop over variants.  The clamp is fused in:
+  every modified cell is clipped once, to the scalar ``clip(w - dep +
+  pot)``, and untouched cells are never written (clipping an in-range
+  value is the identity; a masked ``+ 0.0`` would turn ``-0.0`` into
+  ``+0.0``).  A full-matrix clip follows the first learning step and every
+  normalisation, the only places the scalar every-step clip has an effect.
 
 Entry points
 ------------
@@ -229,7 +233,8 @@ class _LayerBatch:
             self.theta_plus = template.theta_plus
             self.theta_decay = template.theta_decay
             self.theta = np.stack([nodes.theta for nodes in nodes_list])[:, None, :]
-        # Transient state — allocated per example-batch width by _ensure_state.
+        # Per-run state — set by ensure_state at every run start.
+        self.base: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.refractory: Optional[np.ndarray] = None
         self.spikes: Optional[np.ndarray] = None
@@ -248,7 +253,18 @@ class _LayerBatch:
         return (lanes, examples, self.n)
 
     def ensure_state(self, examples: int) -> None:
-        """(Re)allocate transient state for an ``examples``-wide run."""
+        """Prepare an ``examples``-wide run: thresholds and transient state.
+
+        The corrupted base threshold is fixed for the run but recomputed
+        here at every run start, because the injector (and
+        ``ScoringEngine.under_attack``) may change ``threshold_scale``
+        between runs.
+        """
+        if not self.is_input:
+            if self.threshold_convention == "signed_value":
+                self.base = self.base_thresh * self.threshold_scale
+            else:
+                self.base = self.rest + (self.base_thresh - self.rest) * self.threshold_scale
         if self._examples == examples and self.spikes is not None:
             return
         shape = self.state_shape(examples)
@@ -270,43 +286,32 @@ class _LayerBatch:
             self.refractory.fill(0.0)
 
     # --------------------------------------------------------------- dynamics
-    def thresh(self) -> np.ndarray:
-        """Effective per-variant threshold, mirroring ``LIFNodes.thresh``."""
-        if self.threshold_convention == "signed_value":
-            base = self.base_thresh * self.threshold_scale
-        else:
-            base = self.rest + (self.base_thresh - self.rest) * self.threshold_scale
-        if self.is_adaptive:
-            return base + self.theta
-        return base
-
     def set_input(self, spikes: np.ndarray) -> None:
         """Present one step of input spikes, ``(E, n)``, and update traces."""
         np.copyto(self.spikes[0], spikes)
-        self.traces *= self.trace_decay
-        if self.spikes.any():
-            self.traces[self.spikes] = 1.0
+        self.update_traces()
 
     def update_traces(self) -> None:
         self.traces *= self.trace_decay
-        if self.spikes.any():
-            self.traces[self.spikes] = 1.0
+        np.copyto(self.traces, 1.0, where=self.spikes)
 
     def step(self, drive: np.ndarray, learning: bool) -> None:
-        """One lockstep LIF update — the exact scalar expressions, stacked."""
-        self.v = self.decay * (self.v - self.rest) + self.rest
-        not_refractory = self.refractory <= 0
-        self.v = self.v + not_refractory * self.input_gain * drive
-        self.refractory = np.maximum(self.refractory - self.dt, 0.0)
-        self.spikes = self.v >= self.thresh()
-        if self.spikes.any():
-            self.v[self.spikes] = self.reset
-            self.refractory[self.spikes] = self.refractory_period
+        """One lockstep LIF update — the exact scalar expressions, in place."""
+        v, refractory, spikes = self.v, self.refractory, self.spikes
+        v -= self.rest
+        v *= self.decay
+        v += self.rest
+        v += (refractory <= 0) * self.input_gain * drive
+        refractory -= self.dt
+        np.maximum(refractory, 0.0, out=refractory)
+        thresh = self.base + self.theta if self.is_adaptive else self.base
+        np.greater_equal(v, thresh, out=spikes)
+        np.copyto(v, self.reset, where=spikes)
+        np.copyto(refractory, self.refractory_period, where=spikes)
         self.update_traces()
         if self.is_adaptive and learning:
             self.theta *= self.theta_decay
-            if self.spikes.any():
-                self.theta[self.spikes] += self.theta_plus
+            np.add(self.theta, self.theta_plus, out=self.theta, where=spikes)
 
 
 # --------------------------------------------------------------------------
@@ -359,19 +364,22 @@ class _ConnectionBatch:
         weights = [connection.w for connection in connections]
         identical = all(np.array_equal(weights[0], w) for w in weights[1:])
         plastic = self.update_rule is not None and type(self.update_rule).__name__ != "NoOp"
+        if plastic and target.is_input:
+            raise UnsupportedNetworkError(
+                f"plastic connection {key!r} targets input layer {key[1]!r}"
+            )
         self.shared = identical and not plastic
         if self.shared:
             self.w = weights[0].copy()
         else:
             self.w = np.stack(weights)
         self.strategy = self._select_strategy()
-        # Clamp bookkeeping: a full clip is only *needed* right after a
-        # normalisation (construction already clamps); in between, clipping
-        # the touched rows/columns is bit-identical to the scalar full clip.
-        self._full_clamp = False
-        self._touched_rows: Optional[np.ndarray] = None
-        self._touched_row_variants: List[Tuple[int, np.ndarray]] = []
-        self._touched_cols: List[Tuple[int, np.ndarray]] = []
+        # The rules clip the cells they modify; the scalar engine's every-step
+        # full clip only bites on the first learning step and right after a
+        # normalisation, where clamp() clips the whole stack instead.
+        self._full_clamp = True
+        # The spiking source rows the training drive gathered this step.
+        self._source_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -------------------------------------------------------------- structure
     def _select_strategy(self) -> str:
@@ -402,7 +410,7 @@ class _ConnectionBatch:
         Exercises every mask size with both diagonal-in and diagonal-out
         subsets, so a NumPy whose reduction order depends on the operand
         count would be caught here and the connection demoted to the
-        per-lane generic path.
+        generic drive.
         """
         w = self.w
         n = w.shape[0]
@@ -426,6 +434,7 @@ class _ConnectionBatch:
         exact zero vector then, so skipping the add is bit-identical).
         """
         spikes = self.source_batch.spikes
+        self._source_rows = None
         if not spikes.any():
             return None
         if self.strategy == DRIVE_DIAGONAL:
@@ -436,102 +445,67 @@ class _ConnectionBatch:
         return self._generic_drive(spikes)
 
     def _generic_drive(self, spikes: np.ndarray) -> np.ndarray:
+        """Per-lane sums of the spiking source rows, ``(V, E, n_post)``.
+
+        Adds the k-th spiking row of every (variant, example) lane at once,
+        k = 0, 1, ..., so each lane still sums its rows in ascending order,
+        as the scalar reduction does.  Starting the sums from 0.0 can only
+        flip the sign of a zero total, which the caller's add into a zero
+        drive erases.
+        """
+        if not self.shared and spikes.shape[:2] == (1, 1):
+            # A training step: the gathered rows are also STDP's depression
+            # block (see source_rows), so keep them.
+            rows = np.flatnonzero(spikes[0, 0])
+            self._source_rows = (rows, self.w[:, rows, :])
+            return self._source_rows[1].sum(axis=1)[:, None, :]
+        w = self.w[None] if self.shared else self.w
         lanes, examples, _ = spikes.shape
-        n_post = self.target_batch.n
-        if self.shared:
-            if lanes == 1:
-                out = np.zeros((1, examples, n_post))
-                for e in range(examples):
-                    mask = spikes[0, e]
-                    if mask.any():
-                        out[0, e] = self.w[mask].sum(axis=0)
-                return out
-            out = np.zeros((lanes, examples, n_post))
-            for v in range(lanes):
-                for e in range(examples):
-                    mask = spikes[v, e]
-                    if mask.any():
-                        out[v, e] = self.w[mask].sum(axis=0)
-            return out
-        variants = self.batch_size
-        if lanes == 1:
-            # Uniform source (the encoded input): one stacked reduction per
-            # example serves every variant at once.
-            out = np.zeros((variants, examples, n_post))
-            for e in range(examples):
-                mask = spikes[0, e]
-                if mask.any():
-                    out[:, e, :] = self.w[:, mask, :].sum(axis=1)
-            return out
-        out = np.zeros((variants, examples, n_post))
-        for v in range(variants):
-            for e in range(examples):
-                mask = spikes[v, e]
-                if mask.any():
-                    out[v, e] = self.w[v][mask].sum(axis=0)
+        lane, example, row = np.nonzero(spikes)
+        group = lane * examples + example
+        counts = np.bincount(group, minlength=lanes * examples)
+        rank = np.arange(row.size) - (np.cumsum(counts) - counts)[group]
+        table = np.zeros((lanes, examples, counts.max()), dtype=np.intp)
+        valid = np.zeros(table.shape, dtype=bool)
+        table[lane, example, rank] = row
+        valid[lane, example, rank] = True
+        variants = max(lanes, len(w))
+        # Lane v reads weight stack v, or the one shared matrix.
+        weights = np.arange(variants)[:, None] % len(w)
+        out = np.zeros((variants, examples, self.target_batch.n))
+        for k in range(table.shape[2]):
+            np.add(out, w[weights, table[:, :, k]], out=out, where=valid[:, :, k, None])
         return out
 
     # ------------------------------------------------------------- plasticity
-    @property
-    def stacked_w(self) -> np.ndarray:
-        """The per-variant weight stack (learning rules operate on this)."""
-        return self.w
+    def source_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This step's spiking source rows and ``w[:, rows, :]`` (uniform source).
 
-    def touch_rows(self, mask: np.ndarray) -> None:
-        """Record pre-synaptic rows modified this step (shared across variants)."""
-        if self._touched_rows is None:
-            self._touched_rows = mask.copy()
-        else:
-            self._touched_rows |= mask
-
-    def touch_rows_variant(self, variant: int, mask: np.ndarray) -> None:
-        """Record pre-synaptic rows modified this step for one variant."""
-        self._touched_row_variants.append((variant, mask))
-
-    def touch_cols(self, variant: int, mask: np.ndarray) -> None:
-        """Record post-synaptic columns modified this step for one variant."""
-        self._touched_cols.append((variant, mask))
+        The training drive gathered exactly this block, and neither the
+        source spikes nor the weights change before plasticity, so the rule
+        takes it as its depression block instead of gathering it again.
+        """
+        cached, self._source_rows = self._source_rows, None
+        if cached is None:
+            rows = np.flatnonzero(self.source_batch.spikes[0, 0])
+            cached = (rows, self.w[:, rows, :])
+        return cached
 
     def apply_update(self) -> None:
-        if self.update_rule is not None:
-            self.update_rule.update_batched(self)
-            self.clamp()
+        self.update_rule.update_batched(self)
+        self.clamp()
 
     def clamp(self) -> None:
-        """Clip modified weights into ``[wmin, wmax]``.
+        """The deferred full clip into ``[wmin, wmax]``, when one is pending.
 
-        Full-matrix right after a normalisation (where the scalar path's
-        every-step clip actually bites), touched slices otherwise — clipping
-        an already-in-range value is the identity, so the results are
-        bit-identical to the scalar engine's unconditional full clip.
+        The rules clip every cell they modify themselves; untouched cells
+        are already in range (clipping them is the identity) except on the
+        first learning step and right after a normalisation — the only
+        places the scalar engine's unconditional full clip has an effect.
         """
         if self._full_clamp:
             np.clip(self.w, self.wmin, self.wmax, out=self.w)
             self._full_clamp = False
-        else:
-            if self._touched_rows is not None and self._touched_rows.any():
-                if self.shared:
-                    self.w[self._touched_rows, :] = np.clip(
-                        self.w[self._touched_rows, :], self.wmin, self.wmax
-                    )
-                else:
-                    self.w[:, self._touched_rows, :] = np.clip(
-                        self.w[:, self._touched_rows, :], self.wmin, self.wmax
-                    )
-            for variant, mask in self._touched_row_variants:
-                self.w[variant][mask, :] = np.clip(
-                    self.w[variant][mask, :], self.wmin, self.wmax
-                )
-            for variant, mask in self._touched_cols:
-                if self.shared:
-                    self.w[:, mask] = np.clip(self.w[:, mask], self.wmin, self.wmax)
-                else:
-                    self.w[variant][:, mask] = np.clip(
-                        self.w[variant][:, mask], self.wmin, self.wmax
-                    )
-        self._touched_rows = None
-        self._touched_row_variants = []
-        self._touched_cols = []
 
     def normalize(self) -> None:
         """Per-target weight normalisation, mirroring ``Connection.normalize``."""
@@ -834,6 +808,11 @@ class BatchedNetwork:
         shape_by_layer = {
             name: (self.variants, examples, layer.n) for name, layer in non_input
         }
+        plastic = [
+            connection
+            for connection in self.connections.values()
+            if self.learning and connection.update_rule is not None
+        ]
         for t in range(time_steps):
             # 1. Present the encoded input spikes.
             for name, raster in rasters.items():
@@ -849,9 +828,8 @@ class BatchedNetwork:
             for name, layer in non_input:
                 layer.step(drive[name], self.learning)
             # 4. Plasticity.
-            if self.learning:
-                for connection in self.connections.values():
-                    connection.apply_update()
+            for connection in plastic:
+                connection.apply_update()
             # 5. Recording.
             for monitor in self.monitors.values():
                 monitor.record(self.layers[monitor.layer_name])

@@ -13,9 +13,19 @@ from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive
 
 
+class NonFiniteIntensityError(ValueError):
+    """Raised when an image handed to an encoder has a NaN or infinite pixel.
+
+    Without the check a NaN pixel encodes to silence and an infinite one to
+    the full rate, so a corrupted image would be scored as a plausible one.
+    """
+
+
 def _prepare_intensity(image: np.ndarray, max_intensity: float) -> np.ndarray:
-    """Flatten an image and normalise intensities to [0, 1]."""
+    """Flatten an image (or a batch of them) and normalise intensities to [0, 1]."""
     flat = np.asarray(image, dtype=float).reshape(-1)
+    if not np.isfinite(flat).all():
+        raise NonFiniteIntensityError("pixel intensities must be finite (found NaN or inf)")
     if np.any(flat < 0):
         raise ValueError("pixel intensities must be non-negative")
     if max_intensity <= 0:
@@ -56,6 +66,13 @@ def poisson_encode(
     Returns
     -------
     np.ndarray of bool, shape ``(time_steps, n_pixels)``.
+
+    Raises
+    ------
+    NonFiniteIntensityError
+        When a pixel is NaN or infinite (every encoder here checks this).
+    ValueError
+        When a pixel is negative.
     """
     check_positive(time_steps, "time_steps")
     check_positive(dt, "dt")
@@ -105,7 +122,7 @@ def poisson_encode_batch(
     if images.ndim < 2:
         raise ValueError("poisson_encode_batch expects a batch of images")
     flat = images.reshape(len(images), -1)
-    intensity = np.stack([_prepare_intensity(image, max_intensity) for image in flat])
+    intensity = _prepare_intensity(flat, max_intensity).reshape(flat.shape)
     probability = np.clip(max_rate * intensity * (dt * 1e-3), 0.0, 1.0)
     draws = rng.random((len(flat), int(time_steps), flat.shape[1]))
     return draws < probability[:, None, :]

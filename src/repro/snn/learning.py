@@ -20,8 +20,11 @@ class LearningRule:
 
     Rules that also implement ``update_batched(connection_batch)`` can run
     on the lockstep engine of :mod:`repro.snn.batched`; the batched update
-    must be bit-identical, per variant, to :meth:`update` (the engine's
-    parity suite pins this).  Rules without it fall back to the scalar path.
+    must be bit-identical, per variant, to :meth:`update` followed by the
+    connection's clamp, so it clips every weight it modifies (the engine
+    adds a full clip only on the first learning step and after a
+    normalisation).  The parity suite pins this.  Rules without it fall back
+    to the scalar path.
     """
 
     def update(self, connection) -> None:  # pragma: no cover - interface
@@ -67,42 +70,20 @@ class PostPre(LearningRule):
     def update_batched(self, connection) -> None:
         """The same update over a variant batch (one image, V weight stacks).
 
-        Per-variant arithmetic is exactly :meth:`update`'s: the vectorised
-        depression subtracts the identical ``nu_pre * traces`` products from
-        the identical rows, and potentiation loops over the variants whose
-        post-synaptic neurons fired, applying the scalar expression.
+        The spiking ``(variant, index)`` pairs are found once with
+        ``np.nonzero``: depression is one gather/modify/scatter over the
+        spiking source rows of every variant, potentiation one over the
+        spiking target columns, with no Python loop over variants.  Each
+        variant's arithmetic is exactly :meth:`update`'s, and each modified
+        cell is clipped once, to the value the scalar engine's clamp leaves
+        (the order is set out in :func:`_pair_stdp_batched`).
         """
-        source, target = connection.source_batch, connection.target_batch
-        w = connection.stacked_w
-        if self.nu_pre and source.spikes.any():
-            if source.uniform_across_variants:
-                mask = source.spikes[0, 0]
-                # target.traces is (V, 1, n_post): one broadcast subtraction
-                # applies every variant's scalar-path depression at once.
-                w[:, mask, :] -= self.nu_pre * target.traces
-                connection.touch_rows(mask)
-            else:
-                for variant in range(connection.batch_size):
-                    mask = source.spikes[variant, 0]
-                    if mask.any():
-                        w[variant][mask, :] -= (
-                            self.nu_pre * target.traces[variant, 0][None, :]
-                        )
-                        connection.touch_rows_variant(variant, mask)
-        if self.nu_post and target.spikes.any():
-            shared_values = None
-            if source.uniform_across_variants:
-                shared_values = self.nu_post * source.traces[0, 0][:, None]
-            for variant in range(connection.batch_size):
-                mask = target.spikes[variant, 0]
-                if not mask.any():
-                    continue
-                if shared_values is None:
-                    values = self.nu_post * source.traces[variant, 0][:, None]
-                else:
-                    values = shared_values
-                w[variant][:, mask] += values
-                connection.touch_cols(variant, mask)
+        _pair_stdp_batched(
+            connection,
+            self,
+            lambda rows, traces: self.nu_pre * traces,
+            lambda cols, traces: self.nu_post * traces,
+        )
 
 
 class WeightDependentPostPre(LearningRule):
@@ -118,11 +99,14 @@ class WeightDependentPostPre(LearningRule):
         self.nu_pre = check_positive(nu_pre, "nu_pre", strict=False)
         self.nu_post = check_positive(nu_post, "nu_post", strict=False)
 
-    def update(self, connection) -> None:
-        source, target = connection.source, connection.target
+    def _bounds(self, connection):
         wmin = connection.wmin if np.isfinite(connection.wmin) else 0.0
         wmax = connection.wmax if np.isfinite(connection.wmax) else 1.0
-        span = max(wmax - wmin, 1e-12)
+        return wmin, wmax, max(wmax - wmin, 1e-12)
+
+    def update(self, connection) -> None:
+        source, target = connection.source, connection.target
+        wmin, wmax, span = self._bounds(connection)
         if self.nu_pre and source.spikes.any():
             rows = connection.w[source.spikes, :]
             connection.w[source.spikes, :] -= (
@@ -136,40 +120,59 @@ class WeightDependentPostPre(LearningRule):
 
     def update_batched(self, connection) -> None:
         """Soft-bounded update over a variant batch (see ``PostPre``)."""
-        source, target = connection.source_batch, connection.target_batch
-        w = connection.stacked_w
-        wmin = connection.wmin if np.isfinite(connection.wmin) else 0.0
-        wmax = connection.wmax if np.isfinite(connection.wmax) else 1.0
-        span = max(wmax - wmin, 1e-12)
-        if self.nu_pre and source.spikes.any():
-            if source.uniform_across_variants:
-                mask = source.spikes[0, 0]
-                rows = w[:, mask, :]
-                w[:, mask, :] -= self.nu_pre * target.traces * (rows - wmin) / span
-                connection.touch_rows(mask)
-            else:
-                for variant in range(connection.batch_size):
-                    mask = source.spikes[variant, 0]
-                    if mask.any():
-                        rows = w[variant][mask, :]
-                        w[variant][mask, :] -= (
-                            self.nu_pre
-                            * target.traces[variant, 0][None, :]
-                            * (rows - wmin)
-                            / span
-                        )
-                        connection.touch_rows_variant(variant, mask)
-        if self.nu_post and target.spikes.any():
-            for variant in range(connection.batch_size):
-                mask = target.spikes[variant, 0]
-                if not mask.any():
-                    continue
-                if source.uniform_across_variants:
-                    traces = source.traces[0, 0]
-                else:
-                    traces = source.traces[variant, 0]
-                cols = w[variant][:, mask]
-                w[variant][:, mask] += (
-                    self.nu_post * traces[:, None] * (wmax - cols) / span
-                )
-                connection.touch_cols(variant, mask)
+        wmin, wmax, span = self._bounds(connection)
+        _pair_stdp_batched(
+            connection,
+            self,
+            lambda rows, traces: self.nu_pre * traces * (rows - wmin) / span,
+            lambda cols, traces: self.nu_post * traces * (wmax - cols) / span,
+        )
+
+
+def _pair_stdp_batched(connection, rule, depression, potentiation) -> None:
+    """The lockstep pair-STDP step shared by both rules, clamp included.
+
+    ``depression(rows, post_traces)`` and ``potentiation(cols, pre_traces)``
+    return the scalar rule's per-cell deltas for a gathered weight block;
+    a zero ``rule.nu_pre`` / ``rule.nu_post`` skips that half, as in the
+    scalar rule.  The spiking ``(variant, index)`` pairs are found once and each
+    half is one gather/modify/scatter: depression over ``w[:, rows, :]``
+    (uniform source, reusing the rows the drive gathered) or ``w[v, r, :]``
+    (per-variant source), potentiation over ``w[v, :, c]``.
+
+    The scalar step leaves every cell at ``clip(w - dep + pot)``, clipped
+    once.  The potentiation block is clipped before its scatter; the
+    depression block too when nothing is potentiated (the common case),
+    otherwise its rows are written unclipped and clipped after
+    potentiation, since a cell can be both depressed and potentiated.
+    Cells the step does not touch are left alone (no masked adds, which
+    would turn ``-0.0`` into ``+0.0``).
+    """
+    source, target, w = connection.source_batch, connection.target_batch, connection.w
+    wmin, wmax = connection.wmin, connection.wmax
+    post_v, post_c = np.nonzero(target.spikes[:, 0, :])
+    potentiate = bool(rule.nu_post) and post_v.size > 0
+    rows = None
+    if rule.nu_pre:
+        if source.uniform_across_variants:
+            index, block = connection.source_rows()
+            rows = (slice(None), index)
+            block -= depression(block, target.traces)
+        else:
+            rows = np.nonzero(source.spikes[:, 0, :])
+            block = w[rows]
+            block -= depression(block, target.traces[rows[0], 0])
+        if not potentiate:
+            np.clip(block, wmin, wmax, out=block)
+        w[rows] = block
+    if potentiate:
+        if source.uniform_across_variants:
+            pre_traces = source.traces[0, 0]
+        else:
+            pre_traces = source.traces[post_v, 0]
+        block = w[post_v, :, post_c]
+        block += potentiation(block, pre_traces)
+        np.clip(block, wmin, wmax, out=block)
+        w[post_v, :, post_c] = block
+        if rows is not None:
+            w[rows] = np.clip(w[rows], wmin, wmax)

@@ -699,6 +699,23 @@ class TestCLIShardResume:
         assert stored.provenance["executor_cache_hits"] > 0
 
 
+class TestBisectionEngineParity:
+    """Bisection probes are single-attack runs, which train on the lockstep
+    engine under ``batched``; the artifact must not depend on that."""
+
+    def test_bisection_digests_match_across_engines(self, tmp_path, capsys):
+        name = "inhibitory_collapse_search"
+        digests = {}
+        for engine in ("batched", "scalar"):
+            out = tmp_path / engine
+            argv = ["scenarios", "run", name, "--scale", "tiny", "--engine", engine]
+            assert main(argv + ["--out", str(out), "--quiet"]) == 0
+            digests[engine] = _digests(out / f"scenario-{name}.json")
+        capsys.readouterr()
+        assert digests["batched"]
+        assert digests["batched"] == digests["scalar"]
+
+
 class TestShardCacheResilience:
     def test_bad_sibling_cache_does_not_block_the_run(self, tmp_path, capsys):
         from repro.store import SCHEMA_VERSION, open_shard_cache

@@ -20,6 +20,7 @@ from repro.attacks.attacks import (
 from repro.attacks.campaign import AttackCampaign
 from repro.core import ClassificationPipeline, ExperimentConfig
 from repro.snn import (
+    AdaptiveLIFNodes,
     BatchedNetwork,
     BatchedSpikeMonitor,
     BatchedStateMonitor,
@@ -28,8 +29,10 @@ from repro.snn import (
     LIFNodes,
     MODEL_VARIANTS,
     Network,
+    PostPre,
     SpikeMonitor,
     StateMonitor,
+    WeightDependentPostPre,
 )
 from repro.snn.batched import (
     BatchedNetworkError,
@@ -201,6 +204,42 @@ class TestPipelineParity:
         baseline = results[0].accuracy
         assert all(result.baseline_accuracy == baseline for result in results)
 
+    @staticmethod
+    def bitwise(result):
+        """Every field, floats by their exact bits."""
+        return (
+            result.attack_label,
+            float(result.accuracy).hex(),
+            None if result.baseline_accuracy is None else float(result.baseline_accuracy).hex(),
+            float(result.mean_excitatory_spikes).hex(),
+            result.fault_descriptions,
+            result.scale_name,
+        )
+
+    def test_single_runs_train_on_the_lockstep_engine(self, tiny_config, scalar_results):
+        pipeline = ClassificationPipeline(tiny_config, engine="auto")
+        batch_sizes = []
+        run_batch = pipeline.run_batch
+
+        def spy(attacks):
+            batch_sizes.append(len(attacks))
+            return run_batch(attacks)
+
+        pipeline.run_batch = spy
+        # Baseline first, so the attacked run carries its back-reference.
+        for index in (0, 3):
+            result = pipeline.run(self.ATTACKS[index])
+            assert self.bitwise(result) == self.bitwise(scalar_results[index])
+        assert batch_sizes == [1, 1]
+        assert scalar_results[3].baseline_accuracy == scalar_results[0].accuracy
+
+    def test_single_attack_without_baseline_matches_scalar(self, tiny_config):
+        attack = self.ATTACKS[3]
+        auto = ClassificationPipeline(tiny_config, engine="auto").run(attack)
+        scalar = ClassificationPipeline(tiny_config, engine="scalar").run(attack)
+        assert auto.baseline_accuracy is None
+        assert self.bitwise(auto) == self.bitwise(scalar)
+
     def test_example_chunking_is_invisible(self, tiny_config, scalar_results):
         pipeline = ClassificationPipeline(
             tiny_config, engine="batched", example_chunk=7
@@ -221,6 +260,142 @@ class TestPipelineParity:
         assert scalar.executor.dispatcher.batched_sweeps == 0
         modes = {t.worker_mode for t in batched.executor.stats.timings if not t.cached}
         assert modes == {"batched"}
+
+
+class _ClipCountingConnection(Connection):
+    """Counts the cells the scalar engine's every-step clamp pulls back in range."""
+
+    below = above = 0
+
+    def clamp(self):
+        self.below += int((self.w < self.wmin).sum())
+        self.above += int((self.w > self.wmax).sum())
+        super().clamp()
+
+
+class TestVariantDivergentPlasticSource:
+    """A plastic LIF→LIF projection: spiking pairs differ per variant.
+
+    No registered model has one (their plastic projections leave the input
+    layer), and their random rasters rarely clip a cell in the same step it
+    is potentiated, so this builds both on purpose: rates and bounds that
+    clip at ``wmin`` and ``wmax``, steps where a cell is depressed and
+    potentiated at once, and ``-0.0`` weights that only survive if untouched
+    cells are never written.
+    """
+
+    WMIN, WMAX = -0.25, 0.5
+    THRESHOLD_SCALES = (1.0, 0.9, 1.1, 1.05)
+    KEY = ("hidden", "out")
+
+    def build(self, rule, variant):
+        rng = np.random.default_rng(3)
+        network = Network()
+        inputs = network.add_layer("input", InputNodes(12))
+        hidden = network.add_layer(
+            "hidden", LIFNodes(8, thresh=-58.0, rest=-65.0, reset=-65.0, refractory_period=1.0)
+        )
+        out = network.add_layer(
+            "out",
+            AdaptiveLIFNodes(
+                6, thresh=-64.0, rest=-65.0, reset=-65.0, refractory_period=1.0, theta_plus=0.05
+            ),
+        )
+        network.add_connection(
+            "input", "hidden", Connection(inputs, hidden, w=rng.uniform(0.0, 4.0, (12, 8)))
+        )
+        # A static input drive keeps "out" firing alongside "hidden" however
+        # far the plastic weights are depressed.
+        network.add_connection(
+            "input", "out", Connection(inputs, out, w=rng.uniform(0.0, 3.0, (12, 6)))
+        )
+        w = rng.uniform(self.WMIN, self.WMAX, (8, 6))
+        w[::3] = -0.0
+        network.add_connection(
+            "hidden",
+            "out",
+            _ClipCountingConnection(
+                hidden, out, w=w, wmin=self.WMIN, wmax=self.WMAX, update_rule=rule
+            ),
+        )
+        # Static feedback from a variant-divergent layer: one shared matrix,
+        # per-variant source spikes.
+        network.add_connection(
+            "out", "hidden", Connection(out, hidden, w=rng.uniform(-1.0, 1.0, (6, 8)))
+        )
+        hidden.set_threshold_scale(self.THRESHOLD_SCALES[variant])
+        # Output neuron 0 never fires, so its column is only ever depressed
+        # by exact zeros: its -0.0 weights must come out as -0.0.
+        out.set_input_gain(0.0, np.arange(6) == 0)
+        network.add_monitor("hidden_spikes", SpikeMonitor("hidden"))
+        network.add_monitor("out_spikes", SpikeMonitor("out"))
+        return network
+
+    @pytest.mark.parametrize(
+        "make_rule",
+        [
+            lambda: PostPre(nu_pre=0.3, nu_post=0.35),
+            lambda: WeightDependentPostPre(nu_pre=1.2, nu_post=1.0),
+        ],
+        ids=["postpre", "weight_dependent"],
+    )
+    def test_bitwise_parity_with_clipping(self, make_rule):
+        rng = np.random.default_rng(8)
+        rasters = [rng.random((40, 12)) < 0.3 for _ in range(4)]
+        variants = range(len(self.THRESHOLD_SCALES))
+        references, hidden_rasters, shared_steps = [], [], 0
+        for variant in variants:
+            network = self.build(make_rule(), variant)
+            network.set_learning(True)
+            hidden = []
+            for raster in rasters:
+                network.reset_monitors()
+                network.reset_state_variables()
+                network.run({"input": raster})
+                pre = network.monitors["hidden_spikes"].get()
+                post = network.monitors["out_spikes"].get()
+                shared_steps += int((pre.any(axis=1) & post.any(axis=1)).sum())
+                hidden.append(pre)
+            references.append(network)
+            hidden_rasters.append(np.concatenate(hidden))
+
+        batched = BatchedNetwork.from_networks(
+            [self.build(make_rule(), variant) for variant in variants]
+        )
+        for raster in rasters:
+            batched.present({"input": raster}, learning=True)
+
+        # The cases this test exists for really happened.
+        assert any(not np.array_equal(hidden_rasters[0], h) for h in hidden_rasters[1:])
+        assert shared_steps > 0, "no step depressed and potentiated the same cell"
+        assert sum(network.connections[self.KEY].below for network in references) > 0
+        assert sum(network.connections[self.KEY].above for network in references) > 0
+        for variant, reference in enumerate(references):
+            expected = reference.connections[self.KEY].w
+            assert (np.signbit(expected) & (expected == 0)).any()
+            # Bytes, not values: -0.0 == 0.0, but artifact digests differ.
+            assert batched.variant_weights(self.KEY, variant).tobytes() == expected.tobytes()
+            assert (
+                batched.layer_theta("out", variant).tobytes()
+                == reference.layers["out"].theta.tobytes()
+            )
+
+        # Example-batched inference over every (variant, example) lane.
+        eval_rasters = [rng.random((40, 12)) < 0.3 for _ in range(3)]
+        monitors = {
+            name: batched.add_monitor(name, BatchedSpikeMonitor(name))
+            for name in ("hidden", "out")
+        }
+        batched.present({"input": np.stack(eval_rasters)}, learning=False)
+        for variant, reference in enumerate(references):
+            reference.set_learning(False)
+            for example, raster in enumerate(eval_rasters):
+                reference.reset_monitors()
+                reference.reset_state_variables()
+                reference.run({"input": raster})
+                for name, monitor in monitors.items():
+                    expected = reference.monitors[f"{name}_spikes"].get()
+                    assert np.array_equal(monitor.raster(variant, example), expected)
 
 
 class TestEngineGuards:
@@ -252,6 +427,16 @@ class TestEngineGuards:
             "input",
             "out",
             Connection(source, target, w=np.ones((4, 2)), update_rule=OddRule()),
+        )
+        with pytest.raises(UnsupportedNetworkError):
+            BatchedNetwork.from_networks([network])
+
+    def test_plastic_connection_into_input_rejected(self):
+        network = Network()
+        source = network.add_layer("out", LIFNodes(2))
+        target = network.add_layer("input", InputNodes(4))
+        network.add_connection(
+            "out", "input", Connection(source, target, w=np.ones((2, 4)), update_rule=PostPre())
         )
         with pytest.raises(UnsupportedNetworkError):
             BatchedNetwork.from_networks([network])

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.snn.encoding import bernoulli_encode, poisson_encode, regular_rate_encode
+from repro.snn import NonFiniteIntensityError
+from repro.snn.encoding import (
+    bernoulli_encode,
+    poisson_encode,
+    poisson_encode_batch,
+    regular_rate_encode,
+)
 
 
 def test_poisson_shape_and_dtype():
@@ -31,6 +37,13 @@ def test_poisson_is_reproducible_with_seed():
 def test_poisson_rejects_negative_intensities():
     with pytest.raises(ValueError):
         poisson_encode(np.array([-1.0]), time_steps=10)
+
+
+def test_all_nan_image_is_rejected_not_silent():
+    with pytest.raises(NonFiniteIntensityError):
+        poisson_encode(np.full(5, np.nan), time_steps=100, rng=0)
+    with pytest.raises(NonFiniteIntensityError):
+        poisson_encode_batch(np.full((2, 5), np.inf), time_steps=100, rng=0)
 
 
 def test_poisson_zero_image_is_silent():
