@@ -120,7 +120,7 @@ def test_parallel_sweep_speedup_over_serial(benchmark):
 def test_resilient_sweep_under_chaos_matches_clean_run(benchmark):
     """A supervised sweep with injected worker faults still lands the same
     results as a fault-free serial run, at a bounded wall-clock overhead."""
-    from repro.exec import Fault, FaultPlan, ResiliencePolicy, ResilientExecutor, RetryPolicy
+    from repro.exec import Fault, FaultPlan, ResiliencePolicy, RetryPolicy
 
     attacks = _grid_attacks()
     clean = SweepExecutor(WaitBoundPipeline(), workers=0)
@@ -131,7 +131,7 @@ def test_resilient_sweep_under_chaos_matches_clean_run(benchmark):
     policy = ResiliencePolicy(
         retry=RetryPolicy(backoff_base=0.01, backoff_max=0.05), chaos=plan
     )
-    chaotic = ResilientExecutor(
+    chaotic = SweepExecutor(
         None,
         workers=4,
         pipeline_factory=build_wait_bound_pipeline,

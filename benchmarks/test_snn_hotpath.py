@@ -160,7 +160,7 @@ def test_fig8_shaped_sweep_speedup(benchmark, experiment_config):
     scalar grid bit for bit — speed never buys away determinism.
     """
     scalar_campaign = AttackCampaign(
-        ClassificationPipeline(experiment_config, engine="scalar"), batch_runs=False
+        ClassificationPipeline(experiment_config, engine="scalar")
     )
     start = time.perf_counter()
     scalar_grid = scalar_campaign.sweep_layer_threshold(

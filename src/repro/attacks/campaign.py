@@ -116,10 +116,6 @@ class AttackCampaign:
     workers:
         Convenience shortcut: when ``executor`` is not given, build one
         with this many worker processes (``0``/``1`` = serial).
-    batch_runs:
-        Passed through to the built executor: ``True`` (default) lets
-        serial sweeps run as one lockstep pass on the batched SNN engine
-        when the pipeline supports it, ``False`` forces per-run execution.
     """
 
     def __init__(
@@ -128,7 +124,6 @@ class AttackCampaign:
         *,
         executor: Optional[SweepExecutor] = None,
         workers: int = 0,
-        batch_runs: bool = True,
     ) -> None:
         self.pipeline = pipeline
         if (
@@ -141,9 +136,7 @@ class AttackCampaign:
                 "sweeps run through the executor, so results would be "
                 "attributed to the wrong experiment"
             )
-        self.executor = executor or SweepExecutor(
-            pipeline, workers=workers, batch_runs=batch_runs
-        )
+        self.executor = executor or SweepExecutor(pipeline, workers=workers)
 
     # --------------------------------------------------------------- baselines
     @property

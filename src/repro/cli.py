@@ -59,10 +59,11 @@ Scenario subcommands (the declarative threat-scenario subsystem,
 ``scenarios report``
     Render stored scenario artifacts as summary tables.
 
-Both ``run`` commands execute through the fault-tolerant supervision layer
-(:mod:`repro.exec.resilience`): ``--task-timeout`` abandons and re-dispatches
-hung tasks, ``--max-retries`` bounds the per-task retry budget (seeded
-exponential backoff), and ``--chaos`` injects a deterministic fault plan
+Both ``run`` commands execute through the supervised sweep executor, whose
+:class:`~repro.exec.resilience.ResiliencePolicy` the flags build:
+``--task-timeout`` abandons and re-dispatches hung tasks, ``--max-retries``
+bounds the per-task retry budget (seeded exponential backoff), and
+``--chaos`` injects a deterministic fault plan
 (:mod:`repro.exec.chaos`) to prove the campaign still produces bit-identical
 results under worker crashes, hangs, transient errors and cache corruption.
 Ctrl-C / SIGTERM exit gracefully (codes 130/143) with every completed result

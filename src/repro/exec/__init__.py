@@ -5,8 +5,15 @@ train-and-evaluate pipeline runs per figure.  This package factors the
 "run many configurations" loop out of the sweep drivers:
 
 * :class:`~repro.exec.executor.SweepExecutor` — fans independent attack
-  evaluations out over a process pool (``workers > 1``) or runs them inline
-  (``workers <= 1``, the deterministic debugging default).
+  evaluations out over a supervised process pool (``workers > 1``) or runs
+  them inline (``workers <= 1``, the deterministic debugging default).
+  Both paths follow one :class:`~repro.exec.resilience.ResiliencePolicy`:
+  worker-death recovery (pool rebuild + re-dispatch of lost in-flight
+  tasks), per-task timeout/retry with seeded exponential backoff, and
+  percentile-based straggler re-dispatch with first-result-wins merges.
+  Without a policy it follows
+  :data:`~repro.exec.resilience.PLAIN_POLICY` (no retries, timeouts,
+  duplicates or chaos).
 * :class:`~repro.exec.cache.ResultCache` — a keyed result cache so the
   baseline and repeated attack configurations are evaluated once per
   campaign instead of once per sweep.
@@ -24,16 +31,10 @@ train-and-evaluate pipeline runs per figure.  This package factors the
   a task list across independent invocations (the ``--shard`` flag of
   ``python -m repro scenarios run``); the union of all shards is exactly
   the full list, with no coordination needed.
-* :class:`~repro.exec.resilience.ResilientExecutor` — the fault-tolerant
-  supervision layer: worker-death recovery (pool rebuild + re-dispatch of
-  lost in-flight tasks), per-task timeout/retry with seeded exponential
-  backoff, and percentile-based straggler re-dispatch with
-  first-result-wins merges.  Configured by
-  :class:`~repro.exec.resilience.ResiliencePolicy`.
 * :mod:`repro.exec.chaos` — the deterministic fault-injection harness
   (seeded :class:`~repro.exec.chaos.FaultPlan`: kill/delay/raise/corrupt,
   plus whole-process kill/stall and lease corruption for elastic drains)
-  that regression-tests the resilience layer and backs the ``--chaos``
+  that regression-tests the executor's supervision and backs the ``--chaos``
   CLI flag.
 * :class:`~repro.exec.microbatch.Microbatcher` — the serving front-end:
   coalesces a stream of single-example scoring requests into lockstep
@@ -85,7 +86,6 @@ from repro.exec.microbatch import DEFAULT_LINGER, FLUSH_CAUSES, Microbatcher
 from repro.exec.resilience import (
     ResilienceExecutorError,
     ResiliencePolicy,
-    ResilientExecutor,
     RetryPolicy,
     StragglerPolicy,
     TaskTimeoutError,
@@ -129,7 +129,6 @@ __all__ = [
     "PipelineFromConfig",
     "ResilienceExecutorError",
     "ResiliencePolicy",
-    "ResilientExecutor",
     "RetryPolicy",
     "StragglerPolicy",
     "SweepExecutor",

@@ -18,8 +18,8 @@ workdir:
   atomic lease files under ``<workdir>/leases/<scenario>/``.  A lease
   carries the owner id, attempt count and heartbeat timestamp; claiming is
   an exclusive create (``os.link`` of a temp file, which fails if the
-  lease exists), renewal is ``tmp + os.replace`` — the same atomic-write
-  discipline the store uses.
+  lease exists), renewal is the store's atomic write (per-process temp
+  file + fsync + ``os.replace``).
 * **Done markers** — a worker that finishes a chunk creates
   ``<chunk>.done`` exclusively.  First creation wins; a duplicate run of
   the same chunk that loses the race simply discards nothing (its results
@@ -222,13 +222,6 @@ def whole_chunk(total: int = 0) -> Chunk:
     return Chunk(id="whole", positions=tuple(range(total)))
 
 
-def _write_json_atomic(path: Path, payload: Dict) -> None:
-    """``tmp + os.replace`` write (readers never see a torn lease)."""
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _create_exclusive(path: Path, payload: Dict) -> bool:
     """Atomically create ``path`` with ``payload`` iff it does not exist.
 
@@ -362,8 +355,10 @@ class LeaseBoard:
 
     def renew(self, lease: Lease) -> Lease:
         """Refresh a held lease's heartbeat (and, crucially, its mtime)."""
+        from repro.store import _atomic_write_json
+
         renewed = dataclasses.replace(lease, heartbeat_unix=time.time())
-        _write_json_atomic(self.lease_path(lease.chunk), renewed.to_dict())
+        _atomic_write_json(self.lease_path(lease.chunk), renewed.to_dict())
         return renewed
 
     def complete(self, chunk_id: str, owner: str) -> bool:
@@ -436,18 +431,20 @@ class ElasticScheduler:
         """Refresh this worker's presence file and renew its held lease.
 
         Rate-limited to the policy's heartbeat interval, so it is safe
-        (and intended) to call from tight loops — the resilient executor
-        calls it around every task via its ``heartbeat`` hook.  Filesystem
+        (and intended) to call from tight loops — the sweep executor calls
+        it around every task via its ``heartbeat`` hook.  Filesystem
         hiccups are swallowed: a missed renewal only risks a benign
         duplicate evaluation, never a wrong result.
         """
+        from repro.store import _atomic_write_json
+
         now = time.monotonic()
         if not force and now - self._last_beat < self.policy.effective_heartbeat:
             return
         self._last_beat = now
         try:
             self._workers_dir.mkdir(parents=True, exist_ok=True)
-            _write_json_atomic(
+            _atomic_write_json(
                 self._workers_dir / f"{self.owner}.json",
                 {"owner": self.owner, "heartbeat_unix": time.time()},
             )

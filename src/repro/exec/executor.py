@@ -1,4 +1,4 @@
-"""The sweep executor: serial or process-parallel attack evaluation.
+"""The sweep executor: serial or supervised process-parallel attack evaluation.
 
 Every task is one pipeline evaluation — ``pipeline.run(attack)`` or, for
 ``attack=None``, ``pipeline.run_baseline()``.  Tasks are independent by
@@ -12,20 +12,35 @@ rebuild an equivalent pipeline once per worker from a picklable factory
 serve every task assigned to them from that private pipeline.  Because all
 pipeline randomness is a pure function of the config seed and the attack
 label, the rebuilt pipelines produce bit-identical results to the parent's.
+
+Every parallel batch runs under a supervision loop that follows the
+executor's :class:`~repro.exec.resilience.ResiliencePolicy` (worker-death
+recovery, timeouts, seeded retries, straggler duplicates, chaos injection);
+without a policy it runs the plain semantics of
+:data:`~repro.exec.resilience.PLAIN_POLICY`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import heapq
+import itertools
 import os
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import ResultCache, attack_cache_key, scope_key
+from repro.exec.chaos import FaultPlan, install_worker_plan, worker_plan
+from repro.exec.resilience import (
+    PLAIN_POLICY,
+    ResiliencePolicy,
+    TaskTimeoutError,
+    WorkerCrashError,
+)
 from repro.exec.snn_batch import PipelineBatchDispatcher
 
 #: Module-global pipeline of the current worker process (set by the pool
@@ -33,8 +48,11 @@ from repro.exec.snn_batch import PipelineBatchDispatcher
 _WORKER_PIPELINE = None
 
 
-def _initialize_worker(pipeline_factory: Callable[[], object]) -> None:
-    """Build the worker-private pipeline once per pool process."""
+def _initialize_worker(
+    pipeline_factory: Callable[[], object], plan: Optional[FaultPlan]
+) -> None:
+    """Build the worker-private pipeline and install the chaos plan, once
+    per pool process."""
     global _WORKER_PIPELINE
     # Workers must not inherit the parent's signal handling (fork start
     # method copies it): graceful shutdown is the parent's job.  SIGINT is
@@ -47,16 +65,20 @@ def _initialize_worker(pipeline_factory: Callable[[], object]) -> None:
     except (ValueError, OSError, AttributeError):  # pragma: no cover
         pass
     _WORKER_PIPELINE = pipeline_factory()
+    install_worker_plan(plan)
 
 
-def _execute_task(key: str, attack) -> tuple:
-    """Run one attack (or the baseline) on the worker's pipeline."""
+def _run_dispatch(key: str, attack, attempt: int) -> Tuple:
+    """Run one dispatch in a worker, applying any installed chaos first."""
     start = time.perf_counter()
+    plan = worker_plan()
+    if plan is not None:
+        plan.apply(key, attempt, allow_kill=True)
     if attack is None:
         result = _WORKER_PIPELINE.run_baseline()
     else:
         result = _WORKER_PIPELINE.run(attack)
-    return key, result, time.perf_counter() - start
+    return key, attempt, result, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -105,10 +127,10 @@ class ExecutionStats:
     task_seconds: float = 0.0
     timings: List[TaskTiming] = field(default_factory=list)
     batches: int = 0
-    #: Resilience counters (filled by :mod:`repro.exec.resilience`): tasks
-    #: re-run after a transient failure, dispatches abandoned past the task
-    #: timeout, straggler duplicates submitted, worker pools rebuilt after
-    #: process death, and cache entries quarantined as corrupt.
+    #: Resilience counters (filled by the retry and supervision loops):
+    #: tasks re-run after a transient failure, dispatches abandoned past the
+    #: task timeout, straggler duplicates submitted, worker pools rebuilt
+    #: after process death, and cache entries quarantined as corrupt.
     retries: int = 0
     timeouts: int = 0
     requeues: int = 0
@@ -215,7 +237,7 @@ class SweepExecutor:
     workers:
         Number of worker processes.  ``0`` or ``1`` selects the serial
         in-process path (deterministic call order, easiest to debug and
-        profile); ``>= 2`` fans tasks out over a process pool.
+        profile); ``>= 2`` fans tasks out over a supervised process pool.
     pipeline_factory:
         Picklable zero-argument callable building the pipeline inside each
         worker.  Defaults to :class:`PipelineFromConfig` around
@@ -226,14 +248,24 @@ class SweepExecutor:
     progress:
         Optional callback invoked after every finished task with
         ``(timing, done, total)``.
-    mp_context:
-        Optional :mod:`multiprocessing` start-method name (``"fork"``,
-        ``"spawn"``, ``"forkserver"``).  ``None`` uses the platform default.
-    batch_runs:
-        ``True`` (default) lets the serial path route whole batches through
-        the pipeline's lockstep ``run_batch`` (the batched SNN engine, see
-        :mod:`repro.exec.snn_batch`) when the pipeline supports it;
-        ``False`` forces per-run serial execution.
+    policy:
+        The :class:`~repro.exec.resilience.ResiliencePolicy` both paths
+        follow.  The serial path retries transient task failures with the
+        policy's seeded backoff (and applies the chaos plan in-process,
+        demoting ``kill`` faults to transient failures); the parallel path
+        implements timeout, retry/backoff, straggler re-dispatch and pool
+        rebuild.  ``None`` selects
+        :data:`~repro.exec.resilience.PLAIN_POLICY`: no retries, timeouts,
+        duplicates or chaos — worker death is still recovered within its
+        pool-rebuild budget or raised as
+        :class:`~repro.exec.resilience.WorkerCrashError`.
+
+    A task failure is only raised after the retry budget is exhausted, and
+    only after every sibling task has been drained into the cache.  With a
+    chaos plan installed, the serial path skips the lockstep batched route
+    so faults inject per task (the batched and per-run paths are
+    bit-identical by the engine parity contract, so this changes timing
+    only, never numbers).
     """
 
     def __init__(
@@ -244,8 +276,7 @@ class SweepExecutor:
         pipeline_factory: Optional[Callable[[], object]] = None,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
-        mp_context: Optional[str] = None,
-        batch_runs: bool = True,
+        policy: Optional[ResiliencePolicy] = None,
     ) -> None:
         if pipeline is None and pipeline_factory is None:
             raise ValueError("SweepExecutor needs a pipeline or a pipeline_factory")
@@ -255,10 +286,16 @@ class SweepExecutor:
         self.cache = cache if cache is not None else ResultCache()
         self.stats = ExecutionStats(workers=self.workers)
         self._progress = progress
-        self._mp_context = mp_context
+        self.policy = policy if policy is not None else PLAIN_POLICY
+        #: Lease-aware dispatch hook (:mod:`repro.exec.elastic`): a callable
+        #: invoked around every serial task and on every supervision-loop
+        #: iteration.  The elastic scheduler installs its rate-limited
+        #: lease/presence renewal here, so long chunks keep heartbeating
+        #: while their tasks run.  ``None`` = no elastic coordination.
+        self.heartbeat: Optional[Callable[[], None]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._scope: Optional[str] = None
-        self.dispatcher = PipelineBatchDispatcher(batch=batch_runs)
+        self.dispatcher = PipelineBatchDispatcher()
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -328,6 +365,8 @@ class SweepExecutor:
         ``None`` entries request the attack-free baseline.  Duplicate
         configurations (by :func:`attack_cache_key`) are evaluated once.
         Results are returned in input order regardless of completion order.
+        The cache's quarantine count is synced into the stats afterwards, so
+        corrupt entries recovered from show up in reports and provenance.
         """
         batch_start = time.perf_counter()
         keys = [self._cache_key(attack) for attack in attacks]
@@ -341,7 +380,7 @@ class SweepExecutor:
         try:
             if total:
                 if self.parallel and total > 1:
-                    self._run_parallel(pending, total)
+                    _Supervisor(self, pending, total).run()
                 else:
                     self._run_serial(pending, total)
         finally:
@@ -360,6 +399,9 @@ class SweepExecutor:
             self.stats.record(TaskTiming(key=key, seconds=0.0, cached=True))
 
         self._backfill_baseline(keys)
+        self.stats.quarantined = getattr(
+            self.cache, "quarantined_entries", self.stats.quarantined
+        )
         return [self.cache.peek(key) for key in keys]
 
     def _backfill_baseline(self, keys: Sequence[str]) -> None:
@@ -388,27 +430,57 @@ class SweepExecutor:
                     dataclasses.replace(result, baseline_accuracy=baseline_accuracy),
                 )
 
+    def _beat(self) -> None:
+        """Invoke the heartbeat hook; shared-FS hiccups must not kill tasks."""
+        if self.heartbeat is not None:
+            try:
+                self.heartbeat()
+            except OSError:  # pragma: no cover - shared-FS hiccup
+                pass
+
     def _run_serial(self, pending: Dict[str, object], total: int) -> None:
-        if self.dispatcher.supports(self.pipeline, total):
+        self._beat()
+        # Chaos targets individual tasks, so a chaos plan forces the per-run
+        # path: each task is then a separate injection point.
+        if self.policy.chaos is None and self.dispatcher.supports(self.pipeline, total):
             if self._run_serial_batched(pending, total):
                 return
         else:
             self.dispatcher.note_serial()
         done = 0
         for key, attack in pending.items():
-            start = time.perf_counter()
-            if attack is None:
-                result = self.pipeline.run_baseline()
-            else:
-                result = self.pipeline.run(attack)
-            timing = TaskTiming(
-                key=key, seconds=time.perf_counter() - start, worker_mode="serial"
-            )
+            self._beat()
+            result, seconds = self._run_serial_task(key, attack)
+            timing = TaskTiming(key=key, seconds=seconds, worker_mode="serial")
             self.cache.put(key, result)
             self.stats.record(timing)
             done += 1
             if self._progress is not None:
                 self._progress(timing, done, total)
+
+    def _run_serial_task(self, key: str, attack) -> Tuple[object, float]:
+        """One task on the serial path: chaos, then retry with backoff."""
+        retry = self.policy.retry
+        chaos = self.policy.chaos
+        attempt = 0
+        while True:
+            start = time.perf_counter()
+            try:
+                if chaos is not None:
+                    chaos.apply(key, attempt, allow_kill=False)
+                if attack is None:
+                    result = self.pipeline.run_baseline()
+                else:
+                    result = self.pipeline.run(attack)
+                return result, time.perf_counter() - start
+            except Exception:
+                # KeyboardInterrupt/SystemExit (BaseException) propagate:
+                # an interrupt must stop the campaign, not be retried.
+                if attempt >= retry.max_retries:
+                    raise
+                attempt += 1
+                self.stats.retries += 1
+                time.sleep(retry.delay(key, attempt))
 
     def _run_serial_batched(self, pending: Dict[str, object], total: int) -> bool:
         """Evaluate a whole pending batch in one lockstep variant pass.
@@ -438,48 +510,22 @@ class SweepExecutor:
 
         Keeping one pool per executor means the worker start-up cost — and
         the per-worker pipeline rebuild in the initializer — is paid once
-        per campaign, not once per sweep batch.
+        per campaign, not once per sweep batch.  The initializer also
+        installs the policy's chaos plan in every worker.
         """
         if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context
-                else None
-            )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=context,
                 initializer=_initialize_worker,
-                initargs=(self._worker_factory(),),
+                initargs=(self._worker_factory(), self.policy.chaos),
             )
         return self._pool
 
-    def _run_parallel(self, pending: Dict[str, object], total: int) -> None:
-        pool = self._ensure_pool()
-        done = 0
-        futures = {
-            pool.submit(_execute_task, key, attack)
-            for key, attack in pending.items()
-        }
-        failures: List[BaseException] = []
-        while futures:
-            finished, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in finished:
-                try:
-                    key, result, seconds = future.result()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    failures.append(error)
-                    continue
-                timing = TaskTiming(key=key, seconds=seconds, worker_mode="parallel")
-                self.cache.put(key, result)
-                self.stats.record(timing)
-                done += 1
-                if self._progress is not None:
-                    self._progress(timing, done, total)
-        if failures:
-            # Every sibling task was drained first, so completed results are
-            # cached and a retrying map() only re-runs the failed tasks.
-            raise failures[0]
+    def _discard_pool(self) -> None:
+        """Drop the (broken or clogged) pool without waiting on its tasks."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def close(self, *, cancel_pending: bool = False) -> None:
         """Shut the worker pool down (no-op for serial executors).
@@ -512,6 +558,237 @@ class SweepExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = f"parallel(workers={self.workers})" if self.parallel else "serial"
         return f"SweepExecutor({mode}, cached={len(self.cache)})"
+
+
+@dataclass
+class _Dispatch:
+    """Book-keeping for one submitted (task, attempt) pair."""
+
+    key: str
+    attempt: int
+    submitted_at: float
+    timed_out: bool = False
+    duplicated: bool = False
+
+
+class _Supervisor:
+    """The parallel supervision loop of one :meth:`SweepExecutor.map` batch.
+
+    Owns the in-flight dispatch table, the retry schedule and the
+    failure ledger for the batch; see :class:`SweepExecutor` for the
+    semantics it implements.
+    """
+
+    def __init__(
+        self, executor: SweepExecutor, pending: Dict[str, object], total: int
+    ) -> None:
+        self.executor = executor
+        self.pending = pending
+        self.total = total
+        self.policy = executor.policy
+        self.resolved: set = set()
+        self.failures: Dict[str, BaseException] = {}
+        self.inflight: Dict[object, _Dispatch] = {}
+        self.retry_heap: List[Tuple[float, int, str]] = []
+        self._heap_seq = itertools.count()
+        self.dispatch_counts: Dict[str, int] = {}
+        self.durations: List[float] = []
+        self.done = 0
+        self.rebuilds = 0
+        #: Keys whose dispatch was lost to a dead pool (re-dispatched on rebuild).
+        self.lost_keys: set = set()
+        self.pool_broken = False
+
+    # ------------------------------------------------------------- submission
+    def _submit(self, key: str) -> None:
+        attempt = self.dispatch_counts.get(key, 0)
+        self.dispatch_counts[key] = attempt + 1
+        try:
+            pool = self.executor._ensure_pool()
+            future = pool.submit(
+                _run_dispatch, key, self.pending[key], attempt
+            )
+        except BrokenProcessPool:
+            # The pool died between the last collection and this submit;
+            # the dispatch never happened — queue it for the rebuilt pool.
+            self.dispatch_counts[key] = attempt
+            self.lost_keys.add(key)
+            self.pool_broken = True
+            return
+        self.inflight[future] = _Dispatch(key, attempt, time.monotonic())
+
+    def _schedule_retry(self, key: str) -> None:
+        retry_number = self.dispatch_counts[key]  # dispatches so far = retry #
+        ready = time.monotonic() + self.policy.retry.delay(key, retry_number)
+        heapq.heappush(self.retry_heap, (ready, next(self._heap_seq), key))
+
+    def _active(self, key: str) -> bool:
+        return key not in self.resolved and key not in self.failures
+
+    # ------------------------------------------------------------------- loop
+    def run(self) -> None:
+        """Drive the batch until every task is resolved or permanently failed."""
+        for key in self.pending:
+            self._submit(key)
+        while any(self._active(key) for key in self.pending):
+            self.executor._beat()
+            now = time.monotonic()
+            self._launch_due_retries(now)
+            if self.pool_broken:
+                self._rebuild_pool()
+                continue
+            if not self.inflight:
+                if self.retry_heap:
+                    time.sleep(
+                        max(0.0, min(self.policy.tick, self.retry_heap[0][0] - now))
+                    )
+                    continue
+                # Every active task must be in flight or scheduled; a bare
+                # loop here would spin forever, so fail loudly instead.
+                raise RuntimeError(
+                    "supervision invariant violated: active tasks with no "
+                    "dispatch in flight and no retry scheduled"
+                )
+            finished, _ = wait(
+                set(self.inflight), timeout=self.policy.tick,
+                return_when=FIRST_COMPLETED,
+            )
+            self._collect(finished)
+            if self.pool_broken:
+                self._rebuild_pool()
+                continue
+            now = time.monotonic()
+            self._scan_timeouts(now)
+            if self.pool_broken:
+                self._rebuild_pool()
+                continue
+            self._scan_stragglers(now)
+            if self.pool_broken:
+                self._rebuild_pool()
+        if self.failures:
+            # Siblings were drained first, so completed results are cached
+            # and a retrying map() only re-runs the failed tasks.
+            first = next(key for key in self.pending if key in self.failures)
+            raise self.failures[first]
+
+    def _launch_due_retries(self, now: float) -> None:
+        while self.retry_heap and self.retry_heap[0][0] <= now:
+            _, _, key = heapq.heappop(self.retry_heap)
+            if self._active(key):
+                self._submit(key)
+
+    def _collect(self, finished) -> None:
+        """Absorb finished futures (sets ``pool_broken`` when workers died)."""
+        stats = self.executor.stats
+        for future in finished:
+            dispatch = self.inflight.pop(future)
+            key = dispatch.key
+            try:
+                _, _, result, seconds = future.result()
+            except (BrokenProcessPool, CancelledError):
+                # The dispatch died with its pool (or was cancelled during a
+                # teardown); its task is lost, not failed.
+                if self._active(key):
+                    self.lost_keys.add(key)
+                self.pool_broken = True
+                continue
+            except Exception as error:  # noqa: BLE001 - ledgered, raised at end
+                if not self._active(key):
+                    continue
+                if self.dispatch_counts[key] <= self.policy.retry.max_retries:
+                    stats.retries += 1
+                    self._schedule_retry(key)
+                else:
+                    self.failures[key] = error
+                continue
+            if not self._active(key):
+                continue  # a duplicate dispatch already won this task
+            self.resolved.add(key)
+            self.durations.append(seconds)
+            timing = TaskTiming(key=key, seconds=seconds, worker_mode="parallel")
+            self.executor.cache.put(key, result)
+            stats.record(timing)
+            self.done += 1
+            if self.executor._progress is not None:
+                self.executor._progress(timing, self.done, self.total)
+
+    # -------------------------------------------------------------- recovery
+    def _rebuild_pool(self) -> None:
+        """Replace a dead or clogged pool; re-dispatch only the lost tasks."""
+        stats = self.executor.stats
+        self.rebuilds += 1
+        stats.pool_rebuilds += 1
+        if self.rebuilds > self.policy.retry.max_pool_rebuilds:
+            raise WorkerCrashError(
+                f"worker processes died through {self.rebuilds} pool rebuilds "
+                f"(budget {self.policy.retry.max_pool_rebuilds}); giving up"
+            )
+        lost = set(self.lost_keys)
+        # Dispatches still tracked in flight die with the pool — except
+        # timed-out ones, whose replacement was already queued (it lands in
+        # ``lost`` through its own future's cancellation, or is live below).
+        for dispatch in self.inflight.values():
+            if self._active(dispatch.key) and not dispatch.timed_out:
+                lost.add(dispatch.key)
+        self.inflight.clear()
+        self.lost_keys.clear()
+        self.pool_broken = False
+        self.executor._discard_pool()
+        scheduled = {key for _, _, key in self.retry_heap}
+        for key in self.pending:  # pending order keeps re-dispatch deterministic
+            if key in lost and key not in scheduled:
+                self._submit(key)
+
+    def _scan_timeouts(self, now: float) -> None:
+        """Replace dispatches that outlived the per-task timeout."""
+        timeout = self.policy.retry.task_timeout
+        if timeout is None:
+            return
+        stats = self.executor.stats
+        for dispatch in list(self.inflight.values()):
+            if dispatch.timed_out or not self._active(dispatch.key):
+                continue
+            if now - dispatch.submitted_at <= timeout:
+                continue
+            dispatch.timed_out = True
+            stats.timeouts += 1
+            key = dispatch.key
+            if self.dispatch_counts[key] <= self.policy.retry.max_retries:
+                # Immediate replacement: the timeout already waited longer
+                # than any backoff would.
+                self._submit(key)
+            else:
+                self.failures[key] = TaskTimeoutError(
+                    f"task {key!r} exceeded {timeout:g}s on "
+                    f"{self.dispatch_counts[key]} dispatch(es)"
+                )
+        # A hung task cannot be cancelled inside ProcessPoolExecutor; when
+        # every worker slot may be occupied by an abandoned dispatch, the
+        # replacements above would queue forever — force a pool rebuild.
+        # (This timeout-based detection is the "missing heartbeat" path:
+        # the worker never reports back, so the supervisor walks away.)
+        abandoned = sum(1 for d in self.inflight.values() if d.timed_out)
+        if abandoned >= self.executor.workers and abandoned:
+            self.inflight = {
+                f: d for f, d in self.inflight.items() if not d.timed_out
+            }
+            self.pool_broken = True
+
+    def _scan_stragglers(self, now: float) -> None:
+        """Submit one duplicate for each dispatch far past its peers."""
+        deadline = self.policy.straggler.deadline(self.durations)
+        if deadline is None:
+            return
+        for dispatch in list(self.inflight.values()):
+            if dispatch.duplicated or dispatch.timed_out:
+                continue
+            if not self._active(dispatch.key):
+                continue
+            if now - dispatch.submitted_at <= deadline:
+                continue
+            dispatch.duplicated = True
+            self.executor.stats.requeues += 1
+            self._submit(dispatch.key)
 
 
 def default_worker_count() -> int:

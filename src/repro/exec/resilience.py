@@ -1,10 +1,9 @@
-"""Fault-tolerant campaign execution: supervision around the sweep executor.
+"""Fault-tolerant campaign execution: the policy the sweep executor follows.
 
-:class:`~repro.exec.executor.SweepExecutor` assumes a perfect world — one
-crashed or hung worker kills the whole campaign.  This module wraps it in a
-supervision layer, :class:`ResilientExecutor`, that keeps the executor's
-bit-identical-results contract while surviving the three failure modes a
-long campaign actually meets:
+:class:`~repro.exec.executor.SweepExecutor` supervises every parallel batch
+and keeps its bit-identical-results contract while surviving the three
+failure modes a long campaign actually meets; this module holds the policy
+values that configure it and the errors it gives up with:
 
 * **Worker death** — a worker process that dies mid-task breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`.  The supervisor catches
@@ -34,18 +33,11 @@ regression-tested in ``tests/test_exec_resilience.py``.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import math
-import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.exec import executor as _executor
-from repro.exec.chaos import FaultPlan, install_worker_plan, worker_plan
-from repro.exec.executor import SweepExecutor, TaskTiming
+from repro.exec.chaos import FaultPlan
 
 
 class ResilienceExecutorError(RuntimeError):
@@ -167,379 +159,23 @@ class ResiliencePolicy:
         )
 
 
-def _initialize_resilient_worker(pipeline_factory, plan: Optional[FaultPlan]) -> None:
-    """Pool initializer: build the worker pipeline and install its fault plan."""
-    _executor._initialize_worker(pipeline_factory)
-    install_worker_plan(plan)
 
 
-def _execute_resilient_task(key: str, attack, attempt: int) -> Tuple:
-    """Run one dispatch in a worker, applying any installed chaos first."""
-    start = time.perf_counter()
-    plan = worker_plan()
-    if plan is not None:
-        plan.apply(key, attempt, allow_kill=True)
-    pipeline = _executor._WORKER_PIPELINE
-    if attack is None:
-        result = pipeline.run_baseline()
-    else:
-        result = pipeline.run(attack)
-    return key, attempt, result, time.perf_counter() - start
+#: The policy an executor built with ``policy=None`` follows: no retries, no
+#: timeout, no straggler duplicates, no chaos.  Worker death is still
+#: recovered within ``RetryPolicy.max_pool_rebuilds`` (or raised as
+#: :class:`WorkerCrashError`).
+PLAIN_POLICY = ResiliencePolicy(
+    retry=RetryPolicy(max_retries=0), straggler=StragglerPolicy(enabled=False)
+)
 
 
-@dataclass
-class _Dispatch:
-    """Book-keeping for one submitted (task, attempt) pair."""
+def __getattr__(name: str):
+    # ``ResilientExecutor`` is a bare alias kept because the benchmark's
+    # tracer (perfbench/layers.py) wraps ``map`` on this name; resolved
+    # lazily since the executor module imports this one.
+    if name == "ResilientExecutor":
+        from repro.exec.executor import SweepExecutor
 
-    key: str
-    attempt: int
-    submitted_at: float
-    timed_out: bool = False
-    duplicated: bool = False
-
-
-class ResilientExecutor(SweepExecutor):
-    """A :class:`SweepExecutor` that survives worker death, hangs and flakes.
-
-    Drop-in replacement: same constructor plus a ``policy`` keyword.  The
-    serial path retries transient task failures with the policy's seeded
-    backoff (and applies the chaos plan in-process, demoting ``kill``
-    faults to transient failures); the parallel path replaces the base
-    class's submit-and-wait loop with a supervision loop implementing
-    timeout, retry/backoff, straggler re-dispatch and pool rebuild.
-
-    Two deliberate semantic differences from the base class:
-
-    * A task failure is only raised after the retry budget is exhausted,
-      and — like the base class — only after every sibling task has been
-      drained into the cache.
-    * With a chaos plan installed, the serial path skips the lockstep
-      batched route so faults inject per task (the batched and per-run
-      paths are bit-identical by the engine parity contract, so this
-      changes timing only, never numbers).
-    """
-
-    def __init__(self, *args, policy: Optional[ResiliencePolicy] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.policy = policy if policy is not None else ResiliencePolicy()
-        #: Lease-aware dispatch hook (:mod:`repro.exec.elastic`): a callable
-        #: invoked around every serial task and on every supervision-loop
-        #: iteration.  The elastic scheduler installs its rate-limited
-        #: lease/presence renewal here, so long chunks keep heartbeating
-        #: while their tasks run.  ``None`` = no elastic coordination.
-        self.heartbeat: Optional[Callable[[], None]] = None
-
-    def _beat(self) -> None:
-        """Invoke the heartbeat hook; shared-FS hiccups must not kill tasks."""
-        if self.heartbeat is not None:
-            try:
-                self.heartbeat()
-            except OSError:  # pragma: no cover - shared-FS hiccup
-                pass
-
-    def map(self, attacks) -> List:
-        """Evaluate every attack (see :meth:`SweepExecutor.map`), then sync
-        the cache's quarantine count into this executor's stats so corrupt
-        entries recovered from show up in reports and provenance."""
-        results = super().map(attacks)
-        self.stats.quarantined = getattr(
-            self.cache, "quarantined_entries", self.stats.quarantined
-        )
-        return results
-
-    # ------------------------------------------------------------------ serial
-    def _run_serial(self, pending: Dict[str, object], total: int) -> None:
-        self._beat()
-        if self.policy.chaos is None:
-            if self.dispatcher.supports(self.pipeline, total):
-                if self._run_serial_batched(pending, total):
-                    return
-            else:
-                self.dispatcher.note_serial()
-        else:
-            # Chaos targets individual tasks; force the per-run path so
-            # each task is a separate injection point.
-            self.dispatcher.note_serial()
-        done = 0
-        for key, attack in pending.items():
-            self._beat()
-            result, seconds = self._run_serial_task(key, attack)
-            timing = TaskTiming(key=key, seconds=seconds, worker_mode="serial")
-            self.cache.put(key, result)
-            self.stats.record(timing)
-            done += 1
-            if self._progress is not None:
-                self._progress(timing, done, total)
-
-    def _run_serial_task(self, key: str, attack) -> Tuple[object, float]:
-        """One task on the serial path: chaos, then retry with backoff."""
-        retry = self.policy.retry
-        chaos = self.policy.chaos
-        attempt = 0
-        while True:
-            start = time.perf_counter()
-            try:
-                if chaos is not None:
-                    chaos.apply(key, attempt, allow_kill=False)
-                if attack is None:
-                    result = self.pipeline.run_baseline()
-                else:
-                    result = self.pipeline.run(attack)
-                return result, time.perf_counter() - start
-            except Exception:
-                # KeyboardInterrupt/SystemExit (BaseException) propagate:
-                # an interrupt must stop the campaign, not be retried.
-                if attempt >= retry.max_retries:
-                    raise
-                attempt += 1
-                self.stats.retries += 1
-                time.sleep(retry.delay(key, attempt))
-
-    # ---------------------------------------------------------------- parallel
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, with the chaos plan installed by the initializer."""
-        if self._pool is None:
-            import multiprocessing
-
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_initialize_resilient_worker,
-                initargs=(self._worker_factory(), self.policy.chaos),
-            )
-        return self._pool
-
-    def _run_parallel(self, pending: Dict[str, object], total: int) -> None:
-        supervisor = _Supervisor(self, pending, total)
-        supervisor.run()
-
-    def _discard_pool(self) -> None:
-        """Drop the (broken or clogged) pool without waiting on its tasks."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-
-class _Supervisor:
-    """The parallel supervision loop of one :meth:`SweepExecutor.map` batch.
-
-    Owns the in-flight dispatch table, the retry schedule and the
-    failure ledger for the batch; see :class:`ResilientExecutor` for the
-    semantics it implements.
-    """
-
-    def __init__(
-        self, executor: ResilientExecutor, pending: Dict[str, object], total: int
-    ) -> None:
-        self.executor = executor
-        self.pending = pending
-        self.total = total
-        self.policy = executor.policy
-        self.resolved: set = set()
-        self.failures: Dict[str, BaseException] = {}
-        self.inflight: Dict[object, _Dispatch] = {}
-        self.retry_heap: List[Tuple[float, int, str]] = []
-        self._heap_seq = itertools.count()
-        self.dispatch_counts: Dict[str, int] = {}
-        self.durations: List[float] = []
-        self.done = 0
-        self.rebuilds = 0
-        #: Keys whose dispatch was lost to a dead pool (re-dispatched on rebuild).
-        self.lost_keys: set = set()
-        self.pool_broken = False
-
-    # ------------------------------------------------------------- submission
-    def _submit(self, key: str) -> None:
-        attempt = self.dispatch_counts.get(key, 0)
-        self.dispatch_counts[key] = attempt + 1
-        try:
-            pool = self.executor._ensure_pool()
-            future = pool.submit(
-                _execute_resilient_task, key, self.pending[key], attempt
-            )
-        except BrokenProcessPool:
-            # The pool died between the last collection and this submit;
-            # the dispatch never happened — queue it for the rebuilt pool.
-            self.dispatch_counts[key] = attempt
-            self.lost_keys.add(key)
-            self.pool_broken = True
-            return
-        self.inflight[future] = _Dispatch(key, attempt, time.monotonic())
-
-    def _schedule_retry(self, key: str) -> None:
-        retry_number = self.dispatch_counts[key]  # dispatches so far = retry #
-        ready = time.monotonic() + self.policy.retry.delay(key, retry_number)
-        heapq.heappush(self.retry_heap, (ready, next(self._heap_seq), key))
-
-    def _active(self, key: str) -> bool:
-        return key not in self.resolved and key not in self.failures
-
-    # ------------------------------------------------------------------- loop
-    def run(self) -> None:
-        """Drive the batch until every task is resolved or permanently failed."""
-        for key in self.pending:
-            self._submit(key)
-        while any(self._active(key) for key in self.pending):
-            self.executor._beat()
-            now = time.monotonic()
-            self._launch_due_retries(now)
-            if self.pool_broken:
-                self._rebuild_pool()
-                continue
-            if not self.inflight:
-                if self.retry_heap:
-                    time.sleep(
-                        max(0.0, min(self.policy.tick, self.retry_heap[0][0] - now))
-                    )
-                    continue
-                # Every active task must be in flight or scheduled; a bare
-                # loop here would spin forever, so fail loudly instead.
-                raise RuntimeError(
-                    "supervision invariant violated: active tasks with no "
-                    "dispatch in flight and no retry scheduled"
-                )
-            finished, _ = wait(
-                set(self.inflight), timeout=self.policy.tick,
-                return_when=FIRST_COMPLETED,
-            )
-            self._collect(finished)
-            if self.pool_broken:
-                self._rebuild_pool()
-                continue
-            now = time.monotonic()
-            self._scan_timeouts(now)
-            if self.pool_broken:
-                self._rebuild_pool()
-                continue
-            self._scan_stragglers(now)
-            if self.pool_broken:
-                self._rebuild_pool()
-        if self.failures:
-            # Siblings were drained first, so completed results are cached
-            # and a retrying map() only re-runs the failed tasks.
-            first = next(key for key in self.pending if key in self.failures)
-            raise self.failures[first]
-
-    def _launch_due_retries(self, now: float) -> None:
-        while self.retry_heap and self.retry_heap[0][0] <= now:
-            _, _, key = heapq.heappop(self.retry_heap)
-            if self._active(key):
-                self._submit(key)
-
-    def _collect(self, finished) -> None:
-        """Absorb finished futures (sets ``pool_broken`` when workers died)."""
-        stats = self.executor.stats
-        for future in finished:
-            dispatch = self.inflight.pop(future)
-            key = dispatch.key
-            try:
-                _, _, result, seconds = future.result()
-            except (BrokenProcessPool, CancelledError):
-                # The dispatch died with its pool (or was cancelled during a
-                # teardown); its task is lost, not failed.
-                if self._active(key):
-                    self.lost_keys.add(key)
-                self.pool_broken = True
-                continue
-            except Exception as error:  # noqa: BLE001 - ledgered, raised at end
-                if not self._active(key):
-                    continue
-                if self.dispatch_counts[key] <= self.policy.retry.max_retries:
-                    stats.retries += 1
-                    self._schedule_retry(key)
-                else:
-                    self.failures[key] = error
-                continue
-            if not self._active(key):
-                continue  # a duplicate dispatch already won this task
-            self.resolved.add(key)
-            self.durations.append(seconds)
-            timing = TaskTiming(key=key, seconds=seconds, worker_mode="parallel")
-            self.executor.cache.put(key, result)
-            stats.record(timing)
-            self.done += 1
-            if self.executor._progress is not None:
-                self.executor._progress(timing, self.done, self.total)
-
-    # -------------------------------------------------------------- recovery
-    def _rebuild_pool(self) -> None:
-        """Replace a dead or clogged pool; re-dispatch only the lost tasks."""
-        stats = self.executor.stats
-        self.rebuilds += 1
-        stats.pool_rebuilds += 1
-        if self.rebuilds > self.policy.retry.max_pool_rebuilds:
-            raise WorkerCrashError(
-                f"worker processes died through {self.rebuilds} pool rebuilds "
-                f"(budget {self.policy.retry.max_pool_rebuilds}); giving up"
-            )
-        lost = set(self.lost_keys)
-        # Dispatches still tracked in flight die with the pool — except
-        # timed-out ones, whose replacement was already queued (it lands in
-        # ``lost`` through its own future's cancellation, or is live below).
-        for dispatch in self.inflight.values():
-            if self._active(dispatch.key) and not dispatch.timed_out:
-                lost.add(dispatch.key)
-        self.inflight.clear()
-        self.lost_keys.clear()
-        self.pool_broken = False
-        self.executor._discard_pool()
-        scheduled = {key for _, _, key in self.retry_heap}
-        for key in self.pending:  # pending order keeps re-dispatch deterministic
-            if key in lost and key not in scheduled:
-                self._submit(key)
-
-    def _scan_timeouts(self, now: float) -> None:
-        """Replace dispatches that outlived the per-task timeout."""
-        timeout = self.policy.retry.task_timeout
-        if timeout is None:
-            return
-        stats = self.executor.stats
-        for dispatch in list(self.inflight.values()):
-            if dispatch.timed_out or not self._active(dispatch.key):
-                continue
-            if now - dispatch.submitted_at <= timeout:
-                continue
-            dispatch.timed_out = True
-            stats.timeouts += 1
-            key = dispatch.key
-            if self.dispatch_counts[key] <= self.policy.retry.max_retries:
-                # Immediate replacement: the timeout already waited longer
-                # than any backoff would.
-                self._submit(key)
-            else:
-                self.failures[key] = TaskTimeoutError(
-                    f"task {key!r} exceeded {timeout:g}s on "
-                    f"{self.dispatch_counts[key]} dispatch(es)"
-                )
-        # A hung task cannot be cancelled inside ProcessPoolExecutor; when
-        # every worker slot may be occupied by an abandoned dispatch, the
-        # replacements above would queue forever — force a pool rebuild.
-        # (This timeout-based detection is the "missing heartbeat" path:
-        # the worker never reports back, so the supervisor walks away.)
-        abandoned = sum(1 for d in self.inflight.values() if d.timed_out)
-        if abandoned >= self.executor.workers and abandoned:
-            self.inflight = {
-                f: d for f, d in self.inflight.items() if not d.timed_out
-            }
-            self.pool_broken = True
-
-    def _scan_stragglers(self, now: float) -> None:
-        """Submit one duplicate for each dispatch far past its peers."""
-        deadline = self.policy.straggler.deadline(self.durations)
-        if deadline is None:
-            return
-        for dispatch in list(self.inflight.values()):
-            if dispatch.duplicated or dispatch.timed_out:
-                continue
-            if not self._active(dispatch.key):
-                continue
-            if now - dispatch.submitted_at <= deadline:
-                continue
-            dispatch.duplicated = True
-            self.executor.stats.requeues += 1
-            self._submit(dispatch.key)
+        return SweepExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,28 +23,23 @@ from typing import List, Optional, Sequence
 
 from repro.snn.batched import BatchedNetworkError
 
+#: Smallest batch worth a lockstep pass (a single pending task gains nothing
+#: from variant batching).
+MIN_BATCH = 2
+
 
 @dataclass
 class PipelineBatchDispatcher:
     """Routes a serial batch of attack evaluations through ``run_batch``.
 
-    Parameters
-    ----------
-    batch:
-        ``True`` (default) batches whenever the pipeline supports it;
-        ``False`` always takes the per-run serial path (reference
-        behaviour, useful for parity debugging).
-    min_batch:
-        Smallest batch worth a lockstep pass (a single pending task gains
-        nothing from variant batching).
-
-    The ``batched_sweeps`` / ``serial_sweeps`` counters record which route
-    each batch actually took; ``fallbacks`` counts lockstep passes the
-    engine rejected at build time (the batch then re-ran serially).
+    A batch takes the lockstep route whenever the pipeline supports it; a
+    pipeline forced to ``engine="scalar"`` always takes the per-run serial
+    path (the reference behaviour).  The ``batched_sweeps`` /
+    ``serial_sweeps`` counters record which route each batch actually
+    took; ``fallbacks`` counts lockstep passes the engine rejected at build
+    time (the batch then re-ran serially).
     """
 
-    batch: bool = True
-    min_batch: int = 2
     batched_sweeps: int = 0
     serial_sweeps: int = 0
     fallbacks: int = 0
@@ -53,8 +48,7 @@ class PipelineBatchDispatcher:
     def supports(self, pipeline, n_tasks: int) -> bool:
         """Whether this batch should take the lockstep route."""
         return (
-            self.batch
-            and n_tasks >= self.min_batch
+            n_tasks >= MIN_BATCH
             and callable(getattr(pipeline, "run_batch", None))
             and getattr(pipeline, "resolved_engine", "scalar") == "batched"
         )

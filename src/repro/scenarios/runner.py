@@ -37,7 +37,7 @@ from repro.exec.elastic import (
     whole_chunk,
 )
 from repro.exec.executor import PipelineFromConfig, SweepExecutor
-from repro.exec.resilience import ResiliencePolicy, ResilientExecutor
+from repro.exec.resilience import ResiliencePolicy
 from repro.exec.shard import FULL, MergeReport, ShardSpec, merge_report
 from repro.figures import FigureTable
 from repro.scenarios.registry import Scenario
@@ -125,11 +125,10 @@ class ScenarioRunner:
         :class:`~repro.exec.executor.PipelineFromConfig`, letting tests
         drive scenarios through stub pipelines.
     resilience:
-        Optional :class:`~repro.exec.resilience.ResiliencePolicy`; when
-        given, scenarios run through
-        :class:`~repro.exec.resilience.ResilientExecutor` (crash recovery,
-        retry/timeout/backoff, straggler re-dispatch, chaos injection)
-        instead of the plain :class:`SweepExecutor`.
+        Optional :class:`~repro.exec.resilience.ResiliencePolicy` the
+        scenario executors follow (crash recovery, retry/timeout/backoff,
+        straggler re-dispatch, chaos injection).  ``None`` selects the
+        plain :data:`~repro.exec.resilience.PLAIN_POLICY`.
     elastic:
         Optional :class:`~repro.exec.elastic.ElasticPolicy`; when given,
         this invocation joins a cooperative work-stealing drain of each
@@ -197,23 +196,12 @@ class ScenarioRunner:
         engine = self.engine_for(scenario)
         key = (config.scale_name, engine)
         if key not in self._executors:
-            factory = self._pipeline_factory(config, engine=engine)
-            if self.resilience is not None or self.elastic is not None:
-                # Elastic drains always go through the resilient executor:
-                # its heartbeat hook is what keeps leases renewed while a
-                # chunk's tasks run.
-                self._executors[key] = ResilientExecutor(
-                    pipeline_factory=factory,
-                    workers=self.workers,
-                    cache=self.cache,
-                    policy=self.resilience,
-                )
-            else:
-                self._executors[key] = SweepExecutor(
-                    pipeline_factory=factory,
-                    workers=self.workers,
-                    cache=self.cache,
-                )
+            self._executors[key] = SweepExecutor(
+                pipeline_factory=self._pipeline_factory(config, engine=engine),
+                workers=self.workers,
+                cache=self.cache,
+                policy=self.resilience,
+            )
         return self._executors[key]
 
     def close(self, *, cancel_pending: bool = False) -> None:
@@ -330,14 +318,12 @@ class ScenarioRunner:
     ) -> Dict[str, str]:
         """Run one scheduler drain with the lease heartbeat hook installed."""
         scheduler = self._make_scheduler(scenario, executor)
-        previous = getattr(executor, "heartbeat", None)
-        if hasattr(executor, "heartbeat"):
-            executor.heartbeat = scheduler.heartbeat
+        previous = executor.heartbeat
+        executor.heartbeat = scheduler.heartbeat
         try:
             kinds = scheduler.drain(chunks, run_chunk)
         finally:
-            if hasattr(executor, "heartbeat"):
-                executor.heartbeat = previous
+            executor.heartbeat = previous
         self._refresh_sibling_caches()
         self._last_categories = scheduler.categorize(chunks, kinds)
         return kinds
@@ -412,9 +398,8 @@ class ScenarioRunner:
         if outcome == "done":
             self._refresh_sibling_caches()
             return self._run_bisect(scenario, executor)
-        previous = getattr(executor, "heartbeat", None)
-        if hasattr(executor, "heartbeat"):
-            executor.heartbeat = scheduler.heartbeat
+        previous = executor.heartbeat
+        executor.heartbeat = scheduler.heartbeat
         try:
             if scheduler.chaos is not None:
                 scheduler.chaos.apply_elastic(
@@ -424,8 +409,7 @@ class ScenarioRunner:
             result = self._run_bisect(scenario, executor)
         finally:
             scheduler._current = None
-            if hasattr(executor, "heartbeat"):
-                executor.heartbeat = previous
+            executor.heartbeat = previous
         scheduler.board.complete(chunk.id, scheduler.owner)
         return result
 

@@ -432,14 +432,25 @@ def is_snapshot_artifact(json_path: Path | str) -> bool:
     return classify_artifact_json(json_path) == "snapshot"
 
 
+def _temp_path(path: Path) -> Path:
+    """This process's private ``<name>.<pid>.tmp`` sibling of ``path``.
+
+    One temp name per process lets concurrent writers of the same target
+    (elastic workers all merging one scenario artifact) race only on the
+    final ``os.replace``, never on each other's half-written temp file.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.tmp")
+
+
 def _atomic_write_json(path: Path, payload: Any) -> None:
     """Write ``payload`` as JSON via temp file + fsync + rename.
 
     ``os.replace`` within one directory is atomic on POSIX, so readers see
     either the previous complete file or the new complete file — never a
-    torn write, even when the process is killed mid-``json.dump``.
+    torn write, even when the process is killed mid-``json.dump`` or
+    several processes write the same path at once.
     """
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
+    tmp_path = _temp_path(path)
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.flush()
@@ -449,7 +460,7 @@ def _atomic_write_json(path: Path, payload: Any) -> None:
 
 def _atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
     """Write an NPZ bundle via temp file + fsync + rename (see above)."""
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
+    tmp_path = _temp_path(path)
     with open(tmp_path, "wb") as handle:
         np.savez(handle, **arrays)
         handle.flush()
@@ -493,7 +504,7 @@ class PersistentResultCache(ResultCache):
     dropped (the file is copied aside once for post-mortem) and recomputed
     as cache misses.  ``quarantined_entries`` / ``quarantined_files``
     record what happened, and flow into executor stats and artifact
-    provenance through :class:`repro.exec.resilience.ResilientExecutor`.
+    provenance through :meth:`repro.exec.executor.SweepExecutor.map`.
     A cache file from a *newer* schema still raises: refusing to guess at
     a future format is not a corruption-recovery case.
     """

@@ -33,13 +33,11 @@ from repro.core.results import ExperimentResult
 from repro.exec.cache import ResultCache
 from repro.exec.chaos import Fault, FaultPlan
 from repro.exec.elastic import (
-    Chunk,
     ElasticPolicy,
     ElasticScheduler,
     Lease,
     LeaseBoard,
     LeaseCorruptionError,
-    _write_json_atomic,
     build_chunks,
     default_worker_id,
     find_stale_artifacts,
@@ -50,7 +48,12 @@ from repro.exec.elastic import (
 from repro.exec.executor import ExecutionStats
 from repro.exec.shard import MergeReport, ShardSpec
 from repro.scenarios import ScenarioRunner, ScenarioSpec, scenario_names
-from repro.store import CacheCorruptionError, PersistentResultCache, open_worker_cache
+from repro.store import (
+    CacheCorruptionError,
+    PersistentResultCache,
+    _atomic_write_json,
+    open_worker_cache,
+)
 
 # --------------------------------------------------------------------------
 # Policy and chunking.
@@ -265,7 +268,7 @@ class TestElasticScheduler:
             created_unix=time.time() - 50.0,
             heartbeat_unix=time.time() - 50.0,
         )
-        _write_json_atomic(
+        _atomic_write_json(
             scheduler.board.lease_path("chunk-0000"), burned.to_dict()
         )
         _backdate(scheduler.board.lease_path("chunk-0000"), 50.0)
@@ -294,7 +297,7 @@ class TestElasticScheduler:
             created_unix=time.time() - 100.0,
             heartbeat_unix=time.time(),
         )
-        _write_json_atomic(scheduler.board.lease_path("chunk-0000"), slow.to_dict())
+        _atomic_write_json(scheduler.board.lease_path("chunk-0000"), slow.to_dict())
         ran: list = []
         kinds = scheduler.drain(chunks, lambda chunk: ran.append(chunk.id))
         assert kinds["chunk-0000"] == "done"
@@ -329,7 +332,7 @@ class TestElasticScheduler:
             tmp_path, "scn", policy=policy, owner="me", stats=stats
         )
         peer_file = tmp_path / "workers" / "peer.json"
-        _write_json_atomic(peer_file, {"owner": "peer", "heartbeat_unix": 0.0})
+        _atomic_write_json(peer_file, {"owner": "peer", "heartbeat_unix": 0.0})
         scheduler._account_peers()
         assert stats.peers_joined == 1  # itself is never counted
         assert stats.peers_lost == 0
@@ -790,7 +793,7 @@ class TestElasticRunner:
             created_unix=time.time() - 50.0,
             heartbeat_unix=time.time() - 50.0,
         )
-        _write_json_atomic(board.lease_path("whole"), burned.to_dict())
+        _atomic_write_json(board.lease_path("whole"), burned.to_dict())
         _backdate(board.lease_path("whole"), 50.0)
         result = ScenarioRunner(
             pipeline_factory=_stub_factory,

@@ -1,6 +1,7 @@
 """Tests for the execution subsystem: caching, dedup, serial/parallel parity."""
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -192,12 +193,20 @@ class FlakyConfig:
 
 
 class FlakyPipeline:
-    """Picklable pipeline whose run() fails for one specific attack."""
+    """Picklable pipeline whose run() fails for one specific attack.
 
-    def __init__(self, config=None) -> None:
+    With a ``log`` path, every run appends its attack label there, so the
+    dispatches of every process can be counted afterwards.
+    """
+
+    def __init__(self, config=None, log=None) -> None:
         self.config = config or FlakyConfig()
+        self.log = log
 
     def run(self, attack) -> ExperimentResult:
+        if self.log is not None:
+            with open(self.log, "a", encoding="utf-8") as handle:
+                handle.write(attack.label() + "\n")
         if attack.threshold_change == -0.1:
             raise RuntimeError("injected task failure")
         return ExperimentResult(attack_label=attack.label(), accuracy=0.5)
@@ -227,12 +236,13 @@ class TestScopedCacheAndFailures:
             AttackCampaign(pipeline_b, executor=executor)
         AttackCampaign(pipeline_a, executor=executor)  # same pipeline: fine
 
-    def test_parallel_failure_preserves_completed_siblings(self):
+    @pytest.mark.parametrize("workers", [2, 0], ids=["parallel", "serial"])
+    def test_parallel_failure_preserves_completed_siblings(self, workers, tmp_path):
         # The stub is not a ClassificationPipeline, so the workers need an
         # explicit factory (the class itself) instead of PipelineFromConfig.
-        executor = SweepExecutor(
-            FlakyPipeline(), workers=2, pipeline_factory=FlakyPipeline
-        )
+        log = tmp_path / "dispatches.log"
+        factory = functools.partial(FlakyPipeline, log=log)
+        executor = SweepExecutor(factory(), workers=workers, pipeline_factory=factory)
         good = [
             Attack3InhibitoryThreshold(threshold_change=0.2),
             Attack3InhibitoryThreshold(threshold_change=0.3),
@@ -240,6 +250,12 @@ class TestScopedCacheAndFailures:
         bad = Attack3InhibitoryThreshold(threshold_change=-0.1)
         with pytest.raises(RuntimeError, match="injected task failure"):
             executor.map(good + [bad])
+        # policy=None is the plain executor: the failing task ran exactly
+        # once, with no retry, timeout or straggler duplicate.
+        stats = executor.stats
+        assert (stats.retries, stats.requeues, stats.timeouts) == (0, 0, 0)
+        dispatches = log.read_text(encoding="utf-8").splitlines()
+        assert dispatches.count(bad.label()) == 1
         # The two successful siblings were drained into the cache...
         assert executor.stats.tasks_executed == 2
         results = executor.map(good)  # ...so a retry serves them from cache.

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,10 @@ from repro.exec import (
     MergeReport,
     ResilienceExecutorError,
     ResiliencePolicy,
-    ResilientExecutor,
     RetryPolicy,
     ShardSpec,
     StragglerPolicy,
+    SweepExecutor,
     TaskTimeoutError,
     WorkerCrashError,
     attack_cache_key,
@@ -104,7 +105,7 @@ def run_chaotic(plan, *, workers=2, retry=None, straggler=None, cache=None):
         straggler=straggler or StragglerPolicy(enabled=False),
         chaos=plan,
     )
-    with ResilientExecutor(
+    with SweepExecutor(
         StubPipeline(),
         workers=workers,
         pipeline_factory=StubPipeline,
@@ -264,7 +265,7 @@ class TestFaultPlan:
 
 class TestSerialResilience:
     def test_clean_serial_run_pins_the_reference_digest(self):
-        with ResilientExecutor(StubPipeline(), workers=0) as executor:
+        with SweepExecutor(StubPipeline(), workers=0) as executor:
             assert results_digest(executor.map(ATTACKS)) == CLEAN_SHA256
             assert executor.stats.resilience_events() == {
                 "retries": 0,
@@ -297,7 +298,7 @@ class TestSerialResilience:
         policy = ResiliencePolicy(
             retry=RetryPolicy(max_retries=2, **FAST_RETRY), chaos=plan
         )
-        with ResilientExecutor(StubPipeline(), workers=0, policy=policy) as executor:
+        with SweepExecutor(StubPipeline(), workers=0, policy=policy) as executor:
             with pytest.raises(InjectedFault):
                 executor.map(ATTACKS)
             assert executor.stats.retries == 2  # the whole budget was spent
@@ -333,7 +334,7 @@ class TestParallelResilience:
             straggler=StragglerPolicy(enabled=False),
             chaos=plan,
         )
-        with ResilientExecutor(
+        with SweepExecutor(
             StubPipeline(), workers=2, pipeline_factory=StubPipeline, policy=policy
         ) as executor:
             start = time.perf_counter()
@@ -358,7 +359,7 @@ class TestParallelResilience:
             ),
             chaos=plan,
         )
-        with ResilientExecutor(
+        with SweepExecutor(
             StubPipeline(), workers=2, pipeline_factory=StubPipeline, policy=policy
         ) as executor:
             start = time.perf_counter()
@@ -379,7 +380,7 @@ class TestParallelResilience:
             straggler=StragglerPolicy(enabled=False),
             chaos=plan,
         )
-        with ResilientExecutor(
+        with SweepExecutor(
             StubPipeline(), workers=2, pipeline_factory=StubPipeline, policy=policy
         ) as executor:
             with pytest.raises(InjectedFault):
@@ -398,7 +399,7 @@ class TestParallelResilience:
             straggler=StragglerPolicy(enabled=False),
             chaos=plan,
         )
-        with ResilientExecutor(
+        with SweepExecutor(
             StubPipeline(), workers=2, pipeline_factory=StubPipeline, policy=policy
         ) as executor:
             with pytest.raises(WorkerCrashError, match="pool rebuilds"):
@@ -410,7 +411,7 @@ class TestCacheCorruptionRecovery:
 
     def _populate(self, path) -> None:
         cache = PersistentResultCache(path)
-        with ResilientExecutor(StubPipeline(), workers=0, cache=cache) as executor:
+        with SweepExecutor(StubPipeline(), workers=0, cache=cache) as executor:
             assert results_digest(executor.map(ATTACKS)) == CLEAN_SHA256
 
     def _recompute(self, path):
@@ -418,7 +419,7 @@ class TestCacheCorruptionRecovery:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cache = PersistentResultCache(path)
-        with ResilientExecutor(StubPipeline(), workers=0, cache=cache) as executor:
+        with SweepExecutor(StubPipeline(), workers=0, cache=cache) as executor:
             digest = results_digest(executor.map(ATTACKS))
             return digest, executor.stats, cache, caught
 
@@ -485,18 +486,48 @@ class TestKilledShardResume:
         path = tmp_path / "cache.json"
         first = PersistentResultCache(path)
         # A campaign killed partway: only the first half of the grid landed.
-        with ResilientExecutor(StubPipeline(), workers=0, cache=first) as executor:
+        with SweepExecutor(StubPipeline(), workers=0, cache=first) as executor:
             executor.map(ATTACKS[: len(ATTACKS) // 2])
         # A fresh process pointed at the same cache finishes the rest.
         second = PersistentResultCache(path)
-        with ResilientExecutor(StubPipeline(), workers=0, cache=second) as executor:
+        with SweepExecutor(StubPipeline(), workers=0, cache=second) as executor:
             digest = results_digest(executor.map(ATTACKS))
             assert digest == CLEAN_SHA256
             assert executor.stats.cache_hits == len(ATTACKS) // 2
             assert executor.stats.tasks_executed == len(ATTACKS) - len(ATTACKS) // 2
 
 
+def _hammer_one_path(path, writer, rounds) -> int:
+    """Rewrite ``path`` ``rounds`` times from this process; returns the pid."""
+    for round_index in range(rounds):
+        if writer == "json":
+            _atomic_write_json(path, {"pid": os.getpid(), "round": round_index})
+        else:
+            _atomic_write_npz(path, {"round": np.array([round_index])})
+    return os.getpid()
+
+
 class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["json", "npz"])
+    def test_concurrent_writers_of_one_path_never_collide(self, tmp_path, writer):
+        # Elastic workers that all see the complete variant union write the
+        # same scenario artifact at once; every write must land whole.
+        path = tmp_path / f"scenario-shared.{writer}"
+        processes, rounds = 4, 200
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            futures = [
+                pool.submit(_hammer_one_path, path, writer, rounds)
+                for _ in range(processes)
+            ]
+            pids = {future.result() for future in futures}  # re-raises OSError
+        if writer == "json":
+            final = json.loads(path.read_text(encoding="utf-8"))
+            assert final["pid"] in pids and final["round"] == rounds - 1
+        else:
+            with np.load(path) as loaded:
+                assert loaded["round"].tolist() == [rounds - 1]
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_interrupted_json_write_preserves_the_original(self, tmp_path, monkeypatch):
         path = tmp_path / "artifact.json"
         _atomic_write_json(path, {"value": 1})

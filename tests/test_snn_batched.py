@@ -249,9 +249,7 @@ class TestPipelineParity:
 
     def test_campaign_batched_dispatch_matches_serial(self, tiny_config):
         batched = AttackCampaign(ClassificationPipeline(tiny_config))
-        scalar = AttackCampaign(
-            ClassificationPipeline(tiny_config, engine="scalar"), batch_runs=False
-        )
+        scalar = AttackCampaign(ClassificationPipeline(tiny_config, engine="scalar"))
         grid_b = batched.sweep_layer_threshold("inhibitory", (-0.2, 0.2), (0.0, 1.0))
         grid_s = scalar.sweep_layer_threshold("inhibitory", (-0.2, 0.2), (0.0, 1.0))
         assert np.array_equal(grid_b.accuracies, grid_s.accuracies)
