@@ -9,21 +9,29 @@ The campaign object wraps a classification pipeline (anything exposing
 * :meth:`AttackCampaign.sweep_both_layers` — Fig. 8c.
 * :meth:`AttackCampaign.sweep_global_vdd` — Fig. 9a.
 
-Every sweep submits its grid points as one batch to a
-:class:`~repro.exec.executor.SweepExecutor`, so independent evaluations run
-in parallel when the campaign is built with ``workers >= 2`` and the
+Every sweep has a plain attack-list builder (``attack1_theta_attacks``,
+``layer_threshold_attacks``, ``both_layers_attacks``,
+``global_vdd_attacks``) and submits that list, behind a leading ``None``
+for the baseline, as one batch to a
+:class:`~repro.exec.executor.SweepExecutor`.  Independent evaluations run
+in parallel when the campaign is built with ``workers >= 2``, and the
 baseline is computed exactly once per campaign (not once per sweep).  On
 the serial path the executor routes whole batches through the lockstep
 batched SNN engine (:mod:`repro.exec.snn_batch` →
 ``pipeline.run_batch``): the grid's variants — which differ only in the
 per-neuron corruptions the fault injector writes — train and evaluate in
 one stacked pass, with results bit-identical to per-run execution.
+
+Because the executor caches by attack content, a caller can merge several
+sweeps into one pass: map the concatenated builder lists once, then call
+the sweep methods, which assemble their results from cache hits.  Fig. 8
+does this for its three grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,32 +146,44 @@ class AttackCampaign:
             )
         self.executor = executor or SweepExecutor(pipeline, workers=workers)
 
-    # --------------------------------------------------------------- baselines
-    @property
-    def baseline_accuracy(self) -> float:
-        """Accuracy of the attack-free run (evaluated once per campaign)."""
-        return self.executor.run_baseline().accuracy
+    # -------------------------------------------------------------- evaluation
+    def _evaluate(
+        self, attacks: Sequence[Optional[PowerAttack]]
+    ) -> Tuple[float, List[ExperimentResult]]:
+        """Baseline accuracy plus one result per attack, from one batch.
+
+        The leading ``None`` puts the baseline in the batch (it is evaluated
+        first on the serial path), so every attacked result can carry its
+        baseline accuracy regardless of execution mode, and the sweep reads
+        the baseline from it instead of issuing a second lookup.
+        """
+        baseline, *results = self.executor.map([None, *attacks])
+        return baseline.accuracy, results
 
     # ------------------------------------------------------------ Fig. 7b
+    @staticmethod
+    def attack1_theta_attacks(
+        theta_changes: Sequence[float] = DEFAULT_THETA_CHANGES,
+    ) -> List[Optional[PowerAttack]]:
+        """The Attack 1 grid; a zero theta change is the baseline (``None``)."""
+        return [
+            None if abs(change) < 1e-12
+            else Attack1InputSpikeCorruption(theta_change=float(change))
+            for change in theta_changes
+        ]
+
     def sweep_attack1_theta(
         self,
         theta_changes: Sequence[float] = DEFAULT_THETA_CHANGES,
     ) -> AttackSweep:
         """Attack 1: accuracy vs per-spike membrane-charge (theta) change."""
-        attacks: List[Optional[PowerAttack]] = [
-            None if abs(change) < 1e-12
-            else Attack1InputSpikeCorruption(theta_change=float(change))
-            for change in theta_changes
-        ]
-        # The leading None puts the baseline in the batch (it is evaluated
-        # first on the serial path), so every attacked result can carry its
-        # baseline accuracy regardless of execution mode.
-        results = self.executor.map([None] + attacks)[1:]
+        attacks = self.attack1_theta_attacks(theta_changes)
+        baseline_accuracy, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack1_theta_sweep",
             parameter="theta_change",
             values=np.asarray(theta_changes, dtype=float),
-            baseline_accuracy=self.baseline_accuracy,
+            baseline_accuracy=baseline_accuracy,
         )
         for attack, result in zip(attacks, results):
             if attack is None:
@@ -172,6 +192,35 @@ class AttackCampaign:
         return sweep
 
     # ------------------------------------------------------- Fig. 8a / Fig. 8b
+    @staticmethod
+    def layer_threshold_attacks(
+        layer: str,
+        threshold_changes: Sequence[float] = DEFAULT_THRESHOLD_CHANGES,
+        fractions: Sequence[float] = DEFAULT_FRACTIONS,
+        *,
+        selection: FaultSiteSelection = FaultSiteSelection.RANDOM,
+    ) -> List[Optional[PowerAttack]]:
+        """The Attack 2/3 grid, row-major over (threshold change, fraction).
+
+        A zero fraction corrupts no neuron, so it is the baseline (``None``).
+        """
+        check_in_choices(layer, "layer", (EXCITATORY_LAYER, INHIBITORY_LAYER))
+        attack_cls = (
+            Attack2ExcitatoryThreshold
+            if layer == EXCITATORY_LAYER
+            else Attack3InhibitoryThreshold
+        )
+        return [
+            None if fraction == 0.0
+            else attack_cls(
+                threshold_change=float(change),
+                fraction=float(fraction),
+                selection=selection,
+            )
+            for change in threshold_changes
+            for fraction in fractions
+        ]
+
     def sweep_layer_threshold(
         self,
         layer: str,
@@ -181,26 +230,10 @@ class AttackCampaign:
         selection: FaultSiteSelection = FaultSiteSelection.RANDOM,
     ) -> AttackGridResult:
         """Attack 2 or 3: accuracy vs threshold change x fraction of the layer."""
-        check_in_choices(layer, "layer", (EXCITATORY_LAYER, INHIBITORY_LAYER))
-        attack_cls = (
-            Attack2ExcitatoryThreshold
-            if layer == EXCITATORY_LAYER
-            else Attack3InhibitoryThreshold
+        attacks = self.layer_threshold_attacks(
+            layer, threshold_changes, fractions, selection=selection
         )
-        attacks: List[Optional[PowerAttack]] = []
-        for change in threshold_changes:
-            for fraction in fractions:
-                if fraction == 0.0:
-                    attacks.append(None)
-                else:
-                    attacks.append(
-                        attack_cls(
-                            threshold_change=float(change),
-                            fraction=float(fraction),
-                            selection=selection,
-                        )
-                    )
-        results = self.executor.map([None] + attacks)[1:]
+        baseline_accuracy, results = self._evaluate(attacks)
         accuracies = np.array([result.accuracy for result in results]).reshape(
             (len(threshold_changes), len(fractions))
         )
@@ -211,33 +244,57 @@ class AttackCampaign:
             row_values=np.asarray(threshold_changes, dtype=float),
             column_values=np.asarray(fractions, dtype=float),
             accuracies=accuracies,
-            baseline_accuracy=self.baseline_accuracy,
+            baseline_accuracy=baseline_accuracy,
             scale_name=self.pipeline.config.scale_name,
             metadata={"layer": layer, "selection": selection.value},
         )
 
     # ------------------------------------------------------------------ Fig. 8c
+    @staticmethod
+    def both_layers_attacks(
+        threshold_changes: Sequence[float] = DEFAULT_THRESHOLD_CHANGES,
+    ) -> List[PowerAttack]:
+        """The Attack 4 grid: one attack per threshold change."""
+        return [
+            Attack4BothLayerThreshold(threshold_change=float(change))
+            for change in threshold_changes
+        ]
+
     def sweep_both_layers(
         self,
         threshold_changes: Sequence[float] = DEFAULT_THRESHOLD_CHANGES,
     ) -> AttackSweep:
         """Attack 4: accuracy vs threshold change applied to both layers."""
-        attacks = [
-            Attack4BothLayerThreshold(threshold_change=float(change))
-            for change in threshold_changes
-        ]
-        results = self.executor.map([None] + attacks)[1:]
+        attacks = self.both_layers_attacks(threshold_changes)
+        baseline_accuracy, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack4_both_layers",
             parameter="threshold_change",
             values=np.asarray(threshold_changes, dtype=float),
-            baseline_accuracy=self.baseline_accuracy,
+            baseline_accuracy=baseline_accuracy,
         )
         for attack, result in zip(attacks, results):
             sweep.outcomes.append(AttackOutcome(attack=attack, result=result))
         return sweep
 
     # ------------------------------------------------------------------ Fig. 9a
+    @staticmethod
+    def global_vdd_attacks(
+        vdd_values: Sequence[float] = DEFAULT_VDD_VALUES,
+        *,
+        neuron_type: str = "if_amplifier",
+        parameter_map: Optional[VddToParameterMap] = None,
+    ) -> List[Optional[PowerAttack]]:
+        """The Attack 5 grid; the nominal supply is the baseline (``None``)."""
+        attacks: List[Optional[PowerAttack]] = []
+        for vdd in vdd_values:
+            attack = Attack5GlobalSupply(
+                vdd=float(vdd), neuron_type=neuron_type, parameter_map=parameter_map
+            )
+            nominal = abs(float(vdd) - attack.threat_model.nominal_vdd) < 1e-9
+            attacks.append(None if nominal else attack)
+        return attacks
+
     def sweep_global_vdd(
         self,
         vdd_values: Sequence[float] = DEFAULT_VDD_VALUES,
@@ -246,24 +303,20 @@ class AttackCampaign:
         parameter_map: Optional[VddToParameterMap] = None,
     ) -> AttackSweep:
         """Attack 5: accuracy vs the shared supply voltage (black box)."""
-        attacks: List[Optional[PowerAttack]] = []
-        placeholders: List[PowerAttack] = []
-        for vdd in vdd_values:
-            attack = Attack5GlobalSupply(
-                vdd=float(vdd), neuron_type=neuron_type, parameter_map=parameter_map
-            )
-            placeholders.append(attack)
-            if abs(float(vdd) - attack.threat_model.nominal_vdd) < 1e-9:
-                attacks.append(None)
-            else:
-                attacks.append(attack)
-        results = self.executor.map([None] + attacks)[1:]
+        attacks = self.global_vdd_attacks(
+            vdd_values, neuron_type=neuron_type, parameter_map=parameter_map
+        )
+        baseline_accuracy, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack5_global_vdd",
             parameter="vdd",
             values=np.asarray(vdd_values, dtype=float),
-            baseline_accuracy=self.baseline_accuracy,
+            baseline_accuracy=baseline_accuracy,
         )
-        for attack, result in zip(placeholders, results):
+        for vdd, attack, result in zip(vdd_values, attacks, results):
+            if attack is None:
+                attack = Attack5GlobalSupply(
+                    vdd=float(vdd), neuron_type=neuron_type, parameter_map=parameter_map
+                )
             sweep.outcomes.append(AttackOutcome(attack=attack, result=result))
         return sweep

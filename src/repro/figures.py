@@ -737,6 +737,16 @@ def run_fig7b(context: FigureContext) -> FigureResult:
 def run_fig8(context: FigureContext) -> FigureResult:
     changes, fractions = _threshold_grid(context.scale)
     campaign = context.campaign()
+    # One batch for all three grids (one lockstep pass on the serial path,
+    # one pool fan-out with workers); the sweeps then read cache hits.
+    campaign.executor.map(
+        [
+            None,
+            *campaign.layer_threshold_attacks("excitatory", changes, fractions),
+            *campaign.layer_threshold_attacks("inhibitory", changes, fractions),
+            *campaign.both_layers_attacks(changes),
+        ]
+    )
     excitatory = campaign.sweep_layer_threshold("excitatory", changes, fractions)
     inhibitory = campaign.sweep_layer_threshold("inhibitory", changes, fractions)
     both = campaign.sweep_both_layers(changes)

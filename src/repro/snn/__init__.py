@@ -62,6 +62,7 @@ from repro.snn.evaluation import (
     proportion_weighting_prediction,
 )
 from repro.snn.serving import (
+    InputShapeError,
     SERVING_ENGINES,
     ScoreResult,
     ScoringEngine,
@@ -117,6 +118,7 @@ __all__ = [
     "prediction_digest",
     "save_snapshot",
     "snapshot_from_pipeline",
+    "InputShapeError",
     "SERVING_ENGINES",
     "ScoreResult",
     "ScoringEngine",

@@ -23,6 +23,10 @@ plasticity state) and scores examples without ever training:
   using the pipeline's fault-site RNG keying, and score through the
   corrupted network.
 
+Every public scoring entry point checks its input against the snapshot's
+input layer before any engine work and raises :class:`InputShapeError`
+when it does not fit, identically on both engines.
+
 Both engines (``"batched"``/``"scalar"``) produce bit-identical spike
 counts — the serving-parity suite (``tests/test_snn_snapshot.py``) pins
 this across every registered model variant.  Per-lane independence of the
@@ -32,6 +36,7 @@ any partition of the example stream into chunks.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -60,6 +65,17 @@ from repro.utils.validation import check_in_choices, check_positive
 #: Engine choices accepted by the serving tier (mirrors the pipeline's
 #: ``ENGINES``; ``"sparse"`` is a circuit-tier choice treated as ``"auto"``).
 SERVING_ENGINES = ("auto", "batched", "scalar", "sparse")
+
+
+class InputShapeError(ValueError):
+    """Raised when rasters or images do not fit the snapshot's input layer.
+
+    Rasters must be ``(time_steps, n_inputs)`` or ``(examples, time_steps,
+    n_inputs)`` with no empty axis; images must carry ``n_inputs`` pixels
+    each.  The number of time steps is free.  Without the check each engine
+    failed with its own unnamed error from deep inside a pass, and the
+    batched engine scored a raster with no time steps as silence.
+    """
 
 
 @dataclass
@@ -134,6 +150,7 @@ class ScoringEngine:
                 FaultInjector(self.network, rng=rng)
             )
         self._input_layer = self._find_input_layer()
+        self._n_inputs = self.network.layers[self._input_layer].n
         self._monitor = self._find_score_monitor()
         self._batched: Optional[BatchedNetwork] = None
         self._batched_monitor: Optional[BatchedSpikeMonitor] = None
@@ -175,17 +192,43 @@ class ScoringEngine:
             )
         return self._batched, self._batched_monitor
 
+    # ------------------------------------------------------------- validation
+    def _check_rasters(self, rasters: np.ndarray) -> None:
+        if (
+            rasters.ndim not in (2, 3)
+            or rasters.shape[-1] != self._n_inputs
+            or 0 in rasters.shape
+        ):
+            raise InputShapeError(
+                f"rasters must be (time_steps, {self._n_inputs}) or "
+                f"(examples, time_steps, {self._n_inputs}) with no empty "
+                f"axis, got shape {rasters.shape}"
+            )
+
+    def _check_images(self, images: np.ndarray) -> None:
+        if (
+            images.ndim < 2
+            or len(images) == 0
+            or math.prod(images.shape[1:]) != self._n_inputs
+        ):
+            raise InputShapeError(
+                f"images must be a non-empty batch of {self._n_inputs}-pixel "
+                f"images, got shape {images.shape}"
+            )
+
     # ---------------------------------------------------------------- scoring
     def score_rasters(self, rasters: np.ndarray) -> ScoreResult:
         """Score pre-encoded spike rasters (no plasticity, no normalisation).
 
         ``rasters`` is ``(time_steps, n_inputs)`` for one example or
-        ``(examples, time_steps, n_inputs)`` for a batch.  Lanes of the
-        batched engine do not interact, so the result is bit-identical to
-        scoring each example alone (and to the scalar engine) — which is
-        what makes microbatch coalescing safe.
+        ``(examples, time_steps, n_inputs)`` for a batch; any other shape
+        raises :class:`InputShapeError`.  Lanes of the batched engine do
+        not interact, so the result is bit-identical to scoring each
+        example alone (and to the scalar engine) — which is what makes
+        microbatch coalescing safe.
         """
         rasters = np.asarray(rasters, dtype=bool)
+        self._check_rasters(rasters)
         if rasters.ndim == 2:
             rasters = rasters[None, :, :]
         if self.resolved_engine == "batched":
@@ -233,8 +276,11 @@ class ScoringEngine:
         bit.  Note the stream is *sequential*: results depend on each
         image's position, which is what evaluation parity requires — use
         :meth:`encode_request` for order-independent serving traffic.
+        ``images`` is ``(examples, ...)`` with ``n_inputs`` pixels per
+        image; any other shape raises :class:`InputShapeError`.
         """
         images = np.asarray(images, dtype=float)
+        self._check_images(images)
         rng = RandomState(self.snapshot.seed, name=f"{stream}_encoding")
         count_chunks: List[np.ndarray] = []
         label_chunks: List[np.ndarray] = []
@@ -260,7 +306,10 @@ class ScoringEngine:
         never from shared stream position — so a request's raster (and
         therefore its prediction) is identical no matter when it arrives,
         which microbatch it lands in, or which process encodes it.
+        An image without exactly ``n_inputs`` pixels raises
+        :class:`InputShapeError`.
         """
+        self._check_images(np.asarray(image)[None])
         rng = RandomState(
             (self.snapshot.seed, int(request_id)), name=f"request[{request_id}]"
         )

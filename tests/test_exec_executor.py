@@ -91,6 +91,27 @@ class TestSerialExecutor:
         assert executor.stats.tasks_executed == 2
         assert executor.stats.cache_hits >= 4
 
+    def test_merged_sweeps_evaluate_each_distinct_key_once(self):
+        # Fig. 8 merges three grids into one batch: fraction-0 points become
+        # baseline requests (None) and an attack may repeat across sweeps.
+        from repro.attacks import AttackCampaign
+
+        changes, fractions = (-0.2, 0.2), (0.0, 0.5, 1.0)
+        attacks = [
+            None,
+            *AttackCampaign.layer_threshold_attacks("excitatory", changes, fractions),
+            *AttackCampaign.layer_threshold_attacks("inhibitory", changes, fractions),
+            *AttackCampaign.both_layers_attacks(changes),
+            *AttackCampaign.both_layers_attacks(changes[:1]),  # repeated
+        ]
+        distinct = {attack_cache_key(attack) for attack in attacks}
+        assert len(distinct) < len(attacks)
+        pipeline = CountingPipeline()
+        executor = SweepExecutor(pipeline)
+        executor.map(attacks)
+        assert executor.stats.tasks_executed == len(distinct) == len(pipeline.calls)
+        assert executor.stats.cache_hits == len(attacks) - len(distinct)
+
     def test_shared_cache_across_executors(self):
         pipeline = CountingPipeline()
         cache = ResultCache()
@@ -185,6 +206,63 @@ class TestParallelParity:
             serial_sweep.worst_case().result.baseline_accuracy
             == parallel_sweep.worst_case().result.baseline_accuracy
         )
+
+
+class TestFig8SinglePass:
+    def test_fig8_trains_all_three_grids_in_one_lockstep_pass(self, monkeypatch):
+        from repro.attacks import AttackCampaign
+        from repro.figures import FigureContext, get_figure
+
+        config = tiny_config()
+        batches = []
+        run_batch = ClassificationPipeline.run_batch
+
+        def spy(pipeline, attacks):
+            batches.append(list(attacks))
+            return run_batch(pipeline, attacks)
+
+        monkeypatch.setattr(ClassificationPipeline, "run_batch", spy)
+        figure = get_figure("fig8").run(FigureContext(config))
+        changes = tuple(figure.arrays["threshold_changes"])
+        fractions = tuple(figure.arrays["fractions"])
+        expected = {
+            attack_cache_key(attack)
+            for attack in [
+                None,
+                *AttackCampaign.layer_threshold_attacks("excitatory", changes, fractions),
+                *AttackCampaign.layer_threshold_attacks("inhibitory", changes, fractions),
+                *AttackCampaign.both_layers_attacks(changes),
+            ]
+        }
+        assert len(batches) == 1
+        assert len(batches[0]) == len(expected)
+        assert {attack_cache_key(attack) for attack in batches[0]} == expected
+
+        campaign = FigureContext(config).campaign()
+        excitatory = campaign.sweep_layer_threshold("excitatory", changes, fractions)
+        inhibitory = campaign.sweep_layer_threshold("inhibitory", changes, fractions)
+        both = campaign.sweep_both_layers(changes)
+        assert figure.metrics == {
+            "baseline_accuracy": excitatory.baseline_accuracy,
+            "worst_relative_degradation_excitatory": (
+                excitatory.worst_case_relative_degradation()
+            ),
+            "worst_relative_degradation_inhibitory": (
+                inhibitory.worst_case_relative_degradation()
+            ),
+            "worst_relative_degradation_both": (
+                both.worst_case().result.relative_degradation
+            ),
+        }
+        separate = {
+            "accuracies_excitatory": excitatory.accuracies,
+            "accuracies_inhibitory": inhibitory.accuracies,
+            "both_threshold_changes": both.values,
+            "accuracies_both": both.accuracies(),
+        }
+        for name, array in separate.items():
+            assert figure.arrays[name].dtype == array.dtype
+            assert figure.arrays[name].tobytes() == array.tobytes(), name
 
 
 @dataclasses.dataclass

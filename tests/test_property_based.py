@@ -25,7 +25,7 @@ from repro.snn.models import (
     EXCITATORY_LAYER,
     MODEL_VARIANTS,
 )
-from repro.snn.serving import ScoringEngine
+from repro.snn.serving import InputShapeError, ScoringEngine
 from repro.snn.snapshot import capture_snapshot
 from repro.utils.rng import RandomState
 from repro.utils.tables import format_table
@@ -431,6 +431,90 @@ def test_microbatch_context_manager_drains_pending():
         batcher.submit(1, "y")
     assert flushed == [["x", "y"]]
     assert batcher.stats.microbatch_drain_flushes == 1
+
+
+
+def _scalar_serving_engine() -> ScoringEngine:
+    if "scalar" not in _SERVING_CACHE:
+        _SERVING_CACHE["scalar"] = ScoringEngine(
+            _tiny_serving_engine().snapshot, engine="scalar"
+        )
+    return _SERVING_CACHE["scalar"]
+
+
+@st.composite
+def malformed_raster_shapes(draw, n_inputs):
+    """Raster shapes ``ScoringEngine.score_rasters`` must reject."""
+    width = draw(
+        st.integers(min_value=0, max_value=2 * n_inputs).filter(
+            lambda value: value != n_inputs
+        )
+    )
+    steps = st.integers(min_value=1, max_value=40)
+    kind = draw(st.sampled_from(["width", "ndim1", "ndim4", "empty"]))
+    if kind == "width":
+        return draw(st.sampled_from([(draw(steps), width), (2, draw(steps), width)]))
+    if kind == "ndim1":
+        return (draw(st.integers(min_value=1, max_value=2 * n_inputs)),)
+    if kind == "ndim4":
+        return (1, 2, draw(steps), n_inputs)
+    return draw(st.sampled_from([(0, n_inputs), (0, draw(steps), n_inputs), (2, 0, n_inputs)]))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scoring_engine_rejects_malformed_input_on_both_engines(data):
+    """Shapes that do not fit the input layer raise ``InputShapeError``.
+
+    Both engines raise the same named error, for rasters, image batches
+    and single serving requests alike.
+    """
+    n_inputs = _tiny_serving_engine().network.layers["input"].n
+    raster_shape = data.draw(malformed_raster_shapes(n_inputs), label="raster shape")
+    pixels = data.draw(
+        st.integers(min_value=1, max_value=2 * n_inputs).filter(
+            lambda value: value != n_inputs
+        ),
+        label="pixels",
+    )
+    for engine in (_tiny_serving_engine(), _scalar_serving_engine()):
+        with pytest.raises(InputShapeError):
+            engine.score_rasters(np.zeros(raster_shape, dtype=bool))
+        with pytest.raises(InputShapeError):
+            engine.score(np.zeros((2, pixels)))
+        with pytest.raises(InputShapeError):
+            engine.score(np.zeros(n_inputs))  # one image, not a batch
+        with pytest.raises(InputShapeError):
+            engine.encode_request(np.zeros(pixels), 0)
+
+
+@given(
+    n_examples=st.integers(min_value=1, max_value=4),
+    time_steps=st.integers(min_value=1, max_value=45),
+    single=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_scoring_engine_scores_valid_input_as_before(n_examples, time_steps, single, seed):
+    """Valid rasters of any length score exactly as the unchecked engine.
+
+    The reference is the scalar engine's per-example loop, called past the
+    shape check; the snapshot's own ``time_steps`` (30) does not bind.
+    """
+    batched, scalar = _tiny_serving_engine(), _scalar_serving_engine()
+    n_inputs = batched.network.layers["input"].n
+    rng = np.random.default_rng(seed)
+    rasters = rng.random((n_examples, time_steps, n_inputs)) < 0.3
+    reference = scalar._score_rasters_scalar(rasters[:1] if single else rasters)
+    request = rasters[0] if single else rasters
+    for engine in (batched, scalar):
+        result = engine.score_rasters(request)
+        assert np.array_equal(result.spike_counts, reference)
+        assert np.array_equal(result.labels, engine._predict(reference))
+    images = rng.random((n_examples, n_inputs)) * 255.0
+    assert np.array_equal(
+        batched.score(images).spike_counts, scalar.score(images).spike_counts
+    )
 
 
 # ------------------------------------------------------------------ reporting
