@@ -16,6 +16,7 @@ corrupts and by how much, and (c) how to apply itself to a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional
@@ -231,7 +232,8 @@ class Attack5GlobalSupply(PowerAttack):
     parameter_map: Optional[VddToParameterMap] = None
 
     def __post_init__(self) -> None:
-        check_positive(self.vdd, "vdd")
+        if not math.isfinite(check_positive(self.vdd, "vdd")):
+            raise ValueError(f"vdd must be finite, got {self.vdd!r}")
 
     def _map(self) -> VddToParameterMap:
         # Never mutate self: the attack object doubles as a cache/task key in

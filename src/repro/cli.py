@@ -482,8 +482,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(result.render())
             print(
                 f"[{name}] done in {result.wall_seconds:.2f} s "
-                f"({result.executor_tasks} pipeline runs, "
-                f"{result.executor_cache_hits} cache hits) -> {paths.json_path}"
+                f"({result.execution['tasks_executed']} pipeline runs, "
+                f"{result.execution['cache_hits']} cache hits) -> {paths.json_path}"
             )
         print()
         print(format_execution_report(context.executor.stats))
@@ -828,7 +828,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                     print(
                         f"[{name}] elastic pass done in "
                         f"{result.wall_seconds:.2f} s "
-                        f"({result.executor_tasks} pipeline runs); "
+                        f"({result.execution['tasks_executed']} pipeline runs); "
                         f"{result.missing} variant(s) unresolved"
                         + (f": position(s) {positions}" if positions else "")
                         + f" — {len(result.unclaimed_positions)} never "
@@ -845,7 +845,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"[{name}] shard slice done in {result.wall_seconds:.2f} s "
-                    f"({result.executor_tasks} pipeline runs); waiting on "
+                    f"({result.execution['tasks_executed']} pipeline runs); waiting on "
                     f"{result.missing} variant(s) from other shards"
                     + (f": position(s) {positions}, owned by shard(s) {owners}" if owners else "")
                 )
@@ -863,8 +863,8 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                 print(result.render())
             print(
                 f"[{name}] done in {result.wall_seconds:.2f} s "
-                f"({result.executor_tasks} pipeline runs, "
-                f"{result.executor_cache_hits} cache hits) -> {paths.json_path}"
+                f"({result.execution['tasks_executed']} pipeline runs, "
+                f"{result.execution['cache_hits']} cache hits) -> {paths.json_path}"
             )
     if pending:
         if args.elastic:

@@ -3,13 +3,11 @@ plus execution instrumentation from the sweep executor."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.results import AttackGridResult, ExperimentResult
+from repro.exec.executor import COUNTERS, ExecutionStats
 from repro.utils.tables import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.exec.executor import ExecutionStats
 
 
 def format_experiment_result(result: ExperimentResult) -> str:
@@ -80,57 +78,33 @@ def format_sweep_series(
     )
 
 
-def format_execution_report(stats: "ExecutionStats", *, slowest: int = 5) -> str:
+def format_execution_report(stats: ExecutionStats, *, slowest: int = 5) -> str:
     """Render a :class:`~repro.exec.executor.ExecutionStats` summary.
 
-    Shows how much work the executor did, how much the cache saved, and the
-    measured parallel speedup (summed task time over wall-clock time).
+    Shows how much work the executor did, how much the cache saved, and —
+    for process pools — the measured parallel speedup (summed task time
+    over wall-clock time).  Lockstep passes are reported as passes and
+    lanes: their per-task times are equal shares, not measurements, so
+    only individually timed tasks make the "slowest" list.
     """
+    counts = stats.counters()
     mode = f"parallel ({stats.workers} workers)" if stats.workers >= 2 else "serial"
-    rows = [
-        ("mode", mode),
-        ("batches", str(stats.batches)),
-        ("tasks executed", str(stats.tasks_executed)),
-        ("cache hits", str(stats.cache_hits)),
-        ("wall-clock time", f"{stats.wall_seconds:.2f} s"),
-        ("summed task time", f"{stats.task_seconds:.2f} s"),
-        ("measured speedup", f"{stats.speedup_estimate():.2f}x"),
-    ]
-    # Fault-tolerance counters appear only when something actually fired,
-    # so clean runs keep the familiar compact report.
-    labels = {
-        "retries": "task retries",
-        "timeouts": "task timeouts",
-        "requeues": "straggler re-dispatches",
-        "pool_rebuilds": "worker-pool rebuilds",
-        "quarantined": "quarantined cache entries",
-    }
-    for key, count in stats.resilience_events().items():
-        if count:
-            rows.append((labels[key], str(count)))
-    # Elastic work-stealing counters, likewise only on elastic runs.
-    elastic_labels = {
-        "leases_claimed": "chunk leases claimed",
-        "leases_stolen": "expired leases stolen",
-        "leases_expired": "lease expiries observed",
-        "duplicate_wins": "duplicate first-result wins",
-        "peers_joined": "elastic peers seen",
-        "peers_lost": "elastic peers lost",
-    }
-    for key, count in stats.elastic_events().items():
-        if count:
-            rows.append((elastic_labels[key], str(count)))
-    # Microbatch serving counters, only when the serving front-end ran.
-    serving_labels = {
-        "microbatches": "microbatches formed",
-        "microbatch_requests": "serving requests",
-        "microbatch_full_flushes": "full flushes",
-        "microbatch_linger_flushes": "linger flushes",
-        "microbatch_drain_flushes": "drain flushes",
-    }
-    for key, count in stats.serving_events().items():
-        if count:
-            rows.append((serving_labels[key], str(count)))
+    rows = [("mode", mode)]
+    rows += [(c.label, str(counts[c.name])) for c in COUNTERS if c.group == "executor"]
+    rows.append(("wall-clock time", f"{stats.wall_seconds:.2f} s"))
+    rows.append(("summed task time", f"{stats.task_seconds:.2f} s"))
+    if stats.workers >= 2:
+        rows.append(("measured speedup", f"{stats.speedup_estimate():.2f}x"))
+    # Every other counter appears only when it fired, so clean runs keep the
+    # familiar compact report.
+    for counter in COUNTERS:
+        count = counts[counter.name]
+        if counter.group == "executor" or not counter.label or not count:
+            continue
+        value = str(count)
+        if counter.name == "lockstep_passes":
+            value += f" ({counts['lockstep_lanes']} lanes)"
+        rows.append((counter.label, value))
     if stats.microbatches:
         rows.append(
             ("mean batch occupancy", f"{stats.mean_microbatch_occupancy():.2f}")
@@ -146,24 +120,18 @@ def format_execution_report(stats: "ExecutionStats", *, slowest: int = 5) -> str
 def format_recovered_faults(provenance: Mapping) -> str:
     """Render an artifact's fault-recovery counters as one cell.
 
-    Folds the ``resilience`` block and the recovery-marking subset of the
-    ``elastic`` block into a ``key=count`` list ("-" when nothing fired).
-    "worker" is an id string, and "peers_joined" / "leases_claimed" fire
-    on every healthy elastic run, so none of those belong here — a clean
-    campaign must keep the compact "-" cell.
+    Folds the ``resilience`` and ``elastic`` provenance counters that mark
+    a recovered fault (:data:`~repro.exec.executor.COUNTERS` entries with
+    ``recovery`` set) into a ``key=count`` list ("-" when nothing fired).
+    Healthy elastic runs claim leases and see peers on every drain, so a
+    clean campaign keeps the compact "-" cell.
     """
-    resilience = provenance.get("resilience", {}) or {}
-    fired = {key: count for key, count in resilience.items() if count}
-    elastic = provenance.get("elastic", {}) or {}
-    fired.update(
-        {
-            key: count
-            for key, count in elastic.items()
-            if isinstance(count, int)
-            and count
-            and key not in ("peers_joined", "leases_claimed")
-        }
-    )
+    fired = {}
+    for counter in COUNTERS:
+        if counter.recovery:
+            count = (provenance.get(counter.group) or {}).get(counter.provenance, 0)
+            if count:
+                fired[counter.provenance] = count
     if not fired:
         return "-"
     return ", ".join(f"{key}={count}" for key, count in sorted(fired.items()))

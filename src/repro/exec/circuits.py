@@ -18,7 +18,7 @@ simulation pass each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,7 +61,6 @@ class CircuitSweepDispatcher:
     engine: str = "auto"
     batched_sweeps: int = 0
     serial_sweeps: int = 0
-    _last_route: str = field(default="", repr=False)
 
     def _use_batch(self, circuits: Sequence[Circuit]) -> bool:
         route_batched = (
@@ -72,10 +71,8 @@ class CircuitSweepDispatcher:
         )
         if route_batched:
             self.batched_sweeps += 1
-            self._last_route = "batched"
         else:
             self.serial_sweeps += 1
-            self._last_route = "serial"
         return route_batched
 
     # --------------------------------------------------------------- transient
@@ -104,7 +101,7 @@ class CircuitSweepDispatcher:
                     engine=self.engine,
                 )
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                self._last_route = "serial"
+                pass  # fall back to the serial path below
         return [
             transient_analysis(
                 circuit,
@@ -147,7 +144,7 @@ class CircuitSweepDispatcher:
                     circuits, source_name, grid, options=options, engine=self.engine
                 )
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                self._last_route = "serial"
+                pass  # fall back to the serial path below
         return [
             dc_sweep(circuit, source_name, grid[i], options=options, engine=self.engine)
             for i, circuit in enumerate(circuits)
@@ -170,7 +167,7 @@ class CircuitSweepDispatcher:
                     engine=self.engine,
                 )
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                self._last_route = "serial"
+                pass  # fall back to the serial path below
         guesses = initial_guesses or [None] * len(circuits)
         return [
             dc_operating_point(

@@ -110,6 +110,55 @@ class TaskTiming:
     worker_mode: str = "serial"
 
 
+@dataclass(frozen=True)
+class Counter:
+    """One integer counter of :class:`ExecutionStats`.
+
+    ``group`` is ``"executor"`` (always reported; provenance top level),
+    ``"resilience"`` / ``"elastic"`` (stored in that provenance block) or
+    ``"serving"`` / ``"lockstep"`` (report-only).  An empty ``provenance``
+    key keeps a counter out of artifacts; non-executor counters show in
+    the execution report, under ``label``, only when nonzero.
+    ``recovery`` marks counts of recovered faults (``repro report``).
+    """
+
+    name: str
+    group: str
+    provenance: str
+    label: str
+    recovery: bool = False
+
+
+#: Every integer counter of :class:`ExecutionStats`, in report order.
+#: Provenance, reports and per-run deltas all read counters from here.
+COUNTERS: Tuple[Counter, ...] = (
+    Counter("batches", "executor", "", "batches"),
+    Counter("tasks_executed", "executor", "executor_tasks", "tasks executed"),
+    Counter("cache_hits", "executor", "executor_cache_hits", "cache hits"),
+    Counter("retries", "resilience", "retries", "task retries", True),
+    Counter("timeouts", "resilience", "timeouts", "task timeouts", True),
+    Counter("requeues", "resilience", "requeues", "straggler re-dispatches", True),
+    Counter("pool_rebuilds", "resilience", "pool_rebuilds", "worker-pool rebuilds", True),
+    Counter("quarantined", "resilience", "cache_quarantined", "quarantined cache entries", True),
+    Counter("leases_claimed", "elastic", "leases_claimed", "chunk leases claimed"),
+    Counter("leases_stolen", "elastic", "leases_stolen", "expired leases stolen", True),
+    Counter("leases_expired", "elastic", "leases_expired", "lease expiries observed", True),
+    Counter("duplicate_wins", "elastic", "duplicate_wins", "duplicate first-result wins", True),
+    Counter("peers_joined", "elastic", "peers_joined", "elastic peers seen"),
+    Counter("peers_lost", "elastic", "peers_lost", "elastic peers lost", True),
+    Counter("microbatches", "serving", "", "microbatches formed"),
+    Counter("microbatch_requests", "serving", "", "serving requests"),
+    Counter("microbatch_full_flushes", "serving", "", "full flushes"),
+    Counter("microbatch_linger_flushes", "serving", "", "linger flushes"),
+    Counter("microbatch_drain_flushes", "serving", "", "drain flushes"),
+    Counter("lockstep_passes", "lockstep", "", "lockstep passes"),
+    # Rendered inside the "lockstep passes" row, so it has no row label.
+    Counter("lockstep_lanes", "lockstep", "", ""),
+    Counter("serial_sweeps", "lockstep", "", "per-run serial batches"),
+    Counter("lockstep_fallbacks", "lockstep", "", "lockstep fallbacks to per-run"),
+)
+
+
 @dataclass
 class ExecutionStats:
     """Aggregate instrumentation of one executor's lifetime.
@@ -117,7 +166,7 @@ class ExecutionStats:
     ``speedup_estimate`` compares the summed task time (what a serial run
     would have cost) with the measured wall-clock time of the parallel
     batches; it is the executor's own measurement of how much the process
-    pool helped.
+    pool helped.  The integer counters are listed in :data:`COUNTERS`.
     """
 
     workers: int = 0
@@ -149,12 +198,21 @@ class ExecutionStats:
     #: Serving counters (filled by :class:`repro.exec.microbatch.Microbatcher`):
     #: lockstep microbatches formed, single-example requests coalesced into
     #: them, and how each flush was triggered (batch full, max-linger
-    #: deadline, or explicit drain/close).
+    #: deadline, or explicit drain/close); the three flush causes always
+    #: sum to ``microbatches``.
     microbatches: int = 0
     microbatch_requests: int = 0
     microbatch_full_flushes: int = 0
     microbatch_linger_flushes: int = 0
     microbatch_drain_flushes: int = 0
+    #: Serial-path routing counters (filled by
+    #: :class:`~repro.exec.snn_batch.PipelineBatchDispatcher`): lockstep
+    #: passes and the tasks (lanes) they evaluated, batches that took the
+    #: per-run serial route, and lockstep passes the engine rejected.
+    lockstep_passes: int = 0
+    lockstep_lanes: int = 0
+    serial_sweeps: int = 0
+    lockstep_fallbacks: int = 0
 
     def record(self, timing: TaskTiming) -> None:
         """Account one finished task (cached or freshly executed)."""
@@ -171,42 +229,13 @@ class ExecutionStats:
             return 1.0
         return self.task_seconds / self.wall_seconds
 
-    def resilience_events(self) -> Dict[str, int]:
-        """The resilience counters as a dict (all zero on a clean run)."""
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "requeues": self.requeues,
-            "pool_rebuilds": self.pool_rebuilds,
-            "quarantined": self.quarantined,
-        }
+    def counters(self) -> Dict[str, int]:
+        """Every :data:`COUNTERS` value, keyed by counter name."""
+        return {counter.name: getattr(self, counter.name) for counter in COUNTERS}
 
-    def elastic_events(self) -> Dict[str, int]:
-        """The elastic scheduler counters as a dict (all zero unless the
-        campaign ran under ``--elastic``; kept separate from
-        :meth:`resilience_events` so single-process resilience accounting
-        is unchanged)."""
-        return {
-            "leases_claimed": self.leases_claimed,
-            "leases_stolen": self.leases_stolen,
-            "leases_expired": self.leases_expired,
-            "duplicate_wins": self.duplicate_wins,
-            "peers_joined": self.peers_joined,
-            "peers_lost": self.peers_lost,
-        }
-
-    def serving_events(self) -> Dict[str, int]:
-        """The microbatch serving counters as a dict (all zero outside the
-        serving path).  Invariant: the three flush-cause counters always sum
-        to ``microbatches``, and ``microbatch_requests`` equals the number of
-        requests demuxed back to callers."""
-        return {
-            "microbatches": self.microbatches,
-            "microbatch_requests": self.microbatch_requests,
-            "microbatch_full_flushes": self.microbatch_full_flushes,
-            "microbatch_linger_flushes": self.microbatch_linger_flushes,
-            "microbatch_drain_flushes": self.microbatch_drain_flushes,
-        }
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """Counter deltas since ``before`` (an earlier :meth:`counters`)."""
+        return {name: value - before[name] for name, value in self.counters().items()}
 
     def mean_microbatch_occupancy(self) -> float:
         """Mean requests per formed microbatch (0.0 when none formed)."""
@@ -215,8 +244,14 @@ class ExecutionStats:
         return self.microbatch_requests / self.microbatches
 
     def slowest_tasks(self, count: int = 5) -> List[TaskTiming]:
-        """The ``count`` slowest executed (non-cached) tasks."""
-        executed = [t for t in self.timings if not t.cached]
+        """The ``count`` slowest individually timed tasks.
+
+        Cached hits and lockstep lanes are left out: a lane's timing is an
+        equal share of its pass, not a measurement of that task.
+        """
+        executed = [
+            t for t in self.timings if not t.cached and t.worker_mode != "batched"
+        ]
         return sorted(executed, key=lambda t: t.seconds, reverse=True)[:count]
 
 
@@ -295,7 +330,7 @@ class SweepExecutor:
         self.heartbeat: Optional[Callable[[], None]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._scope: Optional[str] = None
-        self.dispatcher = PipelineBatchDispatcher()
+        self.dispatcher = PipelineBatchDispatcher(self.stats)
 
     # ------------------------------------------------------------------ helpers
     @property

@@ -18,10 +18,13 @@ each worker still runs the batched *inference* passes internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.snn.batched import BatchedNetworkError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.exec.executor import ExecutionStats
 
 #: Smallest batch worth a lockstep pass (a single pending task gains nothing
 #: from variant batching).
@@ -34,16 +37,14 @@ class PipelineBatchDispatcher:
 
     A batch takes the lockstep route whenever the pipeline supports it; a
     pipeline forced to ``engine="scalar"`` always takes the per-run serial
-    path (the reference behaviour).  The ``batched_sweeps`` /
-    ``serial_sweeps`` counters record which route each batch actually
-    took; ``fallbacks`` counts lockstep passes the engine rejected at build
-    time (the batch then re-ran serially).
+    path (the reference behaviour).  The route each batch actually took
+    is counted in the executor's ``stats``: ``lockstep_passes`` (and the
+    ``lockstep_lanes`` they evaluated), ``serial_sweeps``, and
+    ``lockstep_fallbacks`` for passes the engine rejected at build time
+    (the batch then re-ran serially).
     """
 
-    batched_sweeps: int = 0
-    serial_sweeps: int = 0
-    fallbacks: int = 0
-    _last_route: str = field(default="", repr=False)
+    stats: "ExecutionStats"
 
     def supports(self, pipeline, n_tasks: int) -> bool:
         """Whether this batch should take the lockstep route."""
@@ -63,14 +64,12 @@ class PipelineBatchDispatcher:
         try:
             results = pipeline.run_batch(list(attacks))
         except BatchedNetworkError:
-            self.fallbacks += 1
-            self._last_route = "serial"
+            self.stats.lockstep_fallbacks += 1
             return None
-        self.batched_sweeps += 1
-        self._last_route = "batched"
+        self.stats.lockstep_passes += 1
+        self.stats.lockstep_lanes += len(results)
         return results
 
     def note_serial(self) -> None:
         """Record a batch that took the per-run serial route."""
-        self.serial_sweeps += 1
-        self._last_route = "serial"
+        self.stats.serial_sweeps += 1

@@ -220,7 +220,7 @@ class FigureResult:
     (and the paper comparison in ``repro report``) are stated over;
     ``arrays`` holds the swept series/grids backing the figure; ``tables``
     are the human-readable renderings.  Execution metadata (wall-clock,
-    executor task/cache-hit deltas) is filled in by :meth:`FigureSpec.run`.
+    executor counter deltas) is filled in by :meth:`FigureSpec.run`.
     """
 
     figure: str = ""
@@ -230,13 +230,9 @@ class FigureResult:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     tables: List[FigureTable] = field(default_factory=list)
     wall_seconds: float = 0.0
-    executor_tasks: int = 0
-    executor_cache_hits: int = 0
-    executor_retries: int = 0
-    executor_timeouts: int = 0
-    executor_requeues: int = 0
-    executor_pool_rebuilds: int = 0
-    cache_quarantined: int = 0
+    #: Executor counter deltas over the run, keyed by
+    #: :data:`~repro.exec.executor.COUNTERS` name.
+    execution: Dict[str, int] = field(default_factory=dict)
     workers: int = 0
 
     def render(self) -> str:
@@ -268,24 +264,14 @@ class FigureSpec:
     def run(self, context: FigureContext) -> FigureResult:
         """Execute the figure and stamp execution metadata on the result."""
         stats = context.executor.stats
-        tasks_before, hits_before = stats.tasks_executed, stats.cache_hits
-        events_before = stats.resilience_events()
+        before = stats.counters()
         start = time.perf_counter()
         result = self.runner(context)
         result.wall_seconds = time.perf_counter() - start
         result.figure = self.name
         result.title = self.title
         result.scale_name = context.scale
-        result.executor_tasks = stats.tasks_executed - tasks_before
-        result.executor_cache_hits = stats.cache_hits - hits_before
-        events = stats.resilience_events()
-        result.executor_retries = events["retries"] - events_before["retries"]
-        result.executor_timeouts = events["timeouts"] - events_before["timeouts"]
-        result.executor_requeues = events["requeues"] - events_before["requeues"]
-        result.executor_pool_rebuilds = (
-            events["pool_rebuilds"] - events_before["pool_rebuilds"]
-        )
-        result.cache_quarantined = events["quarantined"] - events_before["quarantined"]
+        result.execution = stats.since(before)
         result.workers = context.executor.workers
         return result
 

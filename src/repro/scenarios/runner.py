@@ -80,22 +80,12 @@ class ScenarioResult:
     tables: List[FigureTable] = field(default_factory=list)
     cases: List[Dict[str, object]] = field(default_factory=list)
     wall_seconds: float = 0.0
-    executor_tasks: int = 0
-    executor_cache_hits: int = 0
-    executor_retries: int = 0
-    executor_timeouts: int = 0
-    executor_requeues: int = 0
-    executor_pool_rebuilds: int = 0
-    cache_quarantined: int = 0
+    #: Executor counter deltas over the run, keyed by
+    #: :data:`~repro.exec.executor.COUNTERS` name.
+    execution: Dict[str, int] = field(default_factory=dict)
     workers: int = 0
     #: Elastic worker id this result was assembled by ("" = not elastic).
     worker: str = ""
-    leases_claimed: int = 0
-    leases_stolen: int = 0
-    leases_expired: int = 0
-    duplicate_wins: int = 0
-    peers_joined: int = 0
-    peers_lost: int = 0
 
     def render(self) -> str:
         """All tables of the scenario, ready to print."""
@@ -225,9 +215,7 @@ class ScenarioRunner:
         """Evaluate one scenario (this invocation's shard of it)."""
         executor = self.executor_for(scenario)
         stats = executor.stats
-        tasks_before, hits_before = stats.tasks_executed, stats.cache_hits
-        events_before = stats.resilience_events()
-        elastic_before = stats.elastic_events()
+        before = stats.counters()
         start = time.perf_counter()
         if scenario.strategy == "bisect":
             if self.elastic is not None:
@@ -245,19 +233,7 @@ class ScenarioRunner:
         result.engine = self.engine_for(scenario)
         result.shard = str(self.shard)
         result.wall_seconds = time.perf_counter() - start
-        result.executor_tasks = stats.tasks_executed - tasks_before
-        result.executor_cache_hits = stats.cache_hits - hits_before
-        events = stats.resilience_events()
-        result.executor_retries = events["retries"] - events_before["retries"]
-        result.executor_timeouts = events["timeouts"] - events_before["timeouts"]
-        result.executor_requeues = events["requeues"] - events_before["requeues"]
-        result.executor_pool_rebuilds = (
-            events["pool_rebuilds"] - events_before["pool_rebuilds"]
-        )
-        result.cache_quarantined = events["quarantined"] - events_before["quarantined"]
-        elastic_events = stats.elastic_events()
-        for name in elastic_events:
-            setattr(result, name, elastic_events[name] - elastic_before[name])
+        result.execution = stats.since(before)
         if self.elastic is not None:
             result.worker = self.worker_id
         result.workers = executor.workers

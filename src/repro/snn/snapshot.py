@@ -356,16 +356,6 @@ def config_from_jsonable(payload: Dict[str, Any]):
     return ExperimentConfig(**fields)
 
 
-@dataclass
-class _SnapshotRunInfo:
-    """Execution-metadata shim :func:`repro.store.build_provenance` reads."""
-
-    wall_seconds: float = 0.0
-    workers: int = 0
-    executor_tasks: int = 0
-    executor_cache_hits: int = 0
-
-
 def save_snapshot(
     snapshot: NetworkSnapshot,
     out_dir,
@@ -422,7 +412,7 @@ def save_snapshot(
             for key, array in snapshot.arrays.items()
         },
         "provenance": store.build_provenance(
-            _SnapshotRunInfo(wall_seconds=wall_seconds), config, git_sha=git_sha
+            config, wall_seconds=wall_seconds, git_sha=git_sha
         ),
     }
     store._atomic_write_json(json_path, document)

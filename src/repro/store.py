@@ -56,6 +56,7 @@ import repro
 from repro.core.config import ExperimentConfig
 from repro.core.results import ExperimentResult
 from repro.exec.cache import ResultCache
+from repro.exec.executor import COUNTERS
 from repro.figures import FigureResult, FigureSpec
 from repro.utils.serialization import to_jsonable
 
@@ -127,47 +128,44 @@ def _array_digest(array: np.ndarray) -> str:
 
 
 def build_provenance(
-    result: FigureResult, config: ExperimentConfig, *, git_sha: Optional[str] = None
+    config: ExperimentConfig,
+    *,
+    wall_seconds: float = 0.0,
+    workers: int = 0,
+    execution: Optional[Mapping[str, int]] = None,
+    worker: str = "",
+    git_sha: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """The provenance block stored with every artifact."""
-    return {
+    """The provenance block stored with every artifact.
+
+    ``execution`` holds the run's executor counter deltas (absent ones are
+    zero), filed by :data:`~repro.exec.executor.COUNTERS`.  The
+    ``resilience`` and ``elastic`` blocks audit fault recovery and work
+    stealing without affecting the numbers; ``worker`` is the elastic
+    worker id ("" when not elastic).
+    """
+    provenance: Dict[str, Any] = {
         "config": to_jsonable(config),
         "seed": config.seed,
         "scale": config.scale_name,
         "git_sha": git_sha if git_sha is not None else git_revision(),
         "created_at_unix": time.time(),
-        "wall_seconds": result.wall_seconds,
-        "workers": result.workers,
-        "executor_tasks": result.executor_tasks,
-        "executor_cache_hits": result.executor_cache_hits,
-        # Fault-tolerance counters (repro.exec.resilience): all zero on a
-        # clean run, nonzero when faults (real or --chaos-injected) were
-        # recovered from — the numbers themselves are unaffected.
-        "resilience": {
-            "retries": getattr(result, "executor_retries", 0),
-            "timeouts": getattr(result, "executor_timeouts", 0),
-            "requeues": getattr(result, "executor_requeues", 0),
-            "pool_rebuilds": getattr(result, "executor_pool_rebuilds", 0),
-            "cache_quarantined": getattr(result, "cache_quarantined", 0),
-        },
-        # Elastic work-stealing counters (repro.exec.elastic): all zero
-        # unless the campaign ran under ``--elastic``; like the resilience
-        # block they audit recovery without affecting the numbers.
-        "elastic": {
-            "worker": getattr(result, "worker", ""),
-            "leases_claimed": getattr(result, "leases_claimed", 0),
-            "leases_stolen": getattr(result, "leases_stolen", 0),
-            "leases_expired": getattr(result, "leases_expired", 0),
-            "duplicate_wins": getattr(result, "duplicate_wins", 0),
-            "peers_joined": getattr(result, "peers_joined", 0),
-            "peers_lost": getattr(result, "peers_lost", 0),
-        },
+        "wall_seconds": wall_seconds,
+        "workers": workers,
+        "resilience": {},
+        "elastic": {"worker": worker},
         "versions": {
             "repro": repro.__version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
     }
+    counts = execution or {}
+    for counter in COUNTERS:
+        if counter.provenance:
+            block = provenance if counter.group == "executor" else provenance[counter.group]
+            block[counter.provenance] = counts.get(counter.name, 0)
+    return provenance
 
 
 def save_figure_result(
@@ -213,7 +211,13 @@ def save_figure_result(
             }
             for name, array in result.arrays.items()
         },
-        "provenance": build_provenance(result, config, git_sha=git_sha),
+        "provenance": build_provenance(
+            config,
+            wall_seconds=result.wall_seconds,
+            workers=result.workers,
+            execution=result.execution,
+            git_sha=git_sha,
+        ),
     }
     _atomic_write_json(json_path, document)
     return ArtifactPaths(json_path=json_path, npz_path=npz_path)
@@ -371,7 +375,14 @@ def save_scenario_result(
             }
             for name, array in result.arrays.items()
         },
-        "provenance": build_provenance(result, config, git_sha=git_sha),
+        "provenance": build_provenance(
+            config,
+            wall_seconds=result.wall_seconds,
+            workers=result.workers,
+            execution=result.execution,
+            worker=result.worker,
+            git_sha=git_sha,
+        ),
     }
     _atomic_write_json(json_path, document)
     return ArtifactPaths(json_path=json_path, npz_path=npz_path)

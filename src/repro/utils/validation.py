@@ -12,11 +12,15 @@ from typing import Iterable, Sequence
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (strictly, by default)."""
+    """Validate that ``value`` is positive (strictly, by default).
+
+    NaN is rejected (every comparison with it is false); ``inf`` passes,
+    since unbounded parameters such as ``wmax`` default to it.
+    """
     value = float(value)
-    if strict and value <= 0:
+    if strict and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
+    if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

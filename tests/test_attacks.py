@@ -187,3 +187,12 @@ class TestAttacks:
             Attack3InhibitoryThreshold(fraction=1.5)
         with pytest.raises(ValueError):
             Attack5GlobalSupply(vdd=-1.0)
+
+    @pytest.mark.parametrize("vdd", [float("nan"), float("inf"), float("-inf")])
+    def test_attack5_rejects_non_finite_vdd(self, vdd):
+        with pytest.raises(ValueError, match="vdd"):
+            Attack5GlobalSupply(vdd=vdd)
+
+    def test_attack5_finite_vdd_labels_are_unchanged(self):
+        labels = [Attack5GlobalSupply(vdd=vdd).label() for vdd in (0.8, 1.0, 1.2)]
+        assert labels == ["attack5(vdd=0.80V)", "attack5(vdd=1.00V)", "attack5(vdd=1.20V)"]

@@ -45,7 +45,7 @@ from repro.exec.elastic import (
     sweep_stale_artifacts,
     whole_chunk,
 )
-from repro.exec.executor import ExecutionStats
+from repro.exec.executor import COUNTERS, ExecutionStats
 from repro.exec.shard import MergeReport, ShardSpec
 from repro.scenarios import ScenarioRunner, ScenarioSpec, scenario_names
 from repro.store import (
@@ -378,7 +378,8 @@ class TestElasticScheduler:
         stats = ExecutionStats()
         stats.leases_claimed = 3
         stats.retries = 2
-        assert stats.elastic_events() == {
+        counts = stats.counters()
+        assert {c.name: counts[c.name] for c in COUNTERS if c.group == "elastic"} == {
             "leases_claimed": 3,
             "leases_stolen": 0,
             "leases_expired": 0,
@@ -386,7 +387,9 @@ class TestElasticScheduler:
             "peers_joined": 0,
             "peers_lost": 0,
         }
-        assert "leases_claimed" not in stats.resilience_events()
+        assert "leases_claimed" not in {
+            c.name for c in COUNTERS if c.group == "resilience"
+        }
 
     def test_chaos_lease_corruption_is_survived(self, tmp_path):
         plan = FaultPlan(
@@ -717,8 +720,8 @@ class TestElasticRunner:
         )
         assert elastic.metrics == plain.metrics
         assert elastic.worker == "wa"
-        assert elastic.leases_claimed == 3  # 6 variants / chunk_size 2
-        assert elastic.leases_stolen == 0
+        assert elastic.execution["leases_claimed"] == 3  # 6 variants / chunk_size 2
+        assert elastic.execution["leases_stolen"] == 0
 
     def test_second_worker_assembles_from_done_markers(self, tmp_path):
         cache = ResultCache()
@@ -730,7 +733,7 @@ class TestElasticRunner:
             workdir=tmp_path,
             worker_id="wa",
         ).run(spec)
-        assert first.complete and first.executor_tasks > 0
+        assert first.complete and first.execution["tasks_executed"] > 0
         second = ScenarioRunner(
             pipeline_factory=_stub_factory,
             cache=cache,
@@ -739,8 +742,8 @@ class TestElasticRunner:
             worker_id="wb",
         ).run(spec)
         assert second.complete
-        assert second.executor_tasks == 0, "all chunks were already done"
-        assert second.leases_claimed == 0
+        assert second.execution["tasks_executed"] == 0, "all chunks were already done"
+        assert second.execution["leases_claimed"] == 0
         assert second.metrics == first.metrics
 
     def test_elastic_bisect_claims_and_completes(self, tmp_path):
@@ -767,7 +770,7 @@ class TestElasticRunner:
             worker_id="wb",
         ).run(spec)
         assert second.complete
-        assert second.executor_tasks == 0
+        assert second.execution["tasks_executed"] == 0
         assert second.metrics == first.metrics
 
     def test_elastic_bisect_held_by_live_peer_is_skipped(self, tmp_path):

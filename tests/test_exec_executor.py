@@ -142,6 +142,24 @@ class TestSerialExecutor:
         assert "serial" in report
         assert "tasks executed" in report
 
+    def test_lockstep_report_shows_passes_not_invented_task_times(self):
+        # A lockstep pass times the whole batch; splitting it evenly over
+        # its lanes is not a measurement, so no "slowest" row may rank
+        # those shares, and a serial run has no speedup to measure.
+        executor = SweepExecutor(ClassificationPipeline(tiny_config()))
+        executor.map(
+            [
+                None,
+                Attack3InhibitoryThreshold(threshold_change=0.2, fraction=0.5),
+                Attack5GlobalSupply(vdd=0.8),
+            ]
+        )
+        assert executor.stats.counters()["lockstep_passes"] == 1
+        report = format_execution_report(executor.stats)
+        assert "slowest:" not in report
+        assert "measured speedup" not in report
+        assert "lockstep passes" in report and "1 (3 lanes)" in report
+
 
 class TestParallelParity:
     """Parallel results must be bit-identical to serial ones (fixed seeds)."""

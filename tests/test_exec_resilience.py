@@ -45,8 +45,14 @@ from repro.exec import (
     merge_report,
 )
 from repro.exec import chaos as chaos_module
-from repro.exec.executor import ExecutionStats
-from repro.store import PersistentResultCache, _atomic_write_json, _atomic_write_npz
+from repro.exec.executor import COUNTERS, ExecutionStats
+from repro.scenarios import ScenarioRunner, get_scenario
+from repro.store import (
+    PersistentResultCache,
+    _atomic_write_json,
+    _atomic_write_npz,
+    save_scenario_result,
+)
 
 
 @dataclasses.dataclass
@@ -267,7 +273,8 @@ class TestSerialResilience:
     def test_clean_serial_run_pins_the_reference_digest(self):
         with SweepExecutor(StubPipeline(), workers=0) as executor:
             assert results_digest(executor.map(ATTACKS)) == CLEAN_SHA256
-            assert executor.stats.resilience_events() == {
+            counts = executor.stats.counters()
+            assert {c.name: counts[c.name] for c in COUNTERS if c.group == "resilience"} == {
                 "retries": 0,
                 "timeouts": 0,
                 "requeues": 0,
@@ -652,6 +659,26 @@ class TestCLIChaos:
         # task (2 variants + baseline) failed once and was retried.
         assert chaotic["provenance"]["resilience"]["retries"] == 3
         assert clean["provenance"]["resilience"]["retries"] == 0
+
+        # The stored block is the executor's own counter delta over the run,
+        # renamed through the counter table: rerun the same chaotic campaign
+        # in-process and compare what lands on disk with the stats.
+        scenario = get_scenario("separate_domain_droop")
+        policy = ResiliencePolicy.from_options(chaos=plan)
+        with ScenarioRunner(scale="tiny", resilience=policy) as runner:
+            stats = runner.executor_for(scenario).stats
+            before = stats.counters()
+            result = runner.run(scenario)
+            delta = stats.since(before)
+        paths = save_scenario_result(
+            scenario, result, tmp_path / "inproc",
+            config=runner.config_for(scenario), git_sha="test",
+        )
+        stored = json.loads(paths.json_path.read_text())["provenance"]["resilience"]
+        assert stored == {
+            c.provenance: delta[c.name] for c in COUNTERS if c.group == "resilience"
+        }
+        assert stored == chaotic["provenance"]["resilience"]
 
     def test_unknown_chaos_plan_exits_with_the_registry(self, tmp_path):
         with pytest.raises(SystemExit, match="ci-plan"):

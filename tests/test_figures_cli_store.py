@@ -24,12 +24,15 @@ from repro.figures import (
     get_figure,
     iter_figures,
 )
+from repro.scenarios import ScenarioResult, get_scenario
+from repro.snn.snapshot import NetworkSnapshot, save_snapshot
 from repro.store import (
     SCHEMA_VERSION,
     PersistentResultCache,
     is_figure_artifact,
     load_figure_result,
     save_figure_result,
+    save_scenario_result,
 )
 
 EXPECTED_FIGURES = {
@@ -122,8 +125,7 @@ class TestStoreRoundTrip:
                 FigureTable(title="t", headers=["a", "b"], rows=[["1", "2"]])
             ],
             wall_seconds=1.25,
-            executor_tasks=3,
-            executor_cache_hits=1,
+            execution={"tasks_executed": 3, "cache_hits": 1},
         )
 
     def test_json_npz_round_trip(self, tmp_path):
@@ -148,6 +150,45 @@ class TestStoreRoundTrip:
         assert provenance["config"]["n_train"] == config.n_train
         assert provenance["executor_tasks"] == 3
         assert provenance["executor_cache_hits"] == 1
+
+    def test_provenance_layout_is_pinned_for_every_artifact_kind(self, tmp_path):
+        # Figure, scenario and snapshot artifacts share one provenance
+        # layout; `repro report` and stored artifacts depend on these keys.
+        config = ExperimentConfig.tiny()
+        scenario = get_scenario("separate_domain_droop")
+        snapshot = NetworkSnapshot(
+            model={"kind": "variant", "name": "lif_feedforward_postpre"},
+            score_layer="readout",
+            arrays={},
+            encoding={"time_steps": 40, "max_rate": 63.75},
+            seed=0,
+        )
+        paths = [
+            save_figure_result(
+                get_figure("overheads"), self._synthetic_result(), tmp_path,
+                config=config, git_sha="abc",
+            ),
+            save_scenario_result(
+                scenario, ScenarioResult(worker="w0"), tmp_path,
+                config=config, git_sha="abc",
+            ),
+            save_snapshot(snapshot, tmp_path, name="bare", git_sha="abc"),
+        ]
+        for path in paths:
+            provenance = json.loads(path.json_path.read_text())["provenance"]
+            assert set(provenance) == {
+                "config", "seed", "scale", "git_sha", "created_at_unix",
+                "wall_seconds", "workers", "executor_tasks",
+                "executor_cache_hits", "resilience", "elastic", "versions",
+            }
+            assert set(provenance["resilience"]) == {
+                "retries", "timeouts", "requeues", "pool_rebuilds",
+                "cache_quarantined",
+            }
+            assert set(provenance["elastic"]) == {
+                "worker", "leases_claimed", "leases_stolen", "leases_expired",
+                "duplicate_wins", "peers_joined", "peers_lost",
+            }
 
     def test_newer_schema_is_rejected(self, tmp_path):
         path = tmp_path / "future.json"

@@ -370,7 +370,7 @@ def test_microbatch_partition_and_order_never_change_predictions(data):
     demuxed = np.array([results[rid] for rid in range(n)])
     assert np.array_equal(demuxed, monolithic.labels)
 
-    events = batcher.stats.serving_events()
+    events = batcher.stats.counters()
     assert events["microbatch_requests"] == n
     assert (
         events["microbatch_full_flushes"]
@@ -399,7 +399,7 @@ def test_microbatch_counters_always_sum_to_requests(sizes, chunk):
             rid += 1
         batcher.drain()
     assert batcher.pending == 0
-    events = batcher.stats.serving_events()
+    events = batcher.stats.counters()
     assert events["microbatch_requests"] == rid == sum(sizes)
     assert (
         events["microbatch_full_flushes"]

@@ -510,7 +510,7 @@ class TestBisectionVsDenseGrid:
     def test_bisection_reproduces_the_dense_collapse_threshold(self):
         dense_runner = ScenarioRunner(pipeline_factory=_fake_factory)
         dense = dense_runner.run(self._dense_spec())
-        dense_runs = dense.executor_tasks
+        dense_runs = dense.execution["tasks_executed"]
         dense_index = dense_collapse_index(
             dense.arrays["relative_degradation"], 0.5
         )
@@ -518,7 +518,7 @@ class TestBisectionVsDenseGrid:
 
         bisect_runner = ScenarioRunner(pipeline_factory=_fake_factory)
         adaptive = bisect_runner.run(self._bisect_spec())
-        adaptive_runs = adaptive.executor_tasks
+        adaptive_runs = adaptive.execution["tasks_executed"]
 
         assert adaptive.metrics["collapse_found"] == 1.0
         assert adaptive.metrics["collapse_value"] == pytest.approx(

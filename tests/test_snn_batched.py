@@ -254,8 +254,8 @@ class TestPipelineParity:
         grid_s = scalar.sweep_layer_threshold("inhibitory", (-0.2, 0.2), (0.0, 1.0))
         assert np.array_equal(grid_b.accuracies, grid_s.accuracies)
         assert grid_b.baseline_accuracy == grid_s.baseline_accuracy
-        assert batched.executor.dispatcher.batched_sweeps >= 1
-        assert scalar.executor.dispatcher.batched_sweeps == 0
+        assert batched.executor.stats.counters()["lockstep_passes"] >= 1
+        assert scalar.executor.stats.counters()["lockstep_passes"] == 0
         modes = {t.worker_mode for t in batched.executor.stats.timings if not t.cached}
         assert modes == {"batched"}
 

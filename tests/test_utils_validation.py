@@ -30,6 +30,17 @@ def test_check_positive_rejects_negative_non_strict():
         check_positive(-1, "x", strict=False)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_check_positive_rejects_nan(strict):
+    with pytest.raises(ValueError, match="x must be"):
+        check_positive(float("nan"), "x", strict=strict)
+
+
+def test_check_positive_lets_inf_through():
+    # Unbounded parameters (wmax) default to inf and pass through here.
+    assert check_positive(float("inf"), "wmax") == float("inf")
+
+
 def test_check_range_accepts_bounds():
     assert check_range(0.8, "vdd", 0.8, 1.2) == 0.8
     assert check_range(1.2, "vdd", 0.8, 1.2) == 1.2
