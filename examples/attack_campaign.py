@@ -42,7 +42,7 @@ def main() -> None:
     mode = f"{args.workers} workers" if args.workers >= 2 else "serial"
     print(f"Running the 5-attack campaign ({config.scale_name} scale, {mode})...")
 
-    with FigureContext(config, workers=args.workers) as context:
+    with FigureContext(config, workers=args.workers, figures=("summary",)) as context:
         result = get_figure("summary").run(context)
         print()
         print(result.render())

@@ -24,7 +24,7 @@ FIGURES = ("fig3", "fig5", "fig6", "fig9b", "fig10a")
 def main() -> None:
     # The circuit tier is scale-independent; the config only labels the run.
     config = ExperimentConfig.from_environment(default="benchmark")
-    with FigureContext(config) as context:
+    with FigureContext(config, figures=FIGURES) as context:
         for name in FIGURES:
             spec = get_figure(name)
             print(f"{spec.title}...")

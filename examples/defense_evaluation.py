@@ -26,7 +26,7 @@ FIGURES = ("residuals", "fig10c", "overheads")
 def main() -> None:
     # The defense circuit tier is scale-independent; the config labels the run.
     config = ExperimentConfig.from_environment(default="benchmark")
-    with FigureContext(config) as context:
+    with FigureContext(config, figures=FIGURES) as context:
         for name in FIGURES:
             print(get_figure(name).run(context).render())
             print()

@@ -25,7 +25,7 @@ def main() -> None:
     config = ExperimentConfig.from_environment(default="smoke")
     print(f"Training the Diehl&Cook SNN ({config.scale_name} scale)...")
 
-    with FigureContext(config) as context:
+    with FigureContext(config, figures=("fig9a",)) as context:
         result = get_figure("fig9a").run(context)
 
     print(result.render())

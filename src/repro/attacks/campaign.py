@@ -24,8 +24,11 @@ one stacked pass, with results bit-identical to per-run execution.
 
 Because the executor caches by attack content, a caller can merge several
 sweeps into one pass: map the concatenated builder lists once, then call
-the sweep methods, which assemble their results from cache hits.  Fig. 8
-does this for its three grids.
+the sweep methods, which assemble their results from cache hits.  The
+figure registry (:mod:`repro.figures`) does this for a whole reproduction:
+each pipeline figure declares its attacks through these builders, and a
+``FigureContext`` maps the union of its figures' lists as one batch before
+the first pipeline figure runs.
 """
 
 from __future__ import annotations

@@ -470,6 +470,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache=cache,
         engine=args.engine or "auto",
         resilience=policy,
+        figures=names,
     ) as context:
         for name in names:
             spec = get_figure(name)

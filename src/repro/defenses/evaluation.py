@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.attacks.attacks import Attack4BothLayerThreshold
+from repro.attacks.attacks import Attack4BothLayerThreshold, PowerAttack
 from repro.core.results import ExperimentResult
 from repro.exec.executor import SweepExecutor
 
@@ -126,6 +126,21 @@ class DefenseAccuracyEvaluator:
         self.pipeline = pipeline
         self.executor = executor or SweepExecutor(pipeline, workers=workers)
 
+    @staticmethod
+    def threshold_defense_attacks(
+        residual_changes: Mapping[str, float],
+        *,
+        undefended_change: float = -0.2,
+    ) -> List[PowerAttack]:
+        """The unmitigated attack, then one attack per defense's residual."""
+        return [
+            Attack4BothLayerThreshold(threshold_change=undefended_change),
+            *(
+                Attack4BothLayerThreshold(threshold_change=float(change))
+                for change in residual_changes.values()
+            ),
+        ]
+
     def evaluate_threshold_defenses(
         self,
         residual_changes: Mapping[str, float],
@@ -143,23 +158,21 @@ class DefenseAccuracyEvaluator:
         undefended_change:
             The threshold change of the unmitigated attack (paper: −20 %).
         """
-        names = list(residual_changes)
-        attacks = [None, Attack4BothLayerThreshold(threshold_change=undefended_change)]
-        attacks += [
-            Attack4BothLayerThreshold(
-                threshold_change=float(residual_changes[name])
-            )
-            for name in names
-        ]
-        results = self.executor.map(attacks)
-        baseline, undefended = results[0], results[1]
+        baseline, undefended, *defended = self.executor.map(
+            [
+                None,
+                *self.threshold_defense_attacks(
+                    residual_changes, undefended_change=undefended_change
+                ),
+            ]
+        )
         return [
             DefendedAccuracyPoint(
                 defense_name=name,
-                residual_threshold_change=float(residual_changes[name]),
-                defended=defended,
+                residual_threshold_change=float(change),
+                defended=result,
                 undefended=undefended,
                 baseline=baseline,
             )
-            for name, defended in zip(names, results[2:])
+            for (name, change), result in zip(residual_changes.items(), defended)
         ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,15 @@ def _value_tuple(values) -> tuple:
         raise ValueError(
             f"expected a value or list of values, got {values!r}"
         ) from None
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite int/float (``bool`` does not count)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def check_scenario_name(name: str) -> str:
@@ -345,12 +355,10 @@ class ScenarioSpec:
                 f"parameter {family.primary!r} in fixed or grid"
             )
         for key, value in self.fixed.items():
-            if key not in family.categorical and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
+            if key not in family.categorical and not _is_finite_number(value):
                 raise ValueError(
                     f"scenario {self.name!r}: fixed parameter {key!r} must "
-                    f"be numeric, got {value!r}"
+                    f"be numeric and finite, got {value!r}"
                 )
         for key, values in self.grid.items():
             if len(values) == 0:
@@ -358,11 +366,11 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: grid parameter {key!r} has no values"
                 )
             if key not in family.categorical:
-                bad = [v for v in values if not isinstance(v, (int, float)) or isinstance(v, bool)]
+                bad = [v for v in values if not _is_finite_number(v)]
                 if bad:
                     raise ValueError(
                         f"scenario {self.name!r}: grid parameter {key!r} must "
-                        f"be numeric, got {bad[0]!r}"
+                        f"be numeric and finite, got {bad[0]!r}"
                     )
             if len(set(values)) != len(values):
                 raise ValueError(
@@ -417,6 +425,17 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: unknown defense(s) "
                     f"{', '.join(unknown)} (known: {', '.join(sorted(known))})"
                 )
+        # The attack constructors own the parameter ranges (a supply must
+        # be positive, a fraction in [0, 1], ...); building every point now
+        # makes a bad value fail at load, named, not mid-campaign.
+        for point in self.grid_points():
+            try:
+                self.build_attack(point)
+            except ValueError as error:
+                raise ValueError(
+                    f"scenario {self.name!r}: grid point {point} is not a valid "
+                    f"{self.family!r} attack: {error}"
+                ) from None
 
     # -------------------------------------------------------------- expansion
     @property

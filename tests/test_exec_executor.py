@@ -240,7 +240,7 @@ class TestFig8SinglePass:
             return run_batch(pipeline, attacks)
 
         monkeypatch.setattr(ClassificationPipeline, "run_batch", spy)
-        figure = get_figure("fig8").run(FigureContext(config))
+        figure = get_figure("fig8").run(FigureContext(config, figures=("fig8",)))
         changes = tuple(figure.arrays["threshold_changes"])
         fractions = tuple(figure.arrays["fractions"])
         expected = {
@@ -281,6 +281,73 @@ class TestFig8SinglePass:
         for name, array in separate.items():
             assert figure.arrays[name].dtype == array.dtype
             assert figure.arrays[name].tobytes() == array.tobytes(), name
+
+
+def _spy_run_batch(monkeypatch):
+    """Record the attack list of every ``ClassificationPipeline.run_batch``."""
+    batches = []
+    run_batch = ClassificationPipeline.run_batch
+
+    def spy(pipeline, attacks):
+        batches.append([attack_cache_key(attack) for attack in attacks])
+        return run_batch(pipeline, attacks)
+
+    monkeypatch.setattr(ClassificationPipeline, "run_batch", spy)
+    return batches
+
+
+#: Every figure that declares attacks, in the order a reproduction runs them.
+SNN_FIGURES = ("fig7b", "fig8", "fig9a", "summary", "fig9c")
+
+
+class TestReproductionPlan:
+    def test_a_default_context_trains_every_snn_figure_in_one_pass(self, monkeypatch):
+        from repro.figures import FigureContext, get_figure
+
+        batches = _spy_run_batch(monkeypatch)
+        context = FigureContext(tiny_config())
+        for name in SNN_FIGURES:
+            get_figure(name).run(context)
+        expected = {attack_cache_key(None)} | {
+            attack_cache_key(attack)
+            for name in SNN_FIGURES
+            for attack in get_figure(name).attacks(context)
+        }
+        assert len(batches) == 1
+        assert len(batches[0]) == len(expected)
+        assert set(batches[0]) == expected
+        assert context.executor.stats.tasks_executed == len(expected)
+
+    def test_an_undeclared_figure_trains_its_misses_in_its_own_pass(
+        self, monkeypatch
+    ):
+        from repro.figures import FigureContext, get_figure
+
+        config = tiny_config()
+        alone = get_figure("fig8").run(FigureContext(config, figures=("fig8",)))
+
+        batches = _spy_run_batch(monkeypatch)
+        context = FigureContext(config, figures=("fig7b",))
+        get_figure("fig7b").run(context)
+        late = get_figure("fig8").run(context)
+        assert len(batches) == 2
+        fig7b_keys = {attack_cache_key(a) for a in get_figure("fig7b").attacks(context)}
+        assert set(batches[0]) == fig7b_keys | {attack_cache_key(None)}
+        assert set(batches[1]) == {
+            attack_cache_key(attack) for attack in get_figure("fig8").attacks(context)
+        } - fig7b_keys - {attack_cache_key(None)}
+
+        assert late.metrics == alone.metrics
+        assert late.arrays.keys() == alone.arrays.keys()
+        for name, array in alone.arrays.items():
+            assert late.arrays[name].dtype == array.dtype
+            assert late.arrays[name].tobytes() == array.tobytes(), name
+
+    def test_unknown_figures_are_rejected_when_the_context_is_built(self):
+        from repro.figures import FigureContext
+
+        with pytest.raises(KeyError, match="fig999"):
+            FigureContext(tiny_config(), figures=("fig8", "fig999"))
 
 
 @dataclasses.dataclass

@@ -72,6 +72,17 @@ class TestRegistry:
         assert get_figure("fig8").uses_pipeline
         assert not get_figure("fig3").uses_pipeline
 
+    def test_exactly_the_pipeline_figures_declare_attacks(self):
+        for spec in iter_figures():
+            assert spec.uses_pipeline == (spec.attacks is not None), spec.name
+        assert {spec.name for spec in iter_figures() if spec.uses_pipeline} == {
+            "fig7b",
+            "fig8",
+            "fig9a",
+            "fig9c",
+            "summary",
+        }
+
 
 class TestScalePresets:
     def test_presets_cover_every_scale(self):
@@ -340,6 +351,29 @@ class TestCLIRunAndResume:
         assert second.metrics == first.metrics
         for name, array in first.arrays.items():
             assert np.array_equal(second.arrays[name], array)
+
+    def test_run_plans_only_the_named_figures_attacks(self, tmp_path, monkeypatch):
+        from repro.core import ClassificationPipeline
+        from repro.exec import attack_cache_key
+        from repro.figures import FigureContext
+
+        batches = []
+        run_batch = ClassificationPipeline.run_batch
+
+        def spy(pipeline, attacks):
+            batches.append({attack_cache_key(attack) for attack in attacks})
+            return run_batch(pipeline, attacks)
+
+        monkeypatch.setattr(ClassificationPipeline, "run_batch", spy)
+        out = tmp_path / "results"
+        assert main(["run", "fig9a", "--scale", "tiny", "--out", str(out), "--quiet"]) == 0
+        context = FigureContext(ExperimentConfig.tiny())
+        expected = {attack_cache_key(None)} | {
+            attack_cache_key(attack) for attack in get_figure("fig9a").attacks(context)
+        }
+        assert batches == [expected]
+        stored = load_figure_result(out / "fig9a.json")
+        assert stored.provenance["executor_tasks"] == len(expected)
 
     def test_report_renders_the_paper_comparison(self, artifact_dir, capsys):
         assert main(["report", str(artifact_dir)]) == 0
