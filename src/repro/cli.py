@@ -41,17 +41,16 @@ Scenario subcommands (the declarative threat-scenario subsystem,
     Show every registered scenario (family, strategy, variant count).
 ``scenarios run``
     Evaluate scenarios (or ``--all``) with the same persistence and
-    resume guarantees as figures, plus ``--shard i/n`` to split a long
-    campaign across independent invocations: each shard writes its own
-    cache file, and whichever invocation finds the union complete writes
-    the merged artifact — bit-identical to an unsharded run.  ``--file``
-    loads additional scenario specs from YAML/JSON.  ``--elastic`` replaces
-    the static split with a coordinator-free work-stealing drain
-    (:mod:`repro.exec.elastic`): start N copies of the same command against
-    one ``--out`` and they claim variant chunks through heartbeat lease
-    files, steal leases from crashed peers and duplicate stragglers —
-    the merged artifact stays bit-identical no matter which workers
-    survive.
+    resume guarantees as figures.  A long campaign splits across
+    independent invocations in one of two ways: ``--shard i/n`` gives
+    each invocation one pre-assigned chunk of the variant list, while
+    ``--elastic`` (:mod:`repro.exec.elastic`) lets N copies of the same
+    command claim chunks through heartbeat lease files, steal leases from
+    crashed peers and duplicate stragglers.  Either way each invocation
+    writes its own cache file, whichever finds the union complete writes
+    the merged artifact — bit-identical to an unsplit run — and an
+    incomplete one prints what is missing and the commands that resume
+    it.  ``--file`` loads additional scenario specs from YAML/JSON.
 ``scenarios clean``
     Sweep stale elastic coordination state (expired leases, orphaned
     markers and heartbeats) from a campaign directory; dry-run by
@@ -100,8 +99,13 @@ from repro.core.reporting import (
     format_paper_comparison,
 )
 from repro.exec.chaos import CHAOS_PLANS, load_fault_plan
-from repro.exec.elastic import DEFAULT_CHUNK_SIZE, DEFAULT_LEASE_TTL, ElasticPolicy
-from repro.exec.resilience import ResiliencePolicy
+from repro.exec.elastic import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_LEASE_TTL,
+    ElasticPolicy,
+    default_worker_id,
+)
+from repro.exec.resilience import ResiliencePolicy, RetryPolicy
 from repro.figures import FigureContext, figure_names, get_figure, iter_figures
 from repro.store import (
     PersistentResultCache,
@@ -111,6 +115,7 @@ from repro.store import (
     load_scenario_result,
     load_snapshot_result,
     open_shard_cache,
+    open_worker_cache,
     save_figure_result,
     save_scenario_result,
 )
@@ -328,18 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="i/n",
-        help="evaluate only shard i of an n-way split of each scenario's "
-        "variant list (adaptive scenarios are whole-scenario assigned); "
-        "run every shard, then any invocation merges the artifacts",
+        help="evaluate one pre-assigned chunk of each scenario: every n-th "
+        "variant from position i (adaptive scenarios go whole to one shard "
+        "by name hash); run every shard, then any invocation merges the "
+        "artifacts",
     )
     scen_run.add_argument(
         "--elastic",
         action="store_true",
-        help="join a coordinator-free work-stealing drain of each scenario "
-        "over --out: start N copies of this command and they split the "
-        "variant list dynamically through lease files, steal work from "
-        "crashed peers and merge a bit-identical artifact (mutually "
-        "exclusive with --shard)",
+        help="take chunks from a coordinator-free work-stealing drain of "
+        "each scenario over --out instead of a fixed shard: start N copies "
+        "of this command and they claim chunks through lease files, steal "
+        "work from crashed peers, duplicate stragglers and merge a "
+        "bit-identical artifact (mutually exclusive with --shard)",
     )
     scen_run.add_argument(
         "--worker-id",
@@ -434,6 +440,14 @@ def _resilience_from_args(
     args: argparse.Namespace, *, seed: int = 0
 ) -> ResiliencePolicy:
     """Map the shared CLI flags onto a :class:`ResiliencePolicy`."""
+    for flag, value in (
+        ("--max-retries", {"max_retries": args.max_retries}),
+        ("--task-timeout", {"task_timeout": args.task_timeout}),
+    ):
+        try:
+            RetryPolicy(**value)
+        except ValueError as error:
+            raise SystemExit(f"{flag}: {error}") from None
     plan = None
     if args.chaos:
         try:
@@ -768,6 +782,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     if policy.chaos is not None:
         policy.chaos.apply_disk(out_dir)
     elastic = None
+    worker_id = args.worker_id
     if args.elastic:
         try:
             elastic = ElasticPolicy(
@@ -775,14 +790,12 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             raise SystemExit(f"--elastic: {error}") from None
-        from repro.exec.elastic import default_worker_id
-        from repro.store import open_worker_cache
-
-        worker_id = args.worker_id or default_worker_id()
+        worker_id = worker_id or default_worker_id()
         cache = open_worker_cache(out_dir, worker_id)
+        coordinate = f"worker {worker_id}"
     else:
-        worker_id = args.worker_id
         cache = open_shard_cache(out_dir, shard)
+        coordinate = f"shard {shard}"
     git_sha = git_revision()
     pending = 0
 
@@ -800,62 +813,25 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         for name in names:
             scenario = get_scenario(name)
             config = runner.config_for(scenario)
-            coordinate = (
-                f"worker {runner.worker_id}" if elastic else f"shard {shard}"
-            )
             print(
                 f"[{name}] {scenario.title or name} "
                 f"(scale {config.scale_name}, {coordinate})..."
             )
             result = runner.run(scenario)
             if result.sharded_out:
-                if elastic is not None:
-                    print(
-                        f"[{name}] adaptive scenario leased by another "
-                        "elastic worker; skipped"
-                    )
-                else:
-                    print(
-                        f"[{name}] adaptive scenario owned by another shard; "
-                        "skipped"
-                    )
+                owner = "elastic worker" if elastic is not None else "shard"
+                print(f"[{name}] adaptive scenario owned by another {owner}; skipped")
                 continue
             if not result.complete:
                 pending += 1
-                positions = ", ".join(str(p) for p in result.missing_positions[:8])
-                if len(result.missing_positions) > 8:
-                    positions += f", … ({len(result.missing_positions) - 8} more)"
-                if elastic is not None:
-                    print(
-                        f"[{name}] elastic pass done in "
-                        f"{result.wall_seconds:.2f} s "
-                        f"({result.execution['tasks_executed']} pipeline runs); "
-                        f"{result.missing} variant(s) unresolved"
-                        + (f": position(s) {positions}" if positions else "")
-                        + f" — {len(result.unclaimed_positions)} never "
-                        f"claimed, {len(result.lost_positions)} leased "
-                        "but lost"
-                    )
-                    print(
-                        f"[{name}]   resume with: python -m repro scenarios "
-                        f"run {name} --elastic --out {args.out}"
-                    )
-                    continue
-                owners = ", ".join(
-                    f"{index}/{shard.count}" for index in result.missing_shards
-                )
                 print(
-                    f"[{name}] shard slice done in {result.wall_seconds:.2f} s "
-                    f"({result.execution['tasks_executed']} pipeline runs); waiting on "
-                    f"{result.missing} variant(s) from other shards"
-                    + (f": position(s) {positions}, owned by shard(s) {owners}" if owners else "")
+                    f"[{name}] incomplete after {result.wall_seconds:.2f} s "
+                    f"({result.execution['tasks_executed']} pipeline runs): "
+                    f"{result.report.describe()}"
                 )
-                for index in result.missing_shards:
-                    print(
-                        f"[{name}]   resume with: python -m repro scenarios run "
-                        f"{name} --shard {index}/{shard.count} --out {args.out}"
-                    )
-                print(f"[{name}]   then re-run this command to merge")
+                template = f"python -m repro scenarios run {name} {{split}} --out {args.out}"
+                for command in result.report.resume_commands(template):
+                    print(f"[{name}]   resume with: {command}")
                 continue
             paths = save_scenario_result(
                 scenario, result, out_dir, config=config, git_sha=git_sha
@@ -868,13 +844,10 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                 f"{result.execution['cache_hits']} cache hits) -> {paths.json_path}"
             )
     if pending:
-        if args.elastic:
-            print(
-                f"{pending} scenario(s) await results from elastic peers; "
-                "re-run to resume"
-            )
-        else:
-            print(f"{pending} scenario(s) await results from other shards")
+        print(
+            f"{pending} scenario(s) incomplete; run the resume command(s) "
+            "above, then re-run any invocation to merge"
+        )
     return 0
 
 
@@ -886,6 +859,10 @@ def _cmd_scenarios_clean(args: argparse.Namespace) -> int:
     if not workdir.is_dir():
         print(f"{workdir} is not a directory", file=sys.stderr)
         return 1
+    try:
+        ElasticPolicy(lease_ttl=args.lease_ttl)
+    except ValueError as error:
+        raise SystemExit(f"--lease-ttl: {error}") from None
     entries = sweep_stale_artifacts(
         workdir, lease_ttl=args.lease_ttl, apply=args.apply, stream=sys.stdout
     )

@@ -27,10 +27,11 @@ train-and-evaluate pipeline runs per figure.  This package factors the
   twin: a serial batch of attack evaluations (variants of one Diehl&Cook
   topology) trains and evaluates in one lockstep pass through the batched
   SNN engine (:mod:`repro.snn.batched`) instead of one full run per point.
-* :class:`~repro.exec.shard.ShardSpec` — deterministic ``i/n`` splitting of
-  a task list across independent invocations (the ``--shard`` flag of
-  ``python -m repro scenarios run``); the union of all shards is exactly
-  the full list, with no coordination needed.
+* :class:`~repro.exec.shard.ShardSpec` — the static splitter (the
+  ``--shard i/n`` flag of ``python -m repro scenarios run``): shard ``i``
+  owns one pre-assigned :class:`~repro.exec.shard.Chunk` of every ``n``-th
+  variant, so the union of all shards is exactly the full list, with no
+  coordination needed.
 * :mod:`repro.exec.chaos` — the deterministic fault-injection harness
   (seeded :class:`~repro.exec.chaos.FaultPlan`: kill/delay/raise/corrupt,
   plus whole-process kill/stall and lease corruption for elastic drains)
@@ -42,13 +43,14 @@ train-and-evaluate pipeline runs per figure.  This package factors the
   max-linger deadline bounding per-request latency, out-of-order-safe
   result demux, and flush/occupancy counters surfaced through
   :class:`~repro.exec.executor.ExecutionStats`.
-* :class:`~repro.exec.elastic.ElasticScheduler` — coordinator-free
-  work-stealing over a shared directory (the ``--elastic`` flag): workers
-  claim variant chunks through atomic heartbeat lease files, steal leases
-  whose owner stopped renewing, duplicate stragglers with
-  first-result-wins completion markers, and merge bit-identical artifacts
-  from the union of per-worker caches.  Configured by
-  :class:`~repro.exec.elastic.ElasticPolicy`.
+* :class:`~repro.exec.elastic.ElasticScheduler` — the dynamic splitter
+  (``--elastic``): workers claim contiguous chunks through heartbeat lease
+  files over a shared directory, steal leases of dead peers, and
+  duplicate stragglers under the executor's
+  :class:`~repro.exec.resilience.StragglerPolicy`.  Both splitters run
+  each chunk through the same ``executor.map`` and merge from the union
+  of per-invocation caches, validated by one
+  :class:`~repro.exec.shard.MergeReport`.
 
 Parallel execution is bit-identical to serial execution: every pipeline run
 derives its random streams from ``(config.seed, attack label)`` alone, never
@@ -62,7 +64,6 @@ from repro.exec.circuits import CircuitSweepDispatcher
 from repro.exec.elastic import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_LEASE_TTL,
-    Chunk,
     ElasticPolicy,
     ElasticScheduler,
     Lease,
@@ -91,7 +92,7 @@ from repro.exec.resilience import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.shard import FULL, MergeReport, ShardSpec, merge_report
+from repro.exec.shard import FULL, Chunk, MergeReport, ShardSpec, merge_report
 from repro.exec.snn_batch import PipelineBatchDispatcher
 
 __all__ = [

@@ -1,11 +1,12 @@
 """Coordinator-free work-stealing execution over a shared filesystem.
 
-Static sharding (:mod:`repro.exec.shard`) splits a campaign up front, so a
+A static shard (:mod:`repro.exec.shard`) is one pre-assigned chunk, so a
 dead or slow shard stalls the merge until a human re-runs it.  This module
-removes the static assignment: N independently-launched ``repro`` processes
-(different hosts sharing a filesystem, or CI matrix jobs) cooperatively
-drain one campaign, joining and leaving at any time, and the merged
-artifact stays bit-identical to a single-process run.
+assigns chunks dynamically instead: N independently-launched ``repro``
+processes (different hosts sharing a filesystem, or CI matrix jobs)
+cooperatively drain one campaign, joining and leaving at any time, and
+the merged artifact stays bit-identical to a single-process run.  Each
+claimed chunk runs through the same ``executor.map`` as a static shard's.
 
 There is **no coordinator**.  The only shared state is the campaign
 workdir:
@@ -14,12 +15,12 @@ workdir:
   content-keyed cache file (``cache.elastic-<worker>.json``, see
   :func:`repro.store.open_worker_cache`) and preloads every sibling cache.
   The merge is a cache union, exactly like static sharding.
-* **Lease files** — workers claim *chunks* of the variant list through
-  atomic lease files under ``<workdir>/leases/<scenario>/``.  A lease
-  carries the owner id, attempt count and heartbeat timestamp; claiming is
-  an exclusive create (``os.link`` of a temp file, which fails if the
-  lease exists), renewal is the store's atomic write (per-process temp
-  file + fsync + ``os.replace``).
+* **Lease files** — workers claim contiguous *chunks* of the variant list
+  through atomic lease files under ``<workdir>/leases/<scenario>/``.  A
+  lease carries the owner id, attempt count and heartbeat timestamp;
+  claiming is an exclusive create (``os.link`` of a temp file, which fails
+  if the lease exists), renewal is the store's atomic write (per-process
+  temp file + fsync + ``os.replace``).
 * **Done markers** — a worker that finishes a chunk creates
   ``<chunk>.done`` exclusively.  First creation wins; a duplicate run of
   the same chunk that loses the race simply discards nothing (its results
@@ -39,9 +40,11 @@ A worker that stops heartbeating (crash, SIGKILL, host death) stops
 renewing its lease; once the lease's mtime age exceeds ``lease_ttl`` any
 peer *steals* it — re-dispatch budgeted by ``max_attempts``, mirroring
 :class:`~repro.exec.resilience.RetryPolicy`.  Live-but-slow owners are
-handled by straggler duplication: a chunk leased far past
-``straggler_after`` gets one duplicate evaluation with first-result-wins
-arbitration through the done marker.
+handled by the executor's one straggler rule,
+:meth:`~repro.exec.resilience.StragglerPolicy.deadline`, fed with the
+durations of the chunks this worker has run: a chunk leased for longer
+gets one duplicate evaluation with first-result-wins arbitration through
+the done marker.
 
 Adaptive (bisect) scenarios cannot split their probe sequence, so they are
 whole-leased: a single ``whole`` chunk claimed by one worker at a time
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import socket
@@ -59,10 +63,12 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exec.chaos import FaultPlan
 from repro.exec.executor import ExecutionStats
+from repro.exec.resilience import PLAIN_POLICY, StragglerPolicy
+from repro.exec.shard import Chunk
 
 #: Default lease time-to-live (seconds of missing heartbeats before peers
 #: may steal); the CLI exposes it as ``--lease-ttl``.
@@ -71,6 +77,13 @@ DEFAULT_LEASE_TTL = 15.0
 #: Default variants per chunk (the work-stealing granularity of grid
 #: scenarios); the CLI exposes it as ``--chunk-size``.
 DEFAULT_CHUNK_SIZE = 4
+
+#: Leases older than this (seconds) are deleted when a scheduler starts —
+#: campaign-scale hygiene only, far above any lease TTL so the attempt
+#: accounting of live steals is never defeated.
+STARTUP_SWEEP_AGE = 600.0
+
+T = TypeVar("T")
 
 
 class LeaseCorruptionError(ValueError):
@@ -97,11 +110,8 @@ class ElasticPolicy:
     lease_ttl:
         Seconds a lease may go without renewal before peers treat its
         owner as dead and steal the chunk.  Judged by lease-file *mtime*
-        age, so it is immune to clock skew between hosts.
-    heartbeat_interval:
-        Seconds between lease renewals and worker-presence touches
-        (``0.0`` → ``lease_ttl / 4``).  Must stay well under ``lease_ttl``
-        or healthy workers get robbed.
+        age, so it is immune to clock skew between hosts.  Workers renew
+        every quarter TTL (:attr:`heartbeat_interval`).
     chunk_size:
         Variants per lease for grid scenarios — the work-stealing
         granularity.  Smaller chunks steal finer but cost more lease
@@ -113,50 +123,29 @@ class ElasticPolicy:
         as *lost* instead of stolen again.
     poll_interval:
         Sleep between scheduler scans when nothing is claimable.
-    straggler_after:
-        Age (seconds since a lease was first created) past which a chunk
-        held by a *live* peer gets one duplicate evaluation
-        (``0.0`` → ``4 * lease_ttl``).  First result wins via the done
-        marker.
-    startup_sweep_age:
-        Leases older than this are deleted on scheduler startup —
-        campaign-scale hygiene only, far above ``lease_ttl`` so attempt
-        accounting of live steals is never defeated.
-    drain_timeout:
-        Optional wall-clock bound on one :meth:`ElasticScheduler.drain`
-        call; ``None`` waits until every chunk is done or lost.
     """
 
     lease_ttl: float = DEFAULT_LEASE_TTL
-    heartbeat_interval: float = 0.0
     chunk_size: int = DEFAULT_CHUNK_SIZE
     max_attempts: int = 4
     poll_interval: float = 0.25
-    straggler_after: float = 0.0
-    startup_sweep_age: float = 600.0
-    drain_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
+        if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
+            raise ValueError(f"lease_ttl must be finite and > 0, got {self.lease_ttl}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.heartbeat_interval < 0:
+        if not (math.isfinite(self.poll_interval) and self.poll_interval >= 0):
             raise ValueError(
-                f"heartbeat_interval must be >= 0, got {self.heartbeat_interval}"
+                f"poll_interval must be finite and >= 0, got {self.poll_interval}"
             )
 
     @property
-    def effective_heartbeat(self) -> float:
-        """The renewal period actually used (default: a quarter of the TTL)."""
-        return self.heartbeat_interval or self.lease_ttl / 4.0
-
-    @property
-    def effective_straggler_after(self) -> float:
-        """The duplication age actually used (default: four TTLs)."""
-        return self.straggler_after or 4.0 * self.lease_ttl
+    def heartbeat_interval(self) -> float:
+        """Seconds between lease renewals: a quarter of the TTL."""
+        return self.lease_ttl / 4.0
 
 
 @dataclass(frozen=True)
@@ -190,18 +179,10 @@ class Lease:
             raise LeaseCorruptionError(f"invalid lease fields: {error}") from None
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """One leasable unit of work: a contiguous slice of variant positions."""
-
-    id: str
-    positions: Tuple[int, ...]
-
-
 def build_chunks(total: int, chunk_size: int) -> List[Chunk]:
     """Split ``total`` variant positions into contiguous fixed-size chunks.
 
-    Contiguous (unlike the interleaved static shard split) because chunks
+    Contiguous (unlike a static shard's interleaved chunk) because chunks
     are claimed dynamically: load balance comes from stealing, not from
     the assignment, and contiguous slices keep chunk ids stable under a
     growing variant list prefix.
@@ -384,7 +365,11 @@ class ElasticScheduler:
     deterministically from the scenario spec, so all workers agree on it
     without communicating).  The loop: claim the lowest unclaimed chunk,
     else steal the lowest expired one within budget, else duplicate a
-    straggling chunk, else wait — until every chunk is done or lost.
+    chunk a live peer holds past ``straggler``'s deadline, else wait —
+    until every chunk is done or lost.  ``straggler`` is the sweep
+    executor's :class:`~repro.exec.resilience.StragglerPolicy`, fed with
+    the durations of the chunks this worker has run; the default (that of
+    :data:`~repro.exec.resilience.PLAIN_POLICY`) never duplicates.
 
     Counters land in the supplied :class:`ExecutionStats` (``leases_*``,
     ``duplicate_wins``, ``peers_*``) and flow into provenance and
@@ -400,6 +385,7 @@ class ElasticScheduler:
         owner: Optional[str] = None,
         stats: Optional[ExecutionStats] = None,
         chaos: Optional[FaultPlan] = None,
+        straggler: Optional[StragglerPolicy] = None,
     ) -> None:
         self.workdir = Path(workdir)
         self.scenario = scenario
@@ -407,6 +393,7 @@ class ElasticScheduler:
         self.owner = _safe_name(owner) if owner else default_worker_id()
         self.stats = stats if stats is not None else ExecutionStats()
         self.chaos = chaos
+        self.straggler = straggler if straggler is not None else PLAIN_POLICY.straggler
         self.board = LeaseBoard(
             self.workdir / "leases" / _safe_name(scenario),
             lease_ttl=self.policy.lease_ttl,
@@ -416,9 +403,10 @@ class ElasticScheduler:
         self._last_beat = 0.0
         self._peers_fresh: Dict[str, bool] = {}
         self._expired_seen: set = set()
+        self._durations: List[float] = []
         #: Ancient leases removed by the startup hygiene sweep.
         self.swept_at_startup = sweep_expired_leases(
-            self.workdir / "leases", older_than=self.policy.startup_sweep_age
+            self.workdir / "leases", older_than=STARTUP_SWEEP_AGE
         )
         if self.chaos is not None:
             # Lease-corruption faults model damage that happened while no
@@ -439,7 +427,7 @@ class ElasticScheduler:
         from repro.store import _atomic_write_json
 
         now = time.monotonic()
-        if not force and now - self._last_beat < self.policy.effective_heartbeat:
+        if not force and now - self._last_beat < self.policy.heartbeat_interval:
             return
         self._last_beat = now
         try:
@@ -529,8 +517,10 @@ class ElasticScheduler:
         states: Dict[str, Tuple[str, Optional[Lease]]],
         duplicated: set,
     ) -> Optional[Chunk]:
-        """A held chunk old enough to deserve one duplicate evaluation."""
-        threshold = self.policy.effective_straggler_after
+        """A peer's held chunk old enough to deserve one duplicate evaluation."""
+        threshold = self.straggler.deadline(self._durations)
+        if threshold is None:
+            return None
         now = time.time()
         for chunk in chunks:
             kind, lease = states[chunk.id]
@@ -543,14 +533,22 @@ class ElasticScheduler:
         return None
 
     # ------------------------------------------------------------------ drain
-    def _run_claimed(
-        self, chunk: Chunk, lease: Lease, run_chunk: Callable[[Chunk], None]
-    ) -> None:
-        """Run one claimed chunk; the lease is renewed by heartbeat calls.
+    def _timed(self, chunk: Chunk, run_chunk: Callable[[Chunk], T]) -> T:
+        """Run one chunk, recording its duration for the straggler rule."""
+        start = time.monotonic()
+        value = run_chunk(chunk)
+        self._durations.append(time.monotonic() - start)
+        return value
 
-        Chaos process faults fire *after* the claim, so an injected
-        SIGKILL leaves exactly the stale lease a real crash would.  On a
-        task failure the lease is left to expire (peers steal it with the
+    def run_claimed(
+        self, chunk: Chunk, lease: Lease, run_chunk: Callable[[Chunk], T]
+    ) -> T:
+        """Run one claimed chunk and mark it done; returns ``run_chunk``'s value.
+
+        The lease is renewed by heartbeat calls while it runs.  Chaos
+        process faults fire *after* the claim, so an injected SIGKILL
+        leaves exactly the stale lease a real crash would.  On a task
+        failure the lease is left to expire (peers steal it with the
         attempt budget intact) and the error propagates — completed
         sibling chunks stay merged.
         """
@@ -558,14 +556,15 @@ class ElasticScheduler:
         try:
             if self.chaos is not None:
                 self.chaos.apply_elastic(f"{self.owner}:{chunk.id}", lease.attempt)
-            run_chunk(chunk)
+            value = self._timed(chunk, run_chunk)
         finally:
             self._current = None
         self.board.complete(chunk.id, self.owner)
+        return value
 
     def _run_duplicate(self, chunk: Chunk, run_chunk: Callable[[Chunk], None]) -> None:
         """Duplicate a straggling chunk without holding its lease."""
-        run_chunk(chunk)
+        self._timed(chunk, run_chunk)
         if self.board.complete(chunk.id, self.owner):
             self.stats.duplicate_wins += 1
 
@@ -577,18 +576,14 @@ class ElasticScheduler:
         ``run_chunk`` evaluates one chunk's variants (typically an
         ``executor.map`` call whose results land in this worker's
         persistent cache).  Returns ``{chunk_id: kind}`` where every kind
-        is ``"done"`` on success; ``"open"`` / ``"expired"`` survivors mean
-        unclaimed or lost work (rendered by the merge report).
+        is ``"done"`` on success; an ``"expired"`` survivor is a chunk lost
+        past its dispatch budget (rendered by the merge report).
 
-        Termination: a dead owner's lease expires and is stolen, a live
-        slow owner is eventually duplicated, and the steal budget bounds
-        re-dispatch — so the loop always ends with chunks done or lost.
+        Termination: a live owner finishes its chunk (or, past the
+        straggler deadline, is duplicated), a dead owner's lease expires
+        and is stolen, and the steal budget bounds re-dispatch — so the
+        loop always ends with chunks done or lost.
         """
-        deadline = (
-            None
-            if self.policy.drain_timeout is None
-            else time.monotonic() + self.policy.drain_timeout
-        )
         duplicated: set = set()
         while True:
             self.heartbeat()
@@ -597,11 +592,9 @@ class ElasticScheduler:
             kinds = {chunk_id: kind for chunk_id, (kind, _) in states.items()}
             if all(kind == "done" for kind in kinds.values()):
                 break
-            if deadline is not None and time.monotonic() > deadline:
-                break
             claimed = self._claim_next(chunks, states)
             if claimed is not None:
-                self._run_claimed(claimed[0], claimed[1], run_chunk)
+                self.run_claimed(claimed[0], claimed[1], run_chunk)
                 continue
             held = [c for c in chunks if kinds[c.id] == "held"]
             if held:
@@ -636,49 +629,12 @@ class ElasticScheduler:
         kind, lease = self.board.state(chunk.id)
         if kind == "done":
             return "done", None
-        if kind == "open":
-            claimed = self.board.claim(chunk.id, self.owner)
-            if claimed is not None:
-                self.stats.leases_claimed += 1
-                return "claimed", claimed
-            return "busy", None
-        if kind == "corrupt":
-            claimed = self.board.reclaim_corrupt(chunk.id, self.owner)
-            if claimed is not None:
-                self.stats.leases_claimed += 1
-                return "claimed", claimed
-            return "busy", None
-        if kind == "expired" and lease is not None:
-            if not self._within_budget(lease):
-                return "lost", lease
-            claimed = self.board.steal(chunk.id, self.owner, lease)
-            if claimed is not None:
-                self.stats.leases_claimed += 1
-                self.stats.leases_stolen += 1
-                return "claimed", claimed
-            return "busy", None
-        return "busy", lease
-
-    def categorize(
-        self, chunks: Sequence[Chunk], kinds: Dict[str, str]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Map a final state map to ``(unclaimed, lost)`` variant positions.
-
-        ``unclaimed`` positions were never leased (a worker can pick them
-        up by just re-running); ``lost`` positions were leased but their
-        owner died past recovery (expired over budget, or corrupt).
-        """
-        unclaimed: List[int] = []
-        lost: List[int] = []
-        for chunk in chunks:
-            kind = kinds.get(chunk.id, "open")
-            if kind == "done":
-                continue
-            if kind == "open":
-                unclaimed.extend(chunk.positions)
-            else:
-                lost.extend(chunk.positions)
-        return tuple(sorted(unclaimed)), tuple(sorted(lost))
+        if kind == "expired" and lease is not None and not self._within_budget(lease):
+            return "lost", lease
+        claimed = self._claim_next([chunk], {chunk.id: (kind, lease)})
+        if claimed is None:
+            return "busy", lease
+        return "claimed", claimed[1]
 
 
 # --------------------------------------------------------------------------
@@ -690,7 +646,7 @@ def sweep_expired_leases(lease_root: Path | str, *, older_than: float) -> int:
     """Delete lease files older than ``older_than`` seconds; returns the count.
 
     The scheduler runs this at startup with a *large* age bound
-    (``startup_sweep_age``): it clears leases from long-dead campaigns
+    (:data:`STARTUP_SWEEP_AGE`): it clears leases from long-dead campaigns
     without interfering with live expiry/steal accounting, which operates
     at ``lease_ttl`` granularity.
     """
@@ -716,8 +672,11 @@ def find_stale_artifacts(
 
     Covers the byproducts that accumulate across campaigns: quarantined
     corrupt cache/lease files, expired ``.lease`` files, stale
-    worker-presence heartbeats, leftover done markers whose lease
-    directory has no live leases, and orphaned atomic-write temp files.
+    worker-presence heartbeats, and done markers and orphaned atomic-write
+    temp files older than an age floor (an hour for done markers, a minute
+    for temp files, never less than ``lease_ttl``).  Staleness is judged
+    by file age alone; a done marker is flagged even if its lease
+    directory still holds live leases.
     Pure inspection — deletion is the caller's decision (the CLI's
     ``scenarios clean`` is dry-run by default).
     """

@@ -82,8 +82,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
+        if self.task_timeout is not None and not (
+            math.isfinite(self.task_timeout) and self.task_timeout > 0
+        ):
+            raise ValueError(
+                f"task_timeout must be finite and > 0, got {self.task_timeout}"
+            )
 
     def delay(self, key: str, retry_number: int) -> float:
         """Backoff before retry ``retry_number`` (1-based) of task ``key``."""

@@ -1,16 +1,16 @@
-"""Deterministic sharding of sweep work across independent invocations.
+"""The campaign splitter's vocabulary: chunks, static shards, merge reports.
 
-Long scenario campaigns (see :mod:`repro.scenarios`) are split across
-machines or CI jobs by giving every invocation the same task list and a
-shard coordinate ``i/n``: shard ``i`` evaluates every ``n``-th task starting
-at offset ``i``.  The assignment is a pure function of the task *order*, so
-any two processes given the same list agree on the split without
-coordination, and the union of all shards is exactly the full list.
-
-Interleaved (round-robin) assignment is used instead of contiguous blocks
-because sweep grids are usually ordered from mild to severe corruption:
-contiguous blocks would give one shard all the slow, severely-corrupted
-runs, while interleaving balances expected cost across shards.
+Every invocation evaluates a scenario's variant list in chunks
+(:class:`Chunk`), one ``executor.map`` batch each; only where the chunks
+come from differs.  A static shard ``i/n`` (:class:`ShardSpec`,
+``--shard``) owns one pre-assigned chunk of every ``n``-th position
+starting at ``i``: a pure function of the task order, so processes agree
+on the split without coordination and the chunk needs no lease
+(:data:`FULL` owns everything).  Interleaving balances cost because sweep
+grids usually run from mild to severe corruption.  ``--elastic``
+(:mod:`repro.exec.elastic`) instead leases contiguous chunks.  Either way
+the merge is a union of content-keyed caches, and :func:`merge_report`
+names what is unresolved.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """One unit of work: the variant positions evaluated in one batch."""
+
+    id: str
+    positions: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,9 +72,12 @@ class ShardSpec:
         """The subsequence of ``items`` assigned to this shard (interleaved)."""
         return list(items[self.index :: self.count])
 
-    def owns_index(self, position: int) -> bool:
-        """Whether task number ``position`` of the full list is this shard's."""
-        return position % self.count == self.index
+    def chunk(self, total: int) -> Chunk:
+        """The one pre-assigned chunk this shard owns of a ``total``-long list."""
+        return Chunk(
+            id=f"shard-{self.index}-of-{self.count}",
+            positions=tuple(range(self.index, total, self.count)),
+        )
 
     def owns_name(self, name: str) -> bool:
         """Stable name-based assignment for *unsplittable* units of work.
@@ -88,28 +99,22 @@ FULL = ShardSpec(index=0, count=1)
 
 @dataclass(frozen=True)
 class MergeReport:
-    """Validation of a sharded merge: exactly what is still unresolved.
+    """Validation of a merge: exactly what is still unresolved.
 
     Built by :func:`merge_report` from a positionally resolved variant
-    list.  Instead of surfacing an incomplete merge as a bare ``KeyError``
-    (or a vague "N missing"), the report names the missing variant
-    positions, maps them to the shard indices that own them under the
-    interleaved split, and can render the commands that compute them.
+    list, the report names the missing positions, says who owns them (the
+    static shards of the interleaved split, or lost elastic leases), and
+    renders the commands that compute them.
     """
 
     #: Length of the full variant list being merged.
     total: int
-    #: Shard count of the split the merge is validated against.
-    count: int
+    #: Shard count of the static split (``1`` for unsharded and elastic runs).
+    count: int = 1
     #: Zero-based positions of the variants still unresolved.
     missing_positions: Tuple[int, ...] = ()
-    #: Elastic campaigns only: unresolved positions whose chunk was never
-    #: leased — any worker picks them up by simply re-running.
-    unclaimed_positions: Tuple[int, ...] = ()
-    #: Elastic campaigns only: unresolved positions whose lease was taken
-    #: but whose owner died past the re-dispatch budget (or left a corrupt
-    #: lease) — recoverable by re-running, but worth flagging loudly.
-    lost_positions: Tuple[int, ...] = ()
+    #: Whether the positions were split by an elastic drain, not by shards.
+    elastic: bool = False
 
     @property
     def complete(self) -> bool:
@@ -122,61 +127,58 @@ class MergeReport:
         return len(self.missing_positions)
 
     @property
-    def unclaimed(self) -> int:
-        """How many unresolved positions were never leased (elastic runs)."""
-        return len(self.unclaimed_positions)
-
-    @property
-    def lost(self) -> int:
-        """How many unresolved positions were leased but lost (elastic runs)."""
-        return len(self.lost_positions)
-
-    @property
     def missing_shards(self) -> Tuple[int, ...]:
         """Sorted shard indices owning the unresolved positions."""
         return tuple(sorted({p % self.count for p in self.missing_positions}))
 
     def resume_commands(self, template: str) -> List[str]:
-        """Concrete resume commands, one per absent shard.
+        """Concrete resume commands for the unresolved positions.
 
-        ``template`` must contain a ``{shard}`` placeholder, e.g.
-        ``"python -m repro scenarios run NAME --shard {shard} --out OUT"``.
+        ``template`` must contain a ``{split}`` placeholder for the
+        splitter flag, e.g. ``"python -m repro scenarios run NAME {split}
+        --out OUT"``: one ``--shard i/n`` command per absent shard, or a
+        single ``--elastic`` command (any worker re-claims lost chunks).
         """
+        if self.complete:
+            return []
+        if self.elastic:
+            return [template.format(split="--elastic")]
         return [
-            template.format(shard=f"{index}/{self.count}")
+            template.format(split=f"--shard {index}/{self.count}")
             for index in self.missing_shards
         ]
 
     def describe(self, *, limit: int = 8) -> str:
-        """One line naming missing positions and the shards that own them."""
+        """One line naming the missing positions and who owns them."""
         if self.complete:
             return f"all {self.total} variant(s) resolved"
         shown = ", ".join(str(p) for p in self.missing_positions[:limit])
         if self.missing > limit:
             shown += f", … ({self.missing - limit} more)"
-        if self.unclaimed_positions or self.lost_positions:
-            # Elastic campaigns: ownership is dynamic, so report the
-            # categories instead of static shard coordinates.
-            return (
-                f"{self.missing} of {self.total} variant(s) unresolved "
-                f"(position(s) {shown}) — {self.unclaimed} never claimed, "
-                f"{self.lost} leased but lost"
-            )
-        shards = ", ".join(f"{index}/{self.count}" for index in self.missing_shards)
+        if self.elastic:
+            owners = "leased but lost"
+        else:
+            shards = ", ".join(f"{index}/{self.count}" for index in self.missing_shards)
+            owners = f"owned by shard(s) {shards}"
         return (
             f"{self.missing} of {self.total} variant(s) unresolved "
-            f"(position(s) {shown}) — owned by shard(s) {shards}"
+            f"(position(s) {shown}) — {owners}"
         )
 
 
-def merge_report(resolved: Sequence[Optional[object]], spec: ShardSpec) -> MergeReport:
+def merge_report(
+    resolved: Sequence[Optional[object]], spec: ShardSpec = FULL, *, elastic: bool = False
+) -> MergeReport:
     """Validate a merge attempt: ``None`` entries in ``resolved`` are missing.
 
     ``resolved`` is the positionally aligned result list of a full variant
     grid (as returned by ``SweepExecutor.peek_results``); ``spec`` carries
-    the shard count the campaign was split into.
+    the shard count the campaign was split into, and ``elastic`` marks a
+    lease-drained campaign.
     """
     missing = tuple(
         position for position, result in enumerate(resolved) if result is None
     )
-    return MergeReport(total=len(resolved), count=spec.count, missing_positions=missing)
+    return MergeReport(
+        total=len(resolved), count=spec.count, missing_positions=missing, elastic=elastic
+    )

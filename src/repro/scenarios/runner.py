@@ -1,4 +1,4 @@
-"""Scenario execution: grids, adaptive searches, sharding and resume.
+"""Scenario execution: grids, adaptive searches, splitting and resume.
 
 :class:`ScenarioRunner` turns declarative scenarios into pipeline runs
 through the existing execution subsystem — one
@@ -8,28 +8,33 @@ parallelism, content-keyed result caching, lockstep batched sweeps on the
 serial path and persistent resume through
 :class:`repro.store.PersistentResultCache`.
 
-Sharding (``--shard i/n``) splits a scenario's variant list across
-independent invocations with :class:`~repro.exec.shard.ShardSpec`; each
-shard persists every result it computes, and *any* invocation that finds
-the union of the shard caches complete assembles the merged
-:class:`ScenarioResult` — bit-identical to an unsharded run, because the
-numbers come from the same content-keyed cache entries either way.
-Adaptive (bisect) scenarios cannot split their probe sequence, so a whole
-scenario is shard-assigned by a stable hash of its name.
+A grid scenario has one path.  It first decides which chunks of the
+variant list this invocation evaluates: a static shard (``--shard i/n``,
+default the whole list) owns one pre-assigned chunk of interleaved
+positions, while ``--elastic`` drains the lease board's contiguous chunks
+(:mod:`repro.exec.elastic`).  Every chunk then runs through the same
+``executor.map``, each result lands in this invocation's persistent cache,
+and *any* invocation that finds the union of the caches complete
+assembles the merged :class:`ScenarioResult` — bit-identical to an
+unsplit run, because the numbers come from the same content-keyed cache
+entries either way.  One :class:`~repro.exec.shard.MergeReport` names
+whatever is still missing.  Adaptive (bisect) scenarios cannot split
+their probe sequence, so a whole scenario is owned by one static shard
+(stable name hash) or one elastic lease.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ExperimentConfig
 from repro.exec.elastic import (
-    Chunk,
     ElasticPolicy,
     ElasticScheduler,
     build_chunks,
@@ -38,7 +43,7 @@ from repro.exec.elastic import (
 )
 from repro.exec.executor import PipelineFromConfig, SweepExecutor
 from repro.exec.resilience import ResiliencePolicy
-from repro.exec.shard import FULL, MergeReport, ShardSpec, merge_report
+from repro.exec.shard import FULL, Chunk, MergeReport, ShardSpec, merge_report
 from repro.figures import FigureTable
 from repro.scenarios.registry import Scenario
 from repro.scenarios.spec import ScenarioSpec, ScenarioVariant
@@ -53,9 +58,10 @@ from repro.scenarios.strategy import (
 class ScenarioResult:
     """Everything one scenario evaluation produced.
 
-    ``complete`` is ``False`` when this invocation only covered a shard of
-    the variant list (or none of it, for a bisect scenario owned by
-    another shard); the merged artifact is only written once some
+    ``complete`` is ``False`` when this invocation only covered part of
+    the variant list (``report`` then names what is missing), or none of
+    it (``sharded_out``: a bisect scenario owned by another shard or
+    elastic worker); the merged artifact is only written once some
     invocation finds every variant resolved in the shared caches.
     """
 
@@ -67,13 +73,8 @@ class ScenarioResult:
     shard: str = "0/1"
     complete: bool = True
     missing: int = 0
-    missing_positions: List[int] = field(default_factory=list)
-    missing_shards: List[int] = field(default_factory=list)
-    #: Elastic campaigns: unresolved positions never leased by any worker.
-    unclaimed_positions: List[int] = field(default_factory=list)
-    #: Elastic campaigns: unresolved positions whose lease was lost (owner
-    #: died past the re-dispatch budget).
-    lost_positions: List[int] = field(default_factory=list)
+    #: What the merge still misses (``None`` for a finished bisection).
+    report: Optional[MergeReport] = None
     sharded_out: bool = False
     metrics: Dict[str, float] = field(default_factory=dict)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -117,14 +118,16 @@ class ScenarioRunner:
     resilience:
         Optional :class:`~repro.exec.resilience.ResiliencePolicy` the
         scenario executors follow (crash recovery, retry/timeout/backoff,
-        straggler re-dispatch, chaos injection).  ``None`` selects the
-        plain :data:`~repro.exec.resilience.PLAIN_POLICY`.
+        straggler re-dispatch, chaos injection) — its straggler rule also
+        decides when an elastic worker duplicates a peer's chunk.
+        ``None`` selects the plain
+        :data:`~repro.exec.resilience.PLAIN_POLICY`.
     elastic:
         Optional :class:`~repro.exec.elastic.ElasticPolicy`; when given,
-        this invocation joins a cooperative work-stealing drain of each
-        scenario over ``workdir`` (see :mod:`repro.exec.elastic`) instead
-        of evaluating a static shard.  Mutually exclusive with a
-        non-trivial ``shard``; requires ``workdir``.
+        this invocation takes its chunks from a cooperative work-stealing
+        drain of each scenario over ``workdir`` (see
+        :mod:`repro.exec.elastic`) instead of a static shard.  Mutually
+        exclusive with a non-trivial ``shard``; requires ``workdir``.
     workdir:
         The shared campaign directory elastic coordination state (leases,
         worker heartbeats) lives under — normally the artifact/cache
@@ -212,18 +215,13 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------- runs
     def run(self, scenario: Scenario) -> ScenarioResult:
-        """Evaluate one scenario (this invocation's shard of it)."""
+        """Evaluate one scenario (this invocation's chunks of it)."""
         executor = self.executor_for(scenario)
         stats = executor.stats
         before = stats.counters()
         start = time.perf_counter()
         if scenario.strategy == "bisect":
-            if self.elastic is not None:
-                result = self._run_bisect_elastic(scenario, executor)
-            else:
-                result = self._run_bisect(scenario, executor)
-        elif self.elastic is not None:
-            result = self._run_grid_elastic(scenario, executor)
+            result = self._run_bisect(scenario, executor)
         else:
             result = self._run_grid(scenario, executor)
         result.scenario = scenario.name
@@ -239,154 +237,64 @@ class ScenarioRunner:
         result.workers = executor.workers
         return result
 
-    # ------------------------------------------------------------------- grid
-    def _run_grid(self, scenario: Scenario, executor: SweepExecutor) -> ScenarioResult:
-        variants = scenario.variants()
-        mine = [v for i, v in enumerate(variants) if self.shard.owns_index(i)]
-        if mine:
-            # The leading None keeps the baseline in every shard's batch, so
-            # each shard's lockstep pass carries it and the merged artifact
-            # never waits on a specific shard for the baseline.
-            executor.map([None] + [variant.attack for variant in mine])
-        resolved = executor.peek_results([variant.attack for variant in variants])
-        baseline = executor.peek_results([None])[0]
-        report = merge_report(resolved, self.shard)
-        result = ScenarioResult(
-            complete=report.complete and baseline is not None,
-            missing=report.missing + (1 if baseline is None else 0),
-            missing_positions=list(report.missing_positions),
-            missing_shards=list(report.missing_shards),
-        )
-        if not result.complete:
-            return result
-        self._assemble_grid(scenario, variants, resolved, baseline, result)
-        return result
-
-    # -------------------------------------------------------------- elastic
-    def _make_scheduler(
+    @contextmanager
+    def _scheduler(
         self, scenario: Scenario, executor: SweepExecutor
-    ) -> ElasticScheduler:
-        """The work-stealing scheduler of one scenario's cooperative drain."""
-        chaos = self.resilience.chaos if self.resilience is not None else None
-        return ElasticScheduler(
+    ) -> Iterator[ElasticScheduler]:
+        """This worker's lease scheduler for one scenario, heartbeat installed.
+
+        The executor renews the held lease around every task; on exit the
+        results peers flushed meanwhile are preloaded for the merge.
+        """
+        resilience = self.resilience
+        scheduler = ElasticScheduler(
             self.workdir,
             scenario.name,
             policy=self.elastic,
             owner=self.worker_id,
             stats=executor.stats,
-            chaos=chaos,
+            chaos=resilience.chaos if resilience is not None else None,
+            straggler=resilience.straggler if resilience is not None else None,
         )
-
-    def _refresh_sibling_caches(self) -> None:
-        """Pick up results peers flushed since this process opened its cache."""
-        if self.workdir is None or not hasattr(self.cache, "preload"):
-            return
-        from repro.store import preload_sibling_caches
-
-        preload_sibling_caches(self.cache, self.workdir)
-
-    def _drain(
-        self,
-        scenario: Scenario,
-        executor: SweepExecutor,
-        chunks: Sequence[Chunk],
-        run_chunk,
-    ) -> Dict[str, str]:
-        """Run one scheduler drain with the lease heartbeat hook installed."""
-        scheduler = self._make_scheduler(scenario, executor)
-        previous = executor.heartbeat
-        executor.heartbeat = scheduler.heartbeat
+        previous, executor.heartbeat = executor.heartbeat, scheduler.heartbeat
         try:
-            kinds = scheduler.drain(chunks, run_chunk)
+            yield scheduler
         finally:
             executor.heartbeat = previous
-        self._refresh_sibling_caches()
-        self._last_categories = scheduler.categorize(chunks, kinds)
-        return kinds
+        if hasattr(self.cache, "preload"):
+            from repro.store import preload_sibling_caches
 
-    def _run_grid_elastic(
-        self, scenario: Scenario, executor: SweepExecutor
-    ) -> ScenarioResult:
-        """Cooperatively drain a grid scenario's variant chunks via leases.
+            preload_sibling_caches(self.cache, self.workdir)
 
-        Every chunk's batch leads with the baseline (a cache hit after the
-        first), and the merged artifact is assembled from the *union* of
-        all workers' persistent caches — so it is bit-identical to an
-        unsharded single-process run regardless of which worker computed
-        which chunk, how many died, or how many duplicates raced.
-        """
+    # ------------------------------------------------------------------- grid
+    def _run_grid(self, scenario: Scenario, executor: SweepExecutor) -> ScenarioResult:
         variants = scenario.variants()
         attacks = [variant.attack for variant in variants]
-        chunks = build_chunks(len(variants), self.elastic.chunk_size)
 
         def run_chunk(chunk: Chunk) -> None:
+            # The leading None keeps the baseline in every chunk's batch, so
+            # each lockstep pass carries it and the merged artifact never
+            # waits on a specific chunk for the baseline.
             executor.map([None] + [attacks[i] for i in chunk.positions])
 
-        self._drain(scenario, executor, chunks, run_chunk)
+        if self.elastic is None:
+            mine = self.shard.chunk(len(attacks))
+            if mine.positions:
+                run_chunk(mine)
+        else:
+            chunks = build_chunks(len(attacks), self.elastic.chunk_size)
+            with self._scheduler(scenario, executor) as scheduler:
+                scheduler.drain(chunks, run_chunk)
         resolved = executor.peek_results(attacks)
         baseline = executor.peek_results([None])[0]
-        unclaimed, lost = self._last_categories
-        missing = tuple(i for i, r in enumerate(resolved) if r is None)
-        # A done chunk whose results are nonetheless missing (its owner's
-        # cache file was lost after the marker landed) counts as lost.
-        unclaimed = tuple(i for i in unclaimed if i in set(missing))
-        lost = tuple(i for i in missing if i not in set(unclaimed))
-        report = MergeReport(
-            total=len(resolved),
-            count=1,
-            missing_positions=missing,
-            unclaimed_positions=unclaimed,
-            lost_positions=lost,
-        )
+        report = merge_report(resolved, self.shard, elastic=self.elastic is not None)
         result = ScenarioResult(
             complete=report.complete and baseline is not None,
             missing=report.missing + (1 if baseline is None else 0),
-            missing_positions=list(report.missing_positions),
-            unclaimed_positions=list(report.unclaimed_positions),
-            lost_positions=list(report.lost_positions),
+            report=report,
         )
-        if not result.complete:
-            return result
-        self._assemble_grid(scenario, variants, resolved, baseline, result)
-        return result
-
-    def _run_bisect_elastic(
-        self, scenario: ScenarioSpec, executor: SweepExecutor
-    ) -> ScenarioResult:
-        """Whole-lease an adaptive scenario: one worker owns the whole search.
-
-        Probes depend on previous results, so the scenario is a single
-        indivisible chunk.  The claimer runs the search; a worker that
-        finds it already done re-assembles the result from the shared
-        caches (pure cache hits — the probe sequence is deterministic); a
-        worker that finds it held by a live peer skips it like a bisect
-        scenario owned by another static shard.
-        """
-        scheduler = self._make_scheduler(scenario, executor)
-        chunk = whole_chunk()
-        outcome, lease = scheduler.claim_whole(chunk)
-        if outcome == "busy":
-            return ScenarioResult(complete=False, sharded_out=True)
-        if outcome == "lost":
-            return ScenarioResult(
-                complete=False, missing=1, lost_positions=[0]
-            )
-        if outcome == "done":
-            self._refresh_sibling_caches()
-            return self._run_bisect(scenario, executor)
-        previous = executor.heartbeat
-        executor.heartbeat = scheduler.heartbeat
-        try:
-            if scheduler.chaos is not None:
-                scheduler.chaos.apply_elastic(
-                    f"{scheduler.owner}:{chunk.id}", lease.attempt
-                )
-            scheduler._current = lease
-            result = self._run_bisect(scenario, executor)
-        finally:
-            scheduler._current = None
-            executor.heartbeat = previous
-        scheduler.board.complete(chunk.id, scheduler.owner)
+        if result.complete:
+            self._assemble_grid(scenario, variants, resolved, baseline, result)
         return result
 
     def _assemble_grid(
@@ -486,8 +394,35 @@ class ScenarioRunner:
     def _run_bisect(
         self, scenario: ScenarioSpec, executor: SweepExecutor
     ) -> ScenarioResult:
-        if not self.shard.is_trivial and not self.shard.owns_name(scenario.name):
+        """Run an adaptive search if this invocation owns the whole scenario.
+
+        Probes depend on previous results, so the scenario is one
+        indivisible unit: a static shard owns it by name hash, an elastic
+        worker by claiming its ``whole`` lease.  A worker that finds the
+        lease done re-runs the search from the shared caches (pure cache
+        hits — the probe sequence is deterministic).
+        """
+        if self.elastic is None:
+            if not self.shard.owns_name(scenario.name):
+                return ScenarioResult(complete=False, sharded_out=True)
+            return self._search(scenario, executor)
+        chunk = whole_chunk()
+        with self._scheduler(scenario, executor) as scheduler:
+            outcome, lease = scheduler.claim_whole(chunk)
+            if outcome == "claimed":
+                return scheduler.run_claimed(
+                    chunk, lease, lambda _: self._search(scenario, executor)
+                )
+        if outcome == "busy":
             return ScenarioResult(complete=False, sharded_out=True)
+        if outcome == "lost":
+            report = MergeReport(total=1, missing_positions=(0,), elastic=True)
+            return ScenarioResult(complete=False, missing=1, report=report)
+        return self._search(scenario, executor)
+
+    def _search(
+        self, scenario: ScenarioSpec, executor: SweepExecutor
+    ) -> ScenarioResult:
         settings = scenario.search
         parameter = settings.parameter
         values = [float(v) for v in scenario.grid[parameter]]

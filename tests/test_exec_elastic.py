@@ -13,6 +13,7 @@ artifact bit-identical to a single-process run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -46,6 +47,7 @@ from repro.exec.elastic import (
     whole_chunk,
 )
 from repro.exec.executor import COUNTERS, ExecutionStats
+from repro.exec.resilience import StragglerPolicy
 from repro.exec.shard import MergeReport, ShardSpec
 from repro.scenarios import ScenarioRunner, ScenarioSpec, scenario_names
 from repro.store import (
@@ -63,10 +65,13 @@ from repro.store import (
 class TestElasticPolicy:
     def test_defaults_are_valid(self):
         policy = ElasticPolicy()
-        assert policy.effective_heartbeat == pytest.approx(policy.lease_ttl / 4)
-        assert policy.effective_straggler_after == pytest.approx(
-            4 * policy.lease_ttl
-        )
+        assert policy.heartbeat_interval == pytest.approx(policy.lease_ttl / 4)
+        assert [f.name for f in dataclasses.fields(ElasticPolicy)] == [
+            "lease_ttl",
+            "chunk_size",
+            "max_attempts",
+            "poll_interval",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -75,17 +80,15 @@ class TestElasticPolicy:
             {"lease_ttl": -1.0},
             {"chunk_size": 0},
             {"max_attempts": 0},
-            {"heartbeat_interval": -0.1},
+            {"lease_ttl": float("nan")},
+            {"lease_ttl": float("inf")},
+            {"poll_interval": float("nan")},
+            {"poll_interval": -0.1},
         ],
     )
     def test_invalid_values_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ElasticPolicy(**kwargs)
-
-    def test_explicit_intervals_win_over_defaults(self):
-        policy = ElasticPolicy(heartbeat_interval=1.5, straggler_after=9.0)
-        assert policy.effective_heartbeat == 1.5
-        assert policy.effective_straggler_after == 9.0
 
 
 class TestChunks:
@@ -221,7 +224,6 @@ class TestElasticScheduler:
         assert sorted(ran) == [c.id for c in chunks]
         assert stats.leases_claimed == len(chunks)
         assert stats.leases_stolen == 0
-        assert scheduler.categorize(chunks, kinds) == ((), ())
 
     def test_second_drain_is_a_noop_over_done_markers(self, tmp_path):
         first = ElasticScheduler(tmp_path, "scn", policy=_policy(), owner="a")
@@ -272,23 +274,26 @@ class TestElasticScheduler:
             scheduler.board.lease_path("chunk-0000"), burned.to_dict()
         )
         _backdate(scheduler.board.lease_path("chunk-0000"), 50.0)
-        kinds = scheduler.drain(chunks, lambda chunk: None)
-        assert kinds["chunk-0000"] == "expired"
-        assert kinds["chunk-0001"] == "done"
-        unclaimed, lost = scheduler.categorize(chunks, kinds)
-        assert unclaimed == ()
-        assert lost == (0, 1)
+        ran: list = []
+        kinds = scheduler.drain(chunks, lambda chunk: ran.append(chunk.id))
+        # The burned chunk is left expired (lost), not stolen again.
+        assert kinds == {"chunk-0000": "expired", "chunk-0001": "done"}
+        assert ran == ["chunk-0001"]
+        assert stats.leases_stolen == 0
 
     def test_straggling_live_peer_is_duplicated_first_result_wins(self, tmp_path):
         stats = ExecutionStats()
         scheduler = ElasticScheduler(
             tmp_path,
             "scn",
-            policy=_policy(lease_ttl=300.0, straggler_after=1.0),
+            policy=_policy(lease_ttl=300.0),
             owner="bob",
             stats=stats,
+            # The deadline needs one finished chunk of this worker; it is
+            # then max(1 s, 4x that chunk's duration), far under 100 s.
+            straggler=StragglerPolicy(min_samples=1, min_seconds=1.0),
         )
-        chunks = build_chunks(2, 2)
+        chunks = build_chunks(4, 2)
         # A live (fresh mtime) peer that has held its lease far too long.
         slow = Lease(
             owner="slowpoke",
@@ -301,7 +306,8 @@ class TestElasticScheduler:
         ran: list = []
         kinds = scheduler.drain(chunks, lambda chunk: ran.append(chunk.id))
         assert kinds["chunk-0000"] == "done"
-        assert "chunk-0000" in ran
+        # Its own chunk first (the deadline's sample), then the duplicate.
+        assert ran == ["chunk-0001", "chunk-0000"]
         assert stats.duplicate_wins == 1
         assert stats.leases_stolen == 0  # duplication, not theft
 
@@ -317,7 +323,7 @@ class TestElasticScheduler:
         assert stats.leases_claimed == len(chunks)
 
     def test_heartbeat_renews_the_held_lease_mtime(self, tmp_path):
-        policy = _policy(lease_ttl=5.0, heartbeat_interval=0.001)
+        policy = _policy(lease_ttl=5.0)
         scheduler = ElasticScheduler(tmp_path, "scn", policy=policy, owner="bob")
         lease = scheduler.board.claim("chunk-0000", scheduler.owner)
         scheduler._current = lease
@@ -346,7 +352,7 @@ class TestElasticScheduler:
         board.claim("chunk-0001", "recent")
         _backdate(board.lease_path("chunk-0000"), 10_000.0)
         scheduler = ElasticScheduler(
-            tmp_path, "scn", policy=_policy(startup_sweep_age=600.0), owner="me"
+            tmp_path, "scn", policy=_policy(), owner="me"
         )
         assert scheduler.swept_at_startup == 1
         assert not board.lease_path("chunk-0000").exists()
@@ -587,19 +593,15 @@ class TestOwnsNameBalance:
 
 class TestElasticMergeReport:
     def test_elastic_categories_render_instead_of_shard_owners(self):
-        report = MergeReport(
-            total=8,
-            count=1,
-            missing_positions=(2, 5, 6),
-            unclaimed_positions=(2,),
-            lost_positions=(5, 6),
-        )
+        report = MergeReport(total=8, missing_positions=(2, 5, 6), elastic=True)
         text = report.describe()
         assert "3 of 8 variant(s) unresolved" in text
-        assert "1 never claimed" in text
-        assert "2 leased but lost" in text
+        assert "leased but lost" in text
         assert "shard" not in text
-        assert report.unclaimed == 1 and report.lost == 2
+        # Any worker re-claims lost chunks: one resume command, not one per shard.
+        assert report.resume_commands("repro scenarios run X {split}") == [
+            "repro scenarios run X --elastic"
+        ]
 
     def test_legacy_rendering_is_unchanged_without_categories(self):
         report = MergeReport(total=4, count=2, missing_positions=(1, 3))
@@ -786,6 +788,29 @@ class TestElasticRunner:
         assert result.sharded_out
         assert not result.complete
 
+    def test_elastic_grid_over_budget_chunk_is_reported_lost(self, tmp_path):
+        spec = _grid_spec()
+        board = LeaseBoard(tmp_path / "leases" / spec.name, lease_ttl=1.0)
+        burned = Lease(
+            owner="dead",
+            chunk="chunk-0000",
+            attempt=9,
+            created_unix=time.time() - 50.0,
+            heartbeat_unix=time.time() - 50.0,
+        )
+        _atomic_write_json(board.lease_path("chunk-0000"), burned.to_dict())
+        _backdate(board.lease_path("chunk-0000"), 50.0)
+        result = ScenarioRunner(
+            pipeline_factory=_stub_factory,
+            elastic=_policy(lease_ttl=1.0, max_attempts=2),
+            workdir=tmp_path,
+            worker_id="wb",
+        ).run(spec)
+        assert not result.complete
+        assert result.missing == 2
+        assert result.report.missing_positions == (0, 1)  # chunk-0000's variants
+        assert "leased but lost" in result.report.describe()
+
     def test_elastic_bisect_over_budget_is_lost(self, tmp_path):
         spec = _bisect_spec()
         board = LeaseBoard(tmp_path / "leases" / spec.name, lease_ttl=1.0)
@@ -805,7 +830,8 @@ class TestElasticRunner:
             worker_id="wb",
         ).run(spec)
         assert not result.complete
-        assert result.lost_positions == [0]
+        assert result.report.missing_positions == (0,)
+        assert "leased but lost" in result.report.describe()
 
 
 # --------------------------------------------------------------------------
@@ -976,3 +1002,12 @@ class TestScenariosCleanCLI:
     def test_clean_of_a_missing_directory_fails(self, tmp_path, capsys):
         rc = main(["scenarios", "clean", str(tmp_path / "absent")])
         assert rc == 1
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf", "0"])
+    def test_bad_lease_ttl_is_rejected_by_clean_and_run(self, tmp_path, ttl):
+        # A NaN/inf TTL would make every lease look fresh forever.
+        with pytest.raises(SystemExit, match="^--lease-ttl: "):
+            main(["scenarios", "clean", str(tmp_path), "--lease-ttl", ttl])
+        with pytest.raises(SystemExit, match="^--elastic: .*lease_ttl"):
+            main(["scenarios", "run", SCENARIO, "--elastic", "--out", str(tmp_path),
+                  "--lease-ttl", ttl])

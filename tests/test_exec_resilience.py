@@ -150,8 +150,9 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="task_timeout"):
-            RetryPolicy(task_timeout=0.0)
+        for timeout in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="task_timeout"):
+                RetryPolicy(task_timeout=timeout)
 
 
 class TestStragglerPolicy:
@@ -606,7 +607,7 @@ class TestShardMergeReport:
 
     def test_resume_commands_render_one_per_missing_shard(self):
         report = MergeReport(total=6, count=3, missing_positions=(1, 4))
-        commands = report.resume_commands("repro scenarios run X --shard {shard}")
+        commands = report.resume_commands("repro scenarios run X {split}")
         assert commands == ["repro scenarios run X --shard 1/3"]
 
 
@@ -680,6 +681,18 @@ class TestCLIChaos:
         }
         assert stored == chaotic["provenance"]["resilience"]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-retries", "-1"), ("--task-timeout", "nan"), ("--task-timeout", "0")],
+    )
+    def test_bad_resilience_flag_exits_naming_the_flag(self, tmp_path, flag, value):
+        for argv in (
+            ["run", "fig4", "--scale", "tiny"],
+            ["scenarios", "run", "separate_domain_droop", "--scale", "tiny"],
+        ):
+            with pytest.raises(SystemExit, match=f"^{flag}: "):
+                _cli_main(argv + ["--out", str(tmp_path), flag, value])
+
     def test_unknown_chaos_plan_exits_with_the_registry(self, tmp_path):
         with pytest.raises(SystemExit, match="ci-plan"):
             _cli_main(
@@ -698,7 +711,7 @@ class TestCLIShardMergeReporting:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "waiting on 1 variant(s)" in out
+        assert "1 of 2 variant(s) unresolved" in out
         assert "owned by shard(s) 1/3" in out
         assert (
             f"resume with: python -m repro scenarios run separate_domain_droop "
@@ -713,7 +726,7 @@ class TestCLIShardMergeReporting:
         assert _cli_main(base + ["--shard", "0/3"]) == 0
         out = capsys.readouterr().out
         assert (tmp_path / "scenario-separate_domain_droop.json").exists()
-        assert "waiting on" not in out.rsplit("[separate_domain_droop]", 1)[-1]
+        assert "unresolved" not in out.rsplit("[separate_domain_droop]", 1)[-1]
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signal semantics")

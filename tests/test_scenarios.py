@@ -10,7 +10,10 @@ run.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,7 @@ from repro.attacks.attacks import (
 from repro.cli import main
 from repro.core import ExperimentConfig
 from repro.core.results import ExperimentResult
+from repro.exec.elastic import ElasticPolicy, LeaseBoard
 from repro.exec.shard import FULL, ShardSpec
 from repro.scenarios import (
     BisectionSettings,
@@ -37,7 +41,7 @@ from repro.scenarios import (
     load_scenario_file,
     scenario_names,
 )
-from repro.store import load_scenario_result
+from repro.store import load_scenario_result, open_worker_cache
 
 # --------------------------------------------------------------------------
 # Spec round-trips and validation.
@@ -456,6 +460,31 @@ class _fake_factory:
         return FakeCollapsePipeline(config=self.config)
 
 
+@dataclass
+class _CrashingPipeline(FakeCollapsePipeline):
+    """The stub pipeline of a worker that dies on one attack."""
+
+    crash_at: float = 0.086
+
+    def run(self, attack) -> ExperimentResult:
+        if float(getattr(attack, "threshold_change", 0.0)) == self.crash_at:
+            raise RuntimeError("worker died mid-chunk")
+        return super().run(attack)
+
+
+@dataclass(frozen=True)
+class _crashing_factory(_fake_factory):
+    def __call__(self) -> _CrashingPipeline:
+        return _CrashingPipeline(config=self.config)
+
+
+def _array_digests(result) -> dict:
+    return {
+        name: (array.dtype.str, array.shape, hashlib.sha256(array.tobytes()).hexdigest())
+        for name, array in result.arrays.items()
+    }
+
+
 def _collapse_values():
     return tuple(round(v, 6) for v in np.linspace(0.0, 0.2, 33))
 
@@ -548,7 +577,23 @@ class TestRunnerSharding:
             scale="tiny",
         )
 
-    def test_shards_complete_only_when_united(self):
+    def test_unsharded_grid_is_one_lockstep_pass(self, monkeypatch):
+        runner = ScenarioRunner(pipeline_factory=_fake_factory)
+        spec = self._spec()
+        executor = runner.executor_for(spec)
+        calls = []
+        original = executor.map
+
+        def counting_map(attacks):
+            calls.append(len(attacks))
+            return original(attacks)
+
+        monkeypatch.setattr(executor, "map", counting_map)
+        assert runner.run(spec).complete
+        assert calls == [1 + len(spec.variants())]  # the baseline plus every variant
+
+    def test_shards_complete_only_when_united(self, tmp_path):
+        """FULL, static shards 0/2 + 1/2 and two elastic workers all agree."""
         from repro.exec.cache import ResultCache
 
         cache = ResultCache()
@@ -572,6 +617,34 @@ class TestRunnerSharding:
             second.arrays["accuracies"], unsharded.arrays["accuracies"]
         )
         assert second.metrics == unsharded.metrics
+        assert _array_digests(second) == _array_digests(unsharded)
+
+        # Two elastic workers with one variant per chunk: "wa" dies on its
+        # third chunk, "wb" steals that lease and drains the rest.
+        policy = ElasticPolicy(chunk_size=1, poll_interval=0.01)
+        with pytest.raises(RuntimeError, match="died"):
+            ScenarioRunner(
+                pipeline_factory=_crashing_factory,
+                cache=open_worker_cache(tmp_path, "wa"),
+                elastic=policy,
+                workdir=tmp_path,
+                worker_id="wa",
+            ).run(spec)
+        board = LeaseBoard(tmp_path / "leases" / spec.name, lease_ttl=1.0)
+        expired = time.time() - 10 * policy.lease_ttl
+        os.utime(board.lease_path("chunk-0002"), (expired, expired))
+        elastic = ScenarioRunner(
+            pipeline_factory=_fake_factory,
+            cache=open_worker_cache(tmp_path, "wb"),
+            elastic=policy,
+            workdir=tmp_path,
+            worker_id="wb",
+        ).run(spec)
+        assert elastic.complete
+        assert elastic.execution["leases_stolen"] == 1
+        assert elastic.execution["leases_claimed"] == 4  # chunks 2-5
+        assert elastic.metrics == unsharded.metrics
+        assert _array_digests(elastic) == _array_digests(unsharded)
 
     def test_bisect_scenarios_are_whole_scenario_assigned(self):
         spec = ScenarioSpec(
