@@ -89,7 +89,7 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import (
@@ -109,11 +109,10 @@ from repro.exec.resilience import ResiliencePolicy, RetryPolicy
 from repro.figures import FigureContext, figure_names, get_figure, iter_figures
 from repro.store import (
     PersistentResultCache,
+    StoredArtifact,
     classify_artifact_json,
     git_revision,
-    load_figure_result,
-    load_scenario_result,
-    load_snapshot_result,
+    load_artifact,
     open_shard_cache,
     open_worker_cache,
     save_figure_result,
@@ -512,7 +511,44 @@ _BROKEN_JSON = {
 }
 
 
-def _snapshot_report_row(json_path: Path, stored) -> List[str]:
+def _load_artifacts(
+    results_dir: Path, pattern: str, kinds: Sequence[str]
+) -> Tuple[List[Tuple[Path, StoredArtifact]], List[str]]:
+    """Load and verify every artifact of ``kinds`` matching ``pattern``.
+
+    The one loading loop of the report commands.  Returns the loaded
+    ``(path, artifact)`` pairs in file-name order, plus one failure line
+    per file that is unreadable, not valid JSON or fails
+    :func:`~repro.store.load_artifact`.  JSON that is not an artifact of
+    ``kinds`` (caches, stray configs) is skipped silently.
+    """
+    loaded: List[Tuple[Path, StoredArtifact]] = []
+    failures: List[str] = []
+    for json_path in sorted(results_dir.glob(pattern)):
+        if json_path.name.startswith("cache"):
+            continue
+        kind = classify_artifact_json(json_path)
+        if kind in _BROKEN_JSON:
+            failures.append(f"{json_path.name}: {_BROKEN_JSON[kind]}")
+        elif kind in kinds:
+            try:
+                loaded.append((json_path, load_artifact(json_path)))
+            except (OSError, ValueError) as error:
+                failures.append(f"{json_path.name}: {error}")
+    return loaded, failures
+
+
+def _print_failures(failures: List[str]) -> int:
+    """List the artifacts that failed to load; 1 if any did (CI depends on it)."""
+    if not failures:
+        return 0
+    print(f"{len(failures)} artifact(s) failed to load:", file=sys.stderr)
+    for failure in failures:
+        print(f"  {failure}", file=sys.stderr)
+    return 1
+
+
+def _snapshot_report_row(json_path: Path, stored: StoredArtifact) -> List[str]:
     """One ``repro report`` table row for a snapshot artifact."""
     provenance = stored.provenance
     metrics = stored.metrics
@@ -533,33 +569,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not results_dir.is_dir():
         print(f"{results_dir} is not a directory", file=sys.stderr)
         return 1
-    documents = []
-    snapshot_rows: List[List[str]] = []
-    failures: List[str] = []
-    for json_path in sorted(results_dir.glob("*.json")):
-        if json_path.name.startswith("cache"):
-            continue
-        kind = classify_artifact_json(json_path)
-        if kind in _BROKEN_JSON:
-            failures.append(f"{json_path.name}: {_BROKEN_JSON[kind]}")
-            continue
-        if kind == "snapshot":
-            # A snapshot with a missing or tampered NPZ is as fatal as a
-            # broken figure artifact — load (and digest-verify) it here.
-            try:
-                snapshot_rows.append(
-                    _snapshot_report_row(json_path, load_snapshot_result(json_path))
-                )
-            except (OSError, ValueError) as error:
-                failures.append(f"{json_path.name}: {error}")
-            continue
-        if kind != "figure":
-            continue
-        try:
-            documents.append(load_figure_result(json_path).document)
-        except (OSError, ValueError) as error:
-            failures.append(f"{json_path.name}: {error}")
-    if not documents and not snapshot_rows and not failures:
+    loaded, failures = _load_artifacts(results_dir, "*.json", ("figure", "snapshot"))
+    documents = [stored.document for _, stored in loaded if stored.kind == "figure"]
+    snapshot_rows = [
+        _snapshot_report_row(path, stored)
+        for path, stored in loaded
+        if stored.kind == "snapshot"
+    ]
+    if not loaded and not failures:
         print(f"no figure artifacts found in {results_dir}", file=sys.stderr)
         return 1
     if documents:
@@ -576,16 +593,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 title=f"Serving snapshots ({len(snapshot_rows)})",
             )
         )
-    if failures:
-        # The partial tables above are still useful, but a missing or
-        # corrupt artifact must fail the invocation (CI depends on it).
-        print(
-            f"{len(failures)} artifact(s) failed to load:", file=sys.stderr
-        )
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_failures(failures)
 
 
 # --------------------------------------------------------------------------
@@ -624,17 +632,17 @@ def _cmd_snapshot_export(args: argparse.Namespace) -> int:
 
 def _cmd_snapshot_info(args: argparse.Namespace) -> int:
     from repro.snn.serving import ScoringEngine
-    from repro.snn.snapshot import load_snapshot
+    from repro.snn.snapshot import snapshot_from_artifact
 
     json_path = Path(args.snapshot_path)
     try:
-        snapshot = load_snapshot(json_path)
-        stored = load_snapshot_result(json_path)
+        stored = load_artifact(json_path, kind="snapshot")
+        snapshot = snapshot_from_artifact(stored)
     except (OSError, ValueError) as error:
         print(f"{json_path}: {error}", file=sys.stderr)
         return 1
     provenance = stored.provenance
-    metrics = stored.metrics
+    metrics = snapshot.metrics
     rows = [
         ("snapshot", stored.name),
         ("model", snapshot.model.get("kind", "?")),
@@ -883,21 +891,13 @@ def _cmd_scenarios_report(args: argparse.Namespace) -> int:
     if not results_dir.is_dir():
         print(f"{results_dir} is not a directory", file=sys.stderr)
         return 1
+    loaded, failures = _load_artifacts(results_dir, "scenario-*.json", ("scenario",))
+    if not loaded and not failures:
+        print(f"no scenario artifacts found in {results_dir}", file=sys.stderr)
+        return 1
     rows = []
-    failures: List[str] = []
     details: List[str] = []
-    for json_path in sorted(results_dir.glob("scenario-*.json")):
-        kind = classify_artifact_json(json_path)
-        if kind in _BROKEN_JSON:
-            failures.append(f"{json_path.name}: {_BROKEN_JSON[kind]}")
-            continue
-        if kind != "scenario":
-            continue
-        try:
-            stored = load_scenario_result(json_path)
-        except (OSError, ValueError) as error:
-            failures.append(f"{json_path.name}: {error}")
-            continue
+    for _, stored in loaded:
         document = stored.document
         metrics = stored.metrics
         provenance = stored.provenance
@@ -914,7 +914,7 @@ def _cmd_scenarios_report(args: argparse.Namespace) -> int:
             )
         rows.append(
             [
-                stored.scenario,
+                stored.name,
                 document.get("strategy", "grid"),
                 provenance.get("scale", "?"),
                 f"{metrics.get('baseline_accuracy', float('nan')):.4f}",
@@ -926,9 +926,6 @@ def _cmd_scenarios_report(args: argparse.Namespace) -> int:
             details.append(
                 format_table(table["headers"], table["rows"], title=table["title"])
             )
-    if not rows and not failures:
-        print(f"no scenario artifacts found in {results_dir}", file=sys.stderr)
-        return 1
     if rows:
         print(
             format_table(
@@ -947,12 +944,7 @@ def _cmd_scenarios_report(args: argparse.Namespace) -> int:
         for detail in details:
             print()
             print(detail)
-    if failures:
-        print(f"{len(failures)} artifact(s) failed to load:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_failures(failures)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -366,22 +366,14 @@ def save_snapshot(
 ):
     """Persist ``snapshot`` as ``snapshot-<name>.json`` + ``.npz``.
 
-    The document carries the store's standard artifact envelope —
-    ``schema_version``, per-array digests, full provenance — so snapshot
-    artifacts get the same offline integrity checking, report listing and
-    newer-schema refusal as figure and scenario artifacts.  Returns the
-    written :class:`repro.store.ArtifactPaths`.
+    Written through :func:`repro.store.write_artifact`, so snapshot
+    artifacts get the same per-array manifest, provenance, offline
+    integrity checking and newer-schema refusal as figure and scenario
+    artifacts.  Returns the written :class:`repro.store.ArtifactPaths`.
     """
-    from pathlib import Path
-
-    from repro import store
     from repro.core.config import ExperimentConfig
+    from repro.store import build_provenance, write_artifact
     from repro.utils.serialization import to_jsonable
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"snapshot-{name}.json"
-    npz_path = out_dir / f"snapshot-{name}.npz"
 
     if snapshot.config is not None:
         config = config_from_jsonable(snapshot.config)
@@ -389,10 +381,7 @@ def save_snapshot(
         config = ExperimentConfig.smoke().with_overrides(
             seed=snapshot.seed, scale_name="unknown"
         )
-    store._atomic_write_npz(npz_path, snapshot.arrays)
-    document = {
-        "schema_version": store.SCHEMA_VERSION,
-        "snapshot": name,
+    fields = {
         "model": to_jsonable(snapshot.model),
         "score_layer": snapshot.score_layer,
         "encoding": to_jsonable(snapshot.encoding),
@@ -402,43 +391,44 @@ def save_snapshot(
         "config": snapshot.config,
         "defenses": to_jsonable(snapshot.defenses),
         "metrics": to_jsonable(snapshot.metrics),
-        "arrays": {
-            key: {
-                "npz": npz_path.name,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "sha256": store._array_digest(array),
-            }
-            for key, array in snapshot.arrays.items()
-        },
-        "provenance": store.build_provenance(
-            config, wall_seconds=wall_seconds, git_sha=git_sha
-        ),
     }
-    store._atomic_write_json(json_path, document)
-    return store.ArtifactPaths(json_path=json_path, npz_path=npz_path)
+    provenance = build_provenance(config, wall_seconds=wall_seconds, git_sha=git_sha)
+    return write_artifact(out_dir, "snapshot", name, fields, snapshot.arrays, provenance)
+
+
+def snapshot_from_artifact(stored) -> NetworkSnapshot:
+    """The :class:`NetworkSnapshot` held by a loaded snapshot artifact.
+
+    ``stored`` is a verified :class:`repro.store.StoredArtifact` of kind
+    ``"snapshot"``.  Raises :class:`SnapshotError` when the document lacks
+    a field a snapshot needs.
+    """
+    document = stored.document
+    try:
+        return NetworkSnapshot(
+            model=document["model"],
+            score_layer=document["score_layer"],
+            arrays=stored.arrays,
+            encoding=document["encoding"],
+            seed=int(document["seed"]),
+            n_classes=int(document.get("n_classes", 0)),
+            config=document.get("config"),
+            defenses=document.get("defenses", {}),
+            metrics=document.get("metrics", {}),
+            engine=document.get("engine", ""),
+        )
+    except KeyError as error:
+        raise SnapshotError(f"snapshot document lacks the field {error}") from None
 
 
 def load_snapshot(json_path) -> NetworkSnapshot:
-    """Load a snapshot artifact back; verifies schema and array digests.
+    """Load a snapshot artifact back; verifies schema and every array.
 
-    Raises :class:`ValueError` on tampered arrays or newer-schema
-    documents and propagates :class:`OSError` when the NPZ bundle is
-    missing — a snapshot that cannot be verified must never be served.
+    Raises :class:`ValueError` on tampered arrays, newer-schema documents
+    and artifacts of another kind, and propagates :class:`OSError` when
+    the NPZ bundle is missing — a snapshot that cannot be verified must
+    never be served.
     """
-    from repro.store import load_snapshot_result
+    from repro.store import load_artifact
 
-    stored = load_snapshot_result(json_path)
-    document = stored.document
-    return NetworkSnapshot(
-        model=document["model"],
-        score_layer=document["score_layer"],
-        arrays=stored.arrays,
-        encoding=document["encoding"],
-        seed=int(document["seed"]),
-        n_classes=int(document.get("n_classes", 0)),
-        config=document.get("config"),
-        defenses=document.get("defenses", {}),
-        metrics=document.get("metrics", {}),
-        engine=document.get("engine", ""),
-    )
+    return snapshot_from_artifact(load_artifact(json_path, kind="snapshot"))

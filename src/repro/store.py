@@ -1,13 +1,20 @@
-"""Persistent, schema-versioned figure-result artifacts and a disk cache.
+"""Persistent, schema-versioned artifacts and a disk cache.
 
 Two persistence layers back the ``python -m repro`` CLI:
 
-* **Figure artifacts** — :func:`save_figure_result` writes one JSON document
-  (metrics, rendered tables, paper claims, full provenance: config, seed,
-  scale, git SHA, wall-clock, executor cache hits, library versions) plus
-  one NPZ file holding the figure's arrays.  :func:`load_figure_result`
-  reads both back; the JSON carries a SHA-256 digest per array so artifact
-  integrity is checkable offline.
+* **Artifacts** — every reproduced figure, scenario evaluation and
+  serving snapshot is one JSON document plus one ``<stem>.npz`` bundle
+  beside it.  :func:`write_artifact` writes the pair and
+  :func:`load_artifact` reads it back.  The document carries
+  ``schema_version``, a kind key naming the artifact (``"figure"``,
+  ``"scenario"`` or ``"snapshot"``), the kind's own fields (metrics,
+  rendered tables, paper claims, a scenario's spec, a snapshot's model
+  identity), an array manifest (dtype, shape and SHA-256 per array) and
+  full provenance: config, seed, scale, git SHA, wall-clock, executor
+  counters, library versions.  :func:`save_figure_result`,
+  :func:`save_scenario_result` and
+  :func:`repro.snn.snapshot.save_snapshot` only assemble their kind's
+  fields.
 * **The executor result cache** — :class:`PersistentResultCache` is a
   :class:`~repro.exec.cache.ResultCache` that mirrors every
   :class:`~repro.core.results.ExperimentResult` it stores to a JSON file.
@@ -18,6 +25,9 @@ Two persistence layers back the ``python -m repro`` CLI:
 
 Artifacts are forward-compatible through ``schema_version``; loaders
 reject documents from a newer schema instead of misreading them.
+:func:`load_artifact` checks every array against its manifest entry, so
+a malformed document or a tampered, reshaped or re-typed array is a
+:class:`ValueError` naming the file, never a silently wrong number.
 
 Both layers are hardened against the failure modes of real campaigns:
 
@@ -46,6 +56,7 @@ import subprocess
 import sys
 import time
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -62,6 +73,10 @@ from repro.utils.serialization import to_jsonable
 
 #: Version of the artifact document layout.  Bump on breaking changes.
 SCHEMA_VERSION = 1
+
+#: File-name prefix of each artifact kind.  The keys are the document
+#: keys that name an artifact, e.g. ``{"figure": "fig8", ...}``.
+_ARTIFACT_PREFIXES = {"figure": "", "scenario": "scenario-", "snapshot": "snapshot-"}
 
 
 class CacheCorruptionError(ValueError):
@@ -94,33 +109,38 @@ def git_revision(repo_root: Optional[Path] = None) -> str:
 
 @dataclass(frozen=True)
 class ArtifactPaths:
-    """Where one figure's artifact pair was written."""
+    """Where one artifact pair was written."""
 
     json_path: Path
     npz_path: Path
 
 
 @dataclass
-class StoredFigure:
-    """A figure artifact loaded back from disk."""
+class StoredArtifact:
+    """A figure, scenario or snapshot artifact loaded back from disk.
 
+    ``kind`` is the document's kind key; ``arrays`` holds the NPZ arrays,
+    each already checked against its manifest entry.
+    """
+
+    kind: str
     document: Dict[str, Any]
     arrays: Dict[str, np.ndarray]
 
     @property
-    def figure(self) -> str:
-        """Registry name of the figure."""
-        return self.document["figure"]
+    def name(self) -> str:
+        """Registry name of the figure or scenario, or the snapshot's name."""
+        return self.document[self.kind]
 
     @property
     def metrics(self) -> Dict[str, Any]:
-        """Scalar metrics of the reproduction."""
-        return self.document["metrics"]
+        """Scalar metrics of the producing run."""
+        return self.document.get("metrics", {})
 
     @property
     def provenance(self) -> Dict[str, Any]:
-        """Config/seed/git-SHA/timing provenance of the run."""
-        return self.document["provenance"]
+        """Config/seed/git-SHA/timing provenance of the producing run."""
+        return self.document.get("provenance", {})
 
 
 def _array_digest(array: np.ndarray) -> str:
@@ -168,6 +188,167 @@ def build_provenance(
     return provenance
 
 
+def write_artifact(
+    out_dir: Path | str,
+    kind: str,
+    name: str,
+    fields: Mapping[str, Any],
+    arrays: Mapping[str, np.ndarray],
+    provenance: Mapping[str, Any],
+) -> ArtifactPaths:
+    """Write one artifact pair under ``out_dir``: the NPZ, then the JSON.
+
+    The file stem is ``name`` behind the kind's prefix (``fig8``,
+    ``scenario-<name>``, ``snapshot-<name>``).  The document is ``fields``
+    plus the envelope: ``schema_version``, ``{kind: name}``, the array
+    manifest and ``provenance``.  Both writes are atomic, and the
+    document lands last, so it never names arrays that are not on disk.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = _ARTIFACT_PREFIXES[kind] + name
+    paths = ArtifactPaths(
+        json_path=out_dir / f"{stem}.json", npz_path=out_dir / f"{stem}.npz"
+    )
+    _atomic_write_npz(paths.npz_path, arrays)
+    document = {
+        **fields,
+        "schema_version": SCHEMA_VERSION,
+        kind: name,
+        "arrays": {
+            key: {
+                "npz": paths.npz_path.name,
+                "dtype": str(array.dtype),
+                "shape": list(array.shape),
+                "sha256": _array_digest(array),
+            }
+            for key, array in arrays.items()
+        },
+        "provenance": provenance,
+    }
+    _atomic_write_json(paths.json_path, document)
+    return paths
+
+
+def _is_manifest_entry(entry: Any) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("dtype"), str)
+        and isinstance(entry.get("shape"), list)
+        and isinstance(entry.get("sha256"), str)
+    )
+
+
+def _read_verified_arrays(
+    json_path: Path, manifest: Mapping[str, Dict[str, Any]]
+) -> Dict[str, np.ndarray]:
+    """Every manifest array from the ``<stem>.npz`` beside ``json_path``."""
+    npz_path = json_path.with_suffix(".npz")
+    arrays: Dict[str, np.ndarray] = {}
+    try:
+        with np.load(npz_path) as bundle:
+            for name, entry in manifest.items():
+                if name not in bundle.files:
+                    raise ValueError(
+                        f"array {name!r} of {json_path} is missing from {npz_path.name}"
+                    )
+                array = bundle[name]
+                if str(array.dtype) != entry["dtype"]:
+                    raise ValueError(
+                        f"array {name!r} of {json_path} is corrupt: dtype "
+                        f"{array.dtype}, manifest says {entry['dtype']}"
+                    )
+                if list(array.shape) != entry["shape"]:
+                    raise ValueError(
+                        f"array {name!r} of {json_path} is corrupt: shape "
+                        f"{list(array.shape)}, manifest says {entry['shape']}"
+                    )
+                if _array_digest(array) != entry["sha256"]:
+                    raise ValueError(
+                        f"array {name!r} of {json_path} is corrupt: digest mismatch"
+                    )
+                arrays[name] = array
+    except zipfile.BadZipFile as error:
+        raise ValueError(f"{npz_path} is not a readable NPZ bundle: {error}") from None
+    return arrays
+
+
+def load_artifact(json_path: Path | str, kind: Optional[str] = None) -> StoredArtifact:
+    """Load one artifact pair and verify it against its manifest.
+
+    Arrays are read only from the ``<stem>.npz`` beside the document; the
+    manifest's ``npz`` field is not followed.  Raises :class:`ValueError`
+    naming the file when the document is not a JSON object, has a newer
+    ``schema_version``, names no artifact kind or a kind other than
+    ``kind`` (when given), or has a manifest that is not an object of
+    ``{dtype, shape, sha256}`` entries; and naming the array when one is
+    missing from the bundle or differs from its entry in dtype, shape or
+    SHA-256.  Propagates :class:`OSError` when a file cannot be read.
+    """
+    json_path = Path(json_path)
+    with open(json_path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ValueError(f"{json_path} is not an artifact: not a JSON object")
+    version = document.get("schema_version")
+    if not isinstance(version, int) or version > SCHEMA_VERSION:
+        raise ValueError(
+            f"{json_path} has artifact schema {version!r}; this build reads "
+            f"schemas <= {SCHEMA_VERSION}"
+        )
+    found = _document_kind(document)
+    if found == "other":
+        raise ValueError(
+            f"{json_path} is not an artifact: no {'/'.join(_ARTIFACT_PREFIXES)} key"
+        )
+    if kind is not None and found != kind:
+        raise ValueError(f"{json_path} is a {found} artifact, not a {kind} artifact")
+    manifest = document.get("arrays", {})
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{json_path} has an array manifest that is not a JSON object")
+    for name, entry in manifest.items():
+        if not _is_manifest_entry(entry):
+            raise ValueError(
+                f"{json_path} has a malformed manifest entry for array {name!r} "
+                "(expected {dtype, shape, sha256})"
+            )
+    arrays = _read_verified_arrays(json_path, manifest) if manifest else {}
+    return StoredArtifact(kind=found, document=document, arrays=arrays)
+
+
+def _document_kind(document: Any) -> str:
+    """The artifact kind key of a parsed document, or ``"other"``."""
+    if not isinstance(document, dict) or "schema_version" not in document:
+        return "other"
+    return next((kind for kind in _ARTIFACT_PREFIXES if kind in document), "other")
+
+
+def classify_artifact_json(json_path: Path | str) -> str:
+    """What kind of document one ``.json`` file holds.
+
+    Returns ``"figure"`` / ``"scenario"`` / ``"snapshot"`` for artifact
+    documents, ``"other"`` for JSON that parses but is not an artifact
+    (skippable, e.g. a stray config), ``"corrupt"`` for files that are not
+    valid JSON and ``"unreadable"`` for files that cannot be opened at
+    all.  The report commands treat the last two as failures — a
+    truncated or unreadable artifact must fail the run, not vanish from
+    it.
+    """
+    try:
+        with open(json_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError:
+        return "unreadable"
+    except ValueError:
+        return "corrupt"
+    return _document_kind(document)
+
+
+def _tables(tables) -> list:
+    """The JSON form of rendered :class:`~repro.figures.FigureTable` s."""
+    return [{"title": t.title, "headers": t.headers, "rows": t.rows} for t in tables]
+
+
 def save_figure_result(
     spec: FigureSpec,
     result: FigureResult,
@@ -177,23 +358,12 @@ def save_figure_result(
     git_sha: Optional[str] = None,
 ) -> ArtifactPaths:
     """Persist ``result`` as ``<name>.json`` + ``<name>.npz`` under ``out_dir``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"{spec.name}.json"
-    npz_path = out_dir / f"{spec.name}.npz"
-
-    _atomic_write_npz(npz_path, result.arrays)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "figure": spec.name,
+    fields = {
         "title": spec.title,
         "description": spec.description,
         "tags": list(spec.tags),
         "metrics": to_jsonable(result.metrics),
-        "tables": [
-            {"title": t.title, "headers": t.headers, "rows": t.rows}
-            for t in result.tables
-        ],
+        "tables": _tables(result.tables),
         "claims": [
             {
                 "metric": claim.metric,
@@ -202,131 +372,15 @@ def save_figure_result(
             }
             for claim in spec.claims
         ],
-        "arrays": {
-            name: {
-                "npz": npz_path.name,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "sha256": _array_digest(array),
-            }
-            for name, array in result.arrays.items()
-        },
-        "provenance": build_provenance(
-            config,
-            wall_seconds=result.wall_seconds,
-            workers=result.workers,
-            execution=result.execution,
-            git_sha=git_sha,
-        ),
     }
-    _atomic_write_json(json_path, document)
-    return ArtifactPaths(json_path=json_path, npz_path=npz_path)
-
-
-def _load_artifact_pair(json_path: Path) -> tuple:
-    """Read one JSON document plus its verified NPZ arrays.
-
-    Shared by the figure and scenario loaders: validates the schema
-    version and every array's SHA-256 digest, raising :class:`ValueError`
-    on any mismatch (and propagating :class:`OSError` when a referenced
-    NPZ file is missing).
-    """
-    with open(json_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    version = document.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{json_path} has artifact schema {version!r}; this build reads "
-            f"schemas <= {SCHEMA_VERSION}"
-        )
-    arrays: Dict[str, np.ndarray] = {}
-    manifest = document.get("arrays", {})
-    if manifest:
-        npz_names = {entry["npz"] for entry in manifest.values()}
-        loaded: Dict[str, np.ndarray] = {}
-        for npz_name in sorted(npz_names):
-            with np.load(json_path.parent / npz_name) as payload:
-                loaded.update({key: payload[key] for key in payload.files})
-        for name, entry in manifest.items():
-            if name not in loaded:
-                raise ValueError(
-                    f"array {name!r} of {json_path} is missing from its NPZ file"
-                )
-            array = loaded[name]
-            digest = _array_digest(array)
-            if digest != entry["sha256"]:
-                raise ValueError(
-                    f"array {name!r} of {json_path} is corrupt: digest mismatch"
-                )
-            arrays[name] = array
-    return document, arrays
-
-
-def load_figure_result(json_path: Path | str) -> StoredFigure:
-    """Load one artifact pair; verifies the schema and array digests."""
-    document, arrays = _load_artifact_pair(Path(json_path))
-    return StoredFigure(document=document, arrays=arrays)
-
-
-def classify_artifact_json(json_path: Path | str) -> str:
-    """What kind of document one ``.json`` file holds.
-
-    Returns ``"figure"`` / ``"scenario"`` for artifact documents,
-    ``"other"`` for JSON that parses but is not an artifact (skippable,
-    e.g. a stray config), ``"corrupt"`` for files that are not valid JSON
-    and ``"unreadable"`` for files that cannot be opened at all.  The
-    report commands treat the last two as failures — a truncated or
-    unreadable artifact must fail the run, not vanish from it.
-    """
-    try:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError:
-        return "unreadable"
-    except ValueError:
-        return "corrupt"
-    if not isinstance(document, dict) or "schema_version" not in document:
-        return "other"
-    if "figure" in document:
-        return "figure"
-    if "scenario" in document:
-        return "scenario"
-    if "snapshot" in document:
-        return "snapshot"
-    return "other"
-
-
-def is_figure_artifact(json_path: Path | str) -> bool:
-    """True when ``json_path`` looks like a figure artifact document."""
-    return classify_artifact_json(json_path) == "figure"
-
-
-# --------------------------------------------------------------------------
-# Scenario artifacts (the ``python -m repro scenarios`` tier).
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class StoredScenario:
-    """A scenario artifact loaded back from disk."""
-
-    document: Dict[str, Any]
-    arrays: Dict[str, np.ndarray]
-
-    @property
-    def scenario(self) -> str:
-        """Registry name of the scenario."""
-        return self.document["scenario"]
-
-    @property
-    def metrics(self) -> Dict[str, Any]:
-        """Scalar metrics of the evaluation."""
-        return self.document["metrics"]
-
-    @property
-    def provenance(self) -> Dict[str, Any]:
-        """Config/seed/git-SHA/timing provenance of the run."""
-        return self.document["provenance"]
+    provenance = build_provenance(
+        config,
+        wall_seconds=result.wall_seconds,
+        workers=result.workers,
+        execution=result.execution,
+        git_sha=git_sha,
+    )
+    return write_artifact(out_dir, "figure", spec.name, fields, result.arrays, provenance)
 
 
 def save_scenario_result(
@@ -340,19 +394,10 @@ def save_scenario_result(
     """Persist a :class:`~repro.scenarios.runner.ScenarioResult` pair.
 
     Writes ``scenario-<name>.json`` + ``scenario-<name>.npz`` under
-    ``out_dir`` with the same provenance/digest discipline as figure
-    artifacts, plus the *full declarative spec* (``scenario.to_dict()``)
-    so an artifact is reproducible from itself.
+    ``out_dir``, carrying the *full declarative spec*
+    (``scenario.to_dict()``) so an artifact is reproducible from itself.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"scenario-{scenario.name}.json"
-    npz_path = out_dir / f"scenario-{scenario.name}.npz"
-
-    _atomic_write_npz(npz_path, result.arrays)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": scenario.name,
+    fields = {
         "title": scenario.title or scenario.name,
         "description": scenario.description,
         "tags": list(scenario.tags),
@@ -362,85 +407,19 @@ def save_scenario_result(
         "spec": to_jsonable(scenario.to_dict()),
         "metrics": to_jsonable(result.metrics),
         "cases": to_jsonable(result.cases),
-        "tables": [
-            {"title": t.title, "headers": t.headers, "rows": t.rows}
-            for t in result.tables
-        ],
-        "arrays": {
-            name: {
-                "npz": npz_path.name,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "sha256": _array_digest(array),
-            }
-            for name, array in result.arrays.items()
-        },
-        "provenance": build_provenance(
-            config,
-            wall_seconds=result.wall_seconds,
-            workers=result.workers,
-            execution=result.execution,
-            worker=result.worker,
-            git_sha=git_sha,
-        ),
+        "tables": _tables(result.tables),
     }
-    _atomic_write_json(json_path, document)
-    return ArtifactPaths(json_path=json_path, npz_path=npz_path)
-
-
-def load_scenario_result(json_path: Path | str) -> StoredScenario:
-    """Load one scenario artifact pair; verifies schema and array digests."""
-    document, arrays = _load_artifact_pair(Path(json_path))
-    return StoredScenario(document=document, arrays=arrays)
-
-
-def is_scenario_artifact(json_path: Path | str) -> bool:
-    """True when ``json_path`` looks like a scenario artifact document."""
-    return classify_artifact_json(json_path) == "scenario"
-
-
-# --------------------------------------------------------------------------
-# Snapshot artifacts (the ``python -m repro snapshot`` serving tier).
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class StoredSnapshot:
-    """A trained-state snapshot artifact loaded back from disk.
-
-    Written by :func:`repro.snn.snapshot.save_snapshot`; the ``arrays``
-    dict holds the verified network state (``layer.*`` / ``connection.*``
-    keys) plus the label-assignment arrays (``labels.*``).
-    """
-
-    document: Dict[str, Any]
-    arrays: Dict[str, np.ndarray]
-
-    @property
-    def name(self) -> str:
-        """The snapshot's artifact name (e.g. ``"fig8"``)."""
-        return self.document["snapshot"]
-
-    @property
-    def metrics(self) -> Dict[str, Any]:
-        """Training-time metrics (accuracy, prediction digest, ...)."""
-        return self.document.get("metrics", {})
-
-    @property
-    def provenance(self) -> Dict[str, Any]:
-        """Config/seed/git-SHA/timing provenance of the exporting run."""
-        return self.document["provenance"]
-
-
-def load_snapshot_result(json_path: Path | str) -> StoredSnapshot:
-    """Load one snapshot artifact pair; verifies schema and array digests."""
-    document, arrays = _load_artifact_pair(Path(json_path))
-    return StoredSnapshot(document=document, arrays=arrays)
-
-
-def is_snapshot_artifact(json_path: Path | str) -> bool:
-    """True when ``json_path`` looks like a snapshot artifact document."""
-    return classify_artifact_json(json_path) == "snapshot"
+    provenance = build_provenance(
+        config,
+        wall_seconds=result.wall_seconds,
+        workers=result.workers,
+        execution=result.execution,
+        worker=result.worker,
+        git_sha=git_sha,
+    )
+    return write_artifact(
+        out_dir, "scenario", scenario.name, fields, result.arrays, provenance
+    )
 
 
 def _temp_path(path: Path) -> Path:

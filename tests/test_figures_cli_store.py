@@ -9,6 +9,10 @@ completes from executor cache hits with bit-identical numbers).
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +33,8 @@ from repro.snn.snapshot import NetworkSnapshot, save_snapshot
 from repro.store import (
     SCHEMA_VERSION,
     PersistentResultCache,
-    is_figure_artifact,
-    load_figure_result,
+    classify_artifact_json,
+    load_artifact,
     save_figure_result,
     save_scenario_result,
 )
@@ -148,9 +152,9 @@ class TestStoreRoundTrip:
         )
         assert paths.json_path.exists() and paths.npz_path.exists()
 
-        stored = load_figure_result(paths.json_path)
+        stored = load_artifact(paths.json_path)
         assert stored.document["schema_version"] == SCHEMA_VERSION
-        assert stored.figure == "overheads"
+        assert stored.name == "overheads"
         assert stored.metrics == result.metrics
         for name, array in result.arrays.items():
             assert np.array_equal(stored.arrays[name], array)
@@ -207,33 +211,164 @@ class TestStoreRoundTrip:
             json.dumps({"schema_version": SCHEMA_VERSION + 1, "figure": "x"})
         )
         with pytest.raises(ValueError, match="schema"):
-            load_figure_result(path)
+            load_artifact(path)
 
-    def test_corrupt_array_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # Same dtype and shape, different bytes.
+            (lambda grid: np.zeros((2, 3)), "digest mismatch"),
+            # Same bytes reshaped: the digest alone cannot see it.
+            (lambda grid: grid.reshape(3, 2), "shape"),
+            # Same bytes viewed as another dtype.
+            (lambda grid: grid.view(np.int64), "dtype"),
+        ],
+        ids=["digest", "shape", "dtype"],
+    )
+    def test_corrupt_array_is_rejected(self, tmp_path, tamper, message):
         spec = get_figure("overheads")
+        result = self._synthetic_result()
         paths = save_figure_result(
-            spec,
-            self._synthetic_result(),
-            tmp_path,
-            config=ExperimentConfig.tiny(),
-            git_sha="abc",
+            spec, result, tmp_path, config=ExperimentConfig.tiny(), git_sha="abc"
         )
         np.savez(
             paths.npz_path,
-            grid=np.zeros((2, 3)),
+            grid=tamper(result.arrays["grid"]),
             flags=np.array([True, False]),
         )
-        with pytest.raises(ValueError, match="digest"):
-            load_figure_result(paths.json_path)
+        with pytest.raises(ValueError, match=f"'grid' of .*overheads.json.*{message}"):
+            load_artifact(paths.json_path)
 
-    def test_is_figure_artifact(self, tmp_path):
+    def test_truncated_npz_is_a_value_error(self, tmp_path):
+        paths = save_figure_result(
+            get_figure("overheads"), self._synthetic_result(), tmp_path,
+            config=ExperimentConfig.tiny(), git_sha="abc",
+        )
+        payload = paths.npz_path.read_bytes()
+        paths.npz_path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(ValueError, match="not a readable NPZ"):
+            load_artifact(paths.json_path)
+
+    def test_manifest_npz_field_is_not_followed(self, tmp_path):
+        # Arrays come only from the <stem>.npz beside the document, even
+        # when the manifest names a bundle outside the results directory.
+        out = tmp_path / "results"
+        result = self._synthetic_result()
+        paths = save_figure_result(
+            get_figure("overheads"), result, out,
+            config=ExperimentConfig.tiny(), git_sha="abc",
+        )
+        np.savez(tmp_path / "outside.npz", grid=np.ones((2, 3)), flags=np.ones(2))
+        document = json.loads(paths.json_path.read_text())
+        for entry in document["arrays"].values():
+            entry["npz"] = "../outside.npz"
+        paths.json_path.write_text(json.dumps(document))
+        stored = load_artifact(paths.json_path)
+        assert np.array_equal(stored.arrays["grid"], result.arrays["grid"])
+        paths.npz_path.unlink()
+        with pytest.raises(OSError):
+            load_artifact(paths.json_path)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1, 2], "not a JSON object"),
+            ({"schema_version": 1, "figure": "x", "arrays": []}, "manifest"),
+            (
+                {"schema_version": 1, "figure": "x",
+                 "arrays": {"grid": {"dtype": "float64", "shape": [4]}}},
+                "'grid'",
+            ),
+            ({"schema_version": 1, "results": {}}, "not an artifact"),
+        ],
+        ids=["not-object", "manifest-list", "entry-without-sha256", "no-kind"],
+    )
+    def test_malformed_document_is_a_value_error(self, tmp_path, document, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=message):
+            load_artifact(path)
+
+    def test_kind_mismatch_is_rejected(self, tmp_path):
+        paths = save_figure_result(
+            get_figure("overheads"), self._synthetic_result(), tmp_path,
+            config=ExperimentConfig.tiny(), git_sha="abc",
+        )
+        assert load_artifact(paths.json_path, kind="figure").kind == "figure"
+        with pytest.raises(ValueError, match="figure artifact, not a snapshot"):
+            load_artifact(paths.json_path, kind="snapshot")
+
+    def test_classify_artifact_json(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"schema_version": 1, "figure": "fig3"}))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"results": {}}))
-        assert is_figure_artifact(good)
-        assert not is_figure_artifact(bad)
-        assert not is_figure_artifact(tmp_path / "missing.json")
+        assert classify_artifact_json(good) == "figure"
+        assert classify_artifact_json(bad) == "other"
+        assert classify_artifact_json(tmp_path / "missing.json") == "unreadable"
+
+
+def _saved_figure(out_dir):
+    result = FigureResult(
+        figure="overheads",
+        metrics={"x": 1.0},
+        arrays={"grid": np.arange(4, dtype=float), "mask": np.array([True, False])},
+    )
+    paths = save_figure_result(
+        get_figure("overheads"), result, out_dir,
+        config=ExperimentConfig.tiny(), git_sha="abc",
+    )
+    return paths, "overheads", result.metrics, result.arrays
+
+
+def _saved_scenario(out_dir):
+    result = ScenarioResult(
+        metrics={"baseline_accuracy": 0.5},
+        arrays={"accuracy": np.array([0.5, 0.25]), "index": np.arange(2)},
+    )
+    scenario = get_scenario("separate_domain_droop")
+    paths = save_scenario_result(
+        scenario, result, out_dir, config=ExperimentConfig.tiny(), git_sha="abc"
+    )
+    return paths, scenario.name, result.metrics, result.arrays
+
+
+def _saved_snapshot(out_dir):
+    snapshot = NetworkSnapshot(
+        model={"kind": "variant", "name": "lif_feedforward_postpre"},
+        score_layer="readout",
+        arrays={
+            "connection.input->readout.w": np.full((3, 2), 0.5, dtype=np.float32),
+            "labels.assignments": np.array([1, 0], dtype=np.int64),
+        },
+        encoding={"time_steps": 40, "max_rate": 63.75},
+        seed=0,
+        metrics={"accuracy": 0.75},
+    )
+    paths = save_snapshot(snapshot, out_dir, name="bare", git_sha="abc")
+    return paths, "bare", snapshot.metrics, snapshot.arrays
+
+
+@pytest.mark.parametrize(
+    "kind, save",
+    [
+        ("figure", _saved_figure),
+        ("scenario", _saved_scenario),
+        ("snapshot", _saved_snapshot),
+    ],
+)
+def test_every_kind_round_trips_through_load_artifact(tmp_path, kind, save):
+    paths, name, metrics, arrays = save(tmp_path)
+    assert classify_artifact_json(paths.json_path) == kind
+    stored = load_artifact(paths.json_path, kind=kind)
+    assert stored.kind == kind
+    assert stored.name == name
+    assert stored.metrics == metrics
+    assert stored.provenance["git_sha"] == "abc"
+    assert set(stored.arrays) == set(arrays)
+    for key, array in arrays.items():
+        assert np.array_equal(stored.arrays[key], array), key
+        assert stored.arrays[key].dtype == array.dtype, key
 
 
 class TestPersistentResultCache:
@@ -313,9 +448,9 @@ class TestCLIRunAndResume:
         return out
 
     def test_run_writes_schema_versioned_artifacts(self, artifact_dir):
-        stored = load_figure_result(artifact_dir / "fig9a.json")
+        stored = load_artifact(artifact_dir / "fig9a.json")
         assert stored.document["schema_version"] == SCHEMA_VERSION
-        assert stored.figure == "fig9a"
+        assert stored.name == "fig9a"
         provenance = stored.provenance
         assert provenance["scale"] == "tiny"
         assert provenance["seed"] == ExperimentConfig.tiny().seed
@@ -329,7 +464,7 @@ class TestCLIRunAndResume:
         )
 
     def test_rerun_resumes_from_cache_bit_identically(self, artifact_dir, capsys):
-        first = load_figure_result(artifact_dir / "fig9a.json")
+        first = load_artifact(artifact_dir / "fig9a.json")
         rc = main(
             [
                 "run",
@@ -343,7 +478,7 @@ class TestCLIRunAndResume:
         )
         assert rc == 0
         capsys.readouterr()
-        second = load_figure_result(artifact_dir / "fig9a.json")
+        second = load_artifact(artifact_dir / "fig9a.json")
         # Resumed entirely from the persistent cache...
         assert second.provenance["executor_tasks"] == 0
         assert second.provenance["executor_cache_hits"] > 0
@@ -372,7 +507,7 @@ class TestCLIRunAndResume:
             attack_cache_key(attack) for attack in get_figure("fig9a").attacks(context)
         }
         assert batches == [expected]
-        stored = load_figure_result(out / "fig9a.json")
+        stored = load_artifact(out / "fig9a.json")
         assert stored.provenance["executor_tasks"] == len(expected)
 
     def test_report_renders_the_paper_comparison(self, artifact_dir, capsys):
@@ -457,8 +592,80 @@ class TestReportExitCodes:
         assert main(["report", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def _rewrite_document(self, out_dir, edit) -> None:
+        path = out_dir / "overheads.json"
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+
+    def test_manifest_entry_without_digest_fails_the_report(self, tmp_path, capsys):
+        self._write_artifact(tmp_path)
+        self._rewrite_document(
+            tmp_path, lambda document: document["arrays"]["grid"].pop("sha256")
+        )
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "failed to load" in err
+        assert "overheads.json" in err and "'grid'" in err
+
+    def test_manifest_written_as_a_list_fails_the_report(self, tmp_path, capsys):
+        self._write_artifact(tmp_path)
+        self._rewrite_document(
+            tmp_path,
+            lambda document: document.update(arrays=list(document["arrays"].values())),
+        )
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "failed to load" in err
+        assert "manifest" in err
+
+    def test_snapshot_info_on_a_figure_artifact_fails_cleanly(self, tmp_path, capsys):
+        self._write_artifact(tmp_path)
+        assert main(["snapshot", "info", str(tmp_path / "overheads.json")]) == 1
+        assert "figure artifact, not a snapshot" in capsys.readouterr().err
+
     def test_unrelated_json_is_still_skipped_silently(self, tmp_path, capsys):
         self._write_artifact(tmp_path)
         (tmp_path / "notes.json").write_text(json.dumps({"scratch": True}))
         assert main(["report", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestDiffArtifactsTool:
+    """``tools/diff_artifacts.py``, the check behind every CI parity step."""
+
+    def _run(self, *args):
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        return subprocess.run(
+            [sys.executable, str(repo / "tools" / "diff_artifacts.py"), *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.fixture()
+    def pair(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        _saved_figure(a)
+        _saved_figure(b)
+        return a, b
+
+    def test_identical_pair_passes(self, pair):
+        proc = self._run(*pair)
+        assert proc.returncode == 0, proc.stderr
+        assert "overheads: identical" in proc.stdout
+
+    def test_tampered_array_fails(self, pair):
+        a, b = pair
+        np.savez(b / "overheads.npz", grid=np.zeros(4), mask=np.array([True, False]))
+        proc = self._run(a, b, "overheads")
+        assert proc.returncode == 1
+        assert "digest mismatch" in proc.stderr
+
+    def test_changed_metric_fails(self, pair):
+        a, b = pair
+        document = json.loads((b / "overheads.json").read_text())
+        document["metrics"]["x"] = 2.0
+        (b / "overheads.json").write_text(json.dumps(document))
+        proc = self._run(a, b)
+        assert proc.returncode == 1
+        assert "metric 'x'" in proc.stderr

@@ -41,7 +41,7 @@ from repro.scenarios import (
     load_scenario_file,
     scenario_names,
 )
-from repro.store import load_scenario_result, open_worker_cache
+from repro.store import load_artifact, open_worker_cache
 
 # --------------------------------------------------------------------------
 # Spec round-trips and validation.
@@ -712,8 +712,8 @@ class TestCLIShardResume:
         assert merged.exists(), "the final shard should assemble the artifact"
         reference = unsharded_dir / f"scenario-{SCENARIO}.json"
         assert _digests(merged) == _digests(reference)
-        stored = load_scenario_result(merged)
-        assert stored.metrics == load_scenario_result(reference).metrics
+        stored = load_artifact(merged)
+        assert stored.metrics == load_artifact(reference).metrics
 
     def test_killed_shard_resumes_bit_identically(self, unsharded_dir, tmp_path, capsys):
         out = tmp_path / "resumed"
@@ -767,7 +767,7 @@ class TestCLIShardResume:
             ]
         )
         assert rc == 0
-        stored = load_scenario_result(unsharded_dir / f"scenario-{SCENARIO}.json")
+        stored = load_artifact(unsharded_dir / f"scenario-{SCENARIO}.json")
         assert stored.provenance["executor_tasks"] == 0
         assert stored.provenance["executor_cache_hits"] > 0
 

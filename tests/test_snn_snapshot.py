@@ -35,7 +35,7 @@ from repro.snn.snapshot import (
     save_snapshot,
     snapshot_from_pipeline,
 )
-from repro.store import classify_artifact_json, load_snapshot_result
+from repro.store import classify_artifact_json, load_artifact
 
 TIME_STEPS = 40
 MAX_RATE = 63.75
@@ -301,9 +301,19 @@ class TestPersistenceIntegrity:
         with pytest.raises(OSError):
             load_snapshot(target)
 
+    def test_document_without_model_is_a_snapshot_error(self, tiny_snapshot_paths, tmp_path):
+        paths, _ = tiny_snapshot_paths
+        document = json.loads(paths.json_path.read_text())
+        del document["model"]
+        target = tmp_path / "snapshot-modelless.json"
+        target.write_text(json.dumps(document))
+        (tmp_path / "snapshot-modelless.npz").write_bytes(paths.npz_path.read_bytes())
+        with pytest.raises(SnapshotError, match="'model'"):
+            load_snapshot(target)
+
     def test_provenance_records_engine_scale_and_seed(self, tiny_snapshot_paths):
         paths, snapshot = tiny_snapshot_paths
-        stored = load_snapshot_result(paths.json_path)
+        stored = load_artifact(paths.json_path, kind="snapshot")
         assert stored.name == "tiny"
         assert stored.document["engine"] == snapshot.engine
         assert stored.provenance["scale"] == "tiny"
@@ -414,10 +424,11 @@ class TestSnapshotCli:
         arrays = dict(np.load(cli_export_dir / "snapshot-fig8.npz"))
         key = next(iter(arrays))
         arrays[key] = arrays[key] + 1.0
-        np.savez(tmp_path / "snapshot-fig8.npz", **arrays)
+        np.savez(tmp_path / "snapshot-broken.npz", **arrays)
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "failed to load" in err
+        assert "digest mismatch" in err
 
     def test_report_fails_on_missing_snapshot_npz(self, cli_export_dir, tmp_path, capsys):
         json_path = tmp_path / "snapshot-orphan.json"

@@ -13,10 +13,10 @@ docstrings.
 ``--check`` additionally enforces docstring coverage on the API-critical
 modules (``repro.scenarios``, ``repro.exec``, ``repro.snn.batched``,
 ``repro.snn.snapshot``, ``repro.snn.serving``, ``repro.analog.compiled``,
-``repro.analog.sparse``, ``repro.circuits.crossbar``): any public
-function, class, method or property there without a docstring fails the
-build.  The ``docs`` CI job
-runs ``python tools/gen_api_docs.py --out docs/api --check``.
+``repro.analog.sparse``, ``repro.circuits.crossbar``, ``repro.store``):
+any public function, class, method or property there without a docstring
+fails the build.  The ``docs`` CI job runs
+``python tools/gen_api_docs.py --out docs/api --check``.
 
 Usage::
 
@@ -46,6 +46,7 @@ COVERAGE_TARGETS = (
     "repro.analog.compiled",
     "repro.analog.sparse",
     "repro.circuits.crossbar",
+    "repro.store",
 )
 
 
