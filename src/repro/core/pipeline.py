@@ -34,7 +34,7 @@ Engine selection
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.snn.batched import (
     BatchedSpikeMonitor,
     reduction_contract_holds,
 )
-from repro.snn.encoding import poisson_encode, poisson_encode_batch
+from repro.snn.encoding import PackedRasters
 from repro.snn.evaluation import (
     all_activity_prediction,
     assign_labels,
@@ -63,6 +63,10 @@ from repro.utils.validation import check_in_choices, check_positive
 #: circuit-tier choice accepted here so one ``--engine`` flag can steer both
 #: tiers; the SNN treats it as ``"auto"``.
 ENGINES = ("auto", "batched", "scalar", "sparse")
+
+#: The pipeline's encoding streams, each with the images it encodes.  A
+#: stream's generator is ``RandomState(config.seed, name=f"{stream}_encoding")``.
+STREAMS = {"train": "train_images", "assign": "train_images", "eval": "eval_images"}
 
 
 class ClassificationPipeline:
@@ -78,14 +82,18 @@ class ClassificationPipeline:
         Engine choice never changes results, only speed.
     example_chunk:
         How many examples the batched inference passes advance in lockstep
-        (bounds the transient memory of the batched Poisson draws).
+        (bounds the memory of one unpacked block of input rasters).
 
     Notes
     -----
     The dataset and its train/test split are generated once per pipeline and
     reused across runs, so baseline and attacked runs see identical images
     and identical Poisson seeds — accuracy differences are attributable to
-    the injected faults alone.
+    the injected faults alone.  The three encoding streams (``"train"``,
+    ``"assign"`` and ``"eval"``, see :data:`STREAMS`) do not depend on the
+    attack either, so each is drawn once, on first use, and kept bit-packed
+    (:class:`~repro.snn.encoding.PackedRasters`); every later pass replays
+    it.
 
     Every random stream consumed by :meth:`run` (weight init, Poisson
     encoding, fault-site selection) is derived from ``config.seed`` and the
@@ -130,6 +138,7 @@ class ClassificationPipeline:
         self.eval_images = eval_x[: self.config.n_eval]
         self.eval_labels = eval_y[: self.config.n_eval]
         self._baseline_result: Optional[ExperimentResult] = None
+        self._streams: Dict[str, PackedRasters] = {}
 
     # ----------------------------------------------------------------- engine
     @property
@@ -155,52 +164,57 @@ class ClassificationPipeline:
             self.config.network, rng=RandomState(self.config.seed, name="weights")
         )
 
-    def _encode(self, image: np.ndarray, rng: RandomState) -> np.ndarray:
-        return poisson_encode(
-            image,
-            time_steps=self.config.time_steps,
-            max_rate=self.config.max_rate,
-            rng=rng,
-        )
+    def encoded(self, stream: str) -> PackedRasters:
+        """The rasters of one encoding stream, drawn on first use and cached.
+
+        ``stream`` is a key of :data:`STREAMS`.  The draw consumes the
+        stream's generator exactly as per-image
+        :func:`~repro.snn.encoding.poisson_encode` calls would, so every
+        replay matches the rasters an uncached run draws.
+        """
+        check_in_choices(stream, "stream", STREAMS)
+        if stream not in self._streams:
+            self._streams[stream] = PackedRasters.encode(
+                getattr(self, STREAMS[stream]),
+                time_steps=self.config.time_steps,
+                max_rate=self.config.max_rate,
+                rng=RandomState(self.config.seed, name=f"{stream}_encoding"),
+                chunk=self.example_chunk,
+            )
+        return self._streams[stream]
 
     def train(self, network: DiehlAndCook2015) -> None:
         """Run STDP training over the training images."""
-        rng = RandomState(self.config.seed, name="train_encoding")
-        for image in self.train_images:
-            network.present(self._encode(image, rng), learning=True)
+        for raster in self.encoded("train"):
+            network.present(raster, learning=True)
 
-    def record_responses(
-        self, network: DiehlAndCook2015, images: np.ndarray, *, stream: str
-    ) -> np.ndarray:
-        """Excitatory spike counts for each image, with learning disabled.
+    def record_responses(self, network: DiehlAndCook2015, *, stream: str) -> np.ndarray:
+        """Excitatory spike counts for each image of ``stream``, learning off.
 
-        The batched engine presents ``example_chunk`` examples in lockstep;
-        the scalar engine loops.  Counts are bit-identical either way.
+        ``stream`` is ``"assign"`` (the training images) or ``"eval"`` (the
+        held-out images).  The batched engine presents ``example_chunk``
+        examples in lockstep; the scalar engine loops.  Counts are
+        bit-identical either way.
         """
         if self.resolved_engine == "batched":
             batched = BatchedNetwork.from_networks([network])
-            counts = self._batched_responses(batched, images, stream=stream)
+            counts = self._batched_responses(batched, stream=stream)
             return counts[0]
-        return self._record_responses_scalar(network, images, stream=stream)
+        return self._record_responses_scalar(network, stream=stream)
 
     def _record_responses_scalar(
-        self, network: DiehlAndCook2015, images: np.ndarray, *, stream: str
+        self, network: DiehlAndCook2015, *, stream: str
     ) -> np.ndarray:
         """The reference per-example inference loop (scalar engine)."""
-        rng = RandomState(self.config.seed, name=f"{stream}_encoding")
-        counts: List[np.ndarray] = []
-        for image in images:
-            counts.append(network.present(self._encode(image, rng), learning=False))
-        return np.asarray(counts)
+        return np.asarray(
+            [network.present(raster, learning=False) for raster in self.encoded(stream)]
+        )
 
-    def _batched_responses(
-        self, batched: BatchedNetwork, images: np.ndarray, *, stream: str
-    ) -> np.ndarray:
+    def _batched_responses(self, batched: BatchedNetwork, *, stream: str) -> np.ndarray:
         """Spike counts ``(variants, n_images, n_neurons)`` via lockstep runs.
 
-        Examples are encoded and presented in ``example_chunk``-wide chunks;
-        chunked encoding consumes the per-stream generator exactly as the
-        scalar per-image loop does, so the spike counts of every (variant,
+        The stream's rasters are presented in ``example_chunk``-wide blocks;
+        lanes do not interact, so the spike counts of every (variant,
         example) lane match the scalar engine's bit for bit.
         """
         monitor = batched.monitors.get("excitatory_counts")
@@ -209,30 +223,22 @@ class ClassificationPipeline:
                 "excitatory_counts",
                 BatchedSpikeMonitor(EXCITATORY_LAYER, counts_only=True),
             )
-        rng = RandomState(self.config.seed, name=f"{stream}_encoding")
         chunks: List[np.ndarray] = []
-        for start in range(0, len(images), self.example_chunk):
-            chunk = images[start : start + self.example_chunk]
-            rasters = poisson_encode_batch(
-                chunk,
-                time_steps=self.config.time_steps,
-                max_rate=self.config.max_rate,
-                rng=rng,
-            )
+        for rasters in self.encoded(stream).chunks(self.example_chunk):
             batched.present({INPUT_LAYER: rasters}, learning=False)
             chunks.append(monitor.spike_counts())
         return np.concatenate(chunks, axis=1)
 
     def assign(self, network: DiehlAndCook2015) -> Tuple[np.ndarray, np.ndarray]:
         """Assign each excitatory neuron to a digit class from training activity."""
-        counts = self.record_responses(network, self.train_images, stream="assign")
+        counts = self.record_responses(network, stream="assign")
         return assign_labels(counts, self.train_labels, self.config.n_classes)
 
     def evaluate(
         self, network: DiehlAndCook2015, assignments: np.ndarray
     ) -> Tuple[float, float]:
         """Accuracy and mean excitatory spike count on the held-out images."""
-        counts = self.record_responses(network, self.eval_images, stream="eval")
+        counts = self.record_responses(network, stream="eval")
         predictions = all_activity_prediction(
             counts, assignments, self.config.n_classes
         )
@@ -326,14 +332,11 @@ class ClassificationPipeline:
 
         # Lockstep STDP training: every variant sees the identical encoded
         # raster a scalar run would (the stream is attack-independent).
-        rng = RandomState(self.config.seed, name="train_encoding")
-        for image in self.train_images:
-            batched.present({INPUT_LAYER: self._encode(image, rng)}, learning=True)
+        for raster in self.encoded("train"):
+            batched.present({INPUT_LAYER: raster}, learning=True)
 
-        assign_counts = self._batched_responses(
-            batched, self.train_images, stream="assign"
-        )
-        eval_counts = self._batched_responses(batched, self.eval_images, stream="eval")
+        assign_counts = self._batched_responses(batched, stream="assign")
+        eval_counts = self._batched_responses(batched, stream="eval")
 
         accuracies: List[float] = []
         mean_spikes: List[float] = []

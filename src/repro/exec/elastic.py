@@ -19,8 +19,9 @@ workdir:
   through atomic lease files under ``<workdir>/leases/<scenario>/``.  A
   lease carries the owner id, attempt count and heartbeat timestamp;
   claiming is an exclusive create (``os.link`` of a temp file, which fails
-  if the lease exists), renewal is the store's atomic write (per-process
-  temp file + fsync + ``os.replace``).
+  if the lease exists), renewal is the shared atomic write
+  (:func:`repro.utils.serialization.atomic_write_json`: per-process temp
+  file + fsync + ``os.replace``).
 * **Done markers** — a worker that finishes a chunk creates
   ``<chunk>.done`` exclusively.  First creation wins; a duplicate run of
   the same chunk that loses the race simply discards nothing (its results
@@ -69,6 +70,7 @@ from repro.exec.chaos import FaultPlan
 from repro.exec.executor import ExecutionStats
 from repro.exec.resilience import PLAIN_POLICY, StragglerPolicy
 from repro.exec.shard import Chunk
+from repro.utils.serialization import atomic_write_json
 
 #: Default lease time-to-live (seconds of missing heartbeats before peers
 #: may steal); the CLI exposes it as ``--lease-ttl``.
@@ -336,10 +338,8 @@ class LeaseBoard:
 
     def renew(self, lease: Lease) -> Lease:
         """Refresh a held lease's heartbeat (and, crucially, its mtime)."""
-        from repro.store import _atomic_write_json
-
         renewed = dataclasses.replace(lease, heartbeat_unix=time.time())
-        _atomic_write_json(self.lease_path(lease.chunk), renewed.to_dict())
+        atomic_write_json(self.lease_path(lease.chunk), renewed.to_dict())
         return renewed
 
     def complete(self, chunk_id: str, owner: str) -> bool:
@@ -424,15 +424,13 @@ class ElasticScheduler:
         hiccups are swallowed: a missed renewal only risks a benign
         duplicate evaluation, never a wrong result.
         """
-        from repro.store import _atomic_write_json
-
         now = time.monotonic()
         if not force and now - self._last_beat < self.policy.heartbeat_interval:
             return
         self._last_beat = now
         try:
             self._workers_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(
+            atomic_write_json(
                 self._workers_dir / f"{self.owner}.json",
                 {"owner": self.owner, "heartbeat_unix": time.time()},
             )

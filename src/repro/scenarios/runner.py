@@ -428,11 +428,13 @@ class ScenarioRunner:
         values = [float(v) for v in scenario.grid[parameter]]
         baseline = executor.run_baseline()
         baseline_accuracy = float(baseline.accuracy)
+        accuracies: Dict[float, float] = {}
 
         def degradation_of(value: float) -> float:
             params = dict(scenario.fixed)
             params[parameter] = value
             attacked = executor.run_attack(scenario.build_attack(params))
+            accuracies[value] = float(attacked.accuracy)
             if baseline_accuracy == 0.0:
                 return 0.0
             return (baseline_accuracy - attacked.accuracy) / baseline_accuracy
@@ -441,15 +443,20 @@ class ScenarioRunner:
             parameter, target_degradation=settings.target_degradation
         )
         outcome = strategy.run(values, degradation_of)
-        return self._assemble_bisect(scenario, outcome, baseline_accuracy)
+        return self._assemble_bisect(scenario, outcome, baseline_accuracy, accuracies)
 
     def _assemble_bisect(
         self,
         scenario: ScenarioSpec,
         outcome: BisectionOutcome,
         baseline_accuracy: float,
+        accuracies: Dict[float, float],
     ) -> ScenarioResult:
-        """Fill metrics/arrays/tables from a finished adaptive search."""
+        """Fill metrics/arrays/tables from a finished adaptive search.
+
+        ``accuracies`` maps each probed value to its measured accuracy,
+        which the cases report as is.
+        """
         result = ScenarioResult(complete=True)
         probed_values = np.array(list(outcome.probes), dtype=float)
         probed_degradations = np.array(
@@ -488,7 +495,7 @@ class ScenarioRunner:
                     "params": {**dict(scenario.fixed), outcome.parameter: value},
                     "defense": "",
                     "defense_factor": 1.0,
-                    "accuracy": float(baseline_accuracy * (1.0 - degradation)),
+                    "accuracy": accuracies[value],
                     "relative_degradation": float(degradation),
                 }
             )

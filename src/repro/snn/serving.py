@@ -48,7 +48,7 @@ from repro.snn.batched import (
     BatchedSpikeMonitor,
     reduction_contract_holds,
 )
-from repro.snn.encoding import poisson_encode, poisson_encode_batch
+from repro.snn.encoding import PackedRasters, poisson_encode
 from repro.snn.evaluation import all_activity_prediction, classification_accuracy
 from repro.snn.network import SpikeMonitor
 from repro.snn.nodes import InputNodes
@@ -269,11 +269,11 @@ class ScoringEngine:
         """Poisson-encode and score ``images`` with the pipeline's stream.
 
         The per-stream sequential encoding generator
-        (``RandomState(seed, name=f"{stream}_encoding")``) is consumed in
-        ``example_chunk`` chunks exactly as the live pipeline consumes it,
-        so scoring the experiment's evaluation images with
-        ``stream="eval"`` reproduces the pipeline's spike counts bit for
-        bit.  Note the stream is *sequential*: results depend on each
+        (``RandomState(seed, name=f"{stream}_encoding")``) is consumed image
+        by image through :class:`~repro.snn.encoding.PackedRasters`, exactly
+        as the live pipeline consumes it, so scoring the experiment's
+        evaluation images with ``stream="eval"`` reproduces the pipeline's
+        spike counts bit for bit.  Note the stream is *sequential*: results depend on each
         image's position, which is what evaluation parity requires — use
         :meth:`encode_request` for order-independent serving traffic.
         ``images`` is ``(examples, ...)`` with ``n_inputs`` pixels per
@@ -281,22 +281,17 @@ class ScoringEngine:
         """
         images = np.asarray(images, dtype=float)
         self._check_images(images)
-        rng = RandomState(self.snapshot.seed, name=f"{stream}_encoding")
-        count_chunks: List[np.ndarray] = []
-        label_chunks: List[np.ndarray] = []
-        for start in range(0, len(images), self.example_chunk):
-            rasters = poisson_encode_batch(
-                images[start : start + self.example_chunk],
-                time_steps=self.snapshot.time_steps,
-                max_rate=self.snapshot.max_rate,
-                rng=rng,
-            )
-            result = self.score_rasters(rasters)
-            count_chunks.append(result.spike_counts)
-            label_chunks.append(result.labels)
-        counts = np.concatenate(count_chunks, axis=0)
+        rasters = PackedRasters.encode(
+            images,
+            time_steps=self.snapshot.time_steps,
+            max_rate=self.snapshot.max_rate,
+            rng=RandomState(self.snapshot.seed, name=f"{stream}_encoding"),
+            chunk=self.example_chunk,
+        )
+        results = [self.score_rasters(chunk) for chunk in rasters.chunks(self.example_chunk)]
         return ScoreResult(
-            labels=np.concatenate(label_chunks), spike_counts=counts
+            labels=np.concatenate([result.labels for result in results]),
+            spike_counts=np.concatenate([result.spike_counts for result in results]),
         )
 
     def encode_request(self, image: np.ndarray, request_id: int) -> np.ndarray:

@@ -252,7 +252,7 @@ def snapshot_from_pipeline(pipeline, attack=None) -> NetworkSnapshot:
 
     config = pipeline.config
     network, assignments, class_rates = pipeline.trained_network(attack)
-    counts = pipeline.record_responses(network, pipeline.eval_images, stream="eval")
+    counts = pipeline.record_responses(network, stream="eval")
     predictions = all_activity_prediction(counts, assignments, config.n_classes)
     metrics = {
         "accuracy": classification_accuracy(predictions, pipeline.eval_labels),

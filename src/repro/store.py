@@ -69,7 +69,7 @@ from repro.core.results import ExperimentResult
 from repro.exec.cache import ResultCache
 from repro.exec.executor import COUNTERS
 from repro.figures import FigureResult, FigureSpec
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import atomic_write_json, atomic_write_npz, to_jsonable
 
 #: Version of the artifact document layout.  Bump on breaking changes.
 SCHEMA_VERSION = 1
@@ -210,7 +210,7 @@ def write_artifact(
     paths = ArtifactPaths(
         json_path=out_dir / f"{stem}.json", npz_path=out_dir / f"{stem}.npz"
     )
-    _atomic_write_npz(paths.npz_path, arrays)
+    atomic_write_npz(paths.npz_path, arrays)
     document = {
         **fields,
         "schema_version": SCHEMA_VERSION,
@@ -226,7 +226,7 @@ def write_artifact(
         },
         "provenance": provenance,
     }
-    _atomic_write_json(paths.json_path, document)
+    atomic_write_json(paths.json_path, document)
     return paths
 
 
@@ -420,42 +420,6 @@ def save_scenario_result(
     return write_artifact(
         out_dir, "scenario", scenario.name, fields, result.arrays, provenance
     )
-
-
-def _temp_path(path: Path) -> Path:
-    """This process's private ``<name>.<pid>.tmp`` sibling of ``path``.
-
-    One temp name per process lets concurrent writers of the same target
-    (elastic workers all merging one scenario artifact) race only on the
-    final ``os.replace``, never on each other's half-written temp file.
-    """
-    return path.with_name(f"{path.name}.{os.getpid()}.tmp")
-
-
-def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Write ``payload`` as JSON via temp file + fsync + rename.
-
-    ``os.replace`` within one directory is atomic on POSIX, so readers see
-    either the previous complete file or the new complete file — never a
-    torn write, even when the process is killed mid-``json.dump`` or
-    several processes write the same path at once.
-    """
-    tmp_path = _temp_path(path)
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-
-
-def _atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write an NPZ bundle via temp file + fsync + rename (see above)."""
-    tmp_path = _temp_path(path)
-    with open(tmp_path, "wb") as handle:
-        np.savez(handle, **arrays)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
 
 
 def _entry_digest(fields: Mapping[str, Any]) -> str:
@@ -679,7 +643,7 @@ class PersistentResultCache(ResultCache):
             },
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.path, payload)
+        atomic_write_json(self.path, payload)
 
 
 def open_shard_cache(directory: Path | str, shard=None) -> PersistentResultCache:

@@ -17,6 +17,7 @@ from repro.utils.validation import (
     check_fraction,
     check_in_choices,
     check_positive,
+    check_positive_int,
     check_probability,
     check_range,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "check_fraction",
     "check_in_choices",
     "check_positive",
+    "check_positive_int",
     "check_probability",
     "check_range",
 ]

@@ -4,15 +4,17 @@ Results produced by the attack pipeline mix NumPy scalars/arrays with plain
 Python containers and small dataclasses.  :func:`to_jsonable` converts such a
 structure into pure built-in types so it can be dumped with :mod:`json`, and
 :func:`save_json` / :func:`load_json` wrap file IO with the conversion
-applied.
+applied.  :func:`atomic_write_json` / :func:`atomic_write_npz` are the one
+crash-safe writer every results file, cache and lease goes through.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -51,3 +53,39 @@ def load_json(path: str | Path) -> Any:
     """Load a JSON document previously written with :func:`save_json`."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _temp_path(path: Path) -> Path:
+    """This process's private ``<name>.<pid>.tmp`` sibling of ``path``.
+
+    One temp name per process lets concurrent writers of the same target
+    (elastic workers all merging one scenario artifact) race only on the
+    final ``os.replace``, never on each other's half-written temp file.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.tmp")
+
+
+def atomic_write_json(path: Path, payload: Any) -> None:
+    """Write ``payload`` as JSON via temp file + fsync + rename.
+
+    ``os.replace`` within one directory is atomic on POSIX, so readers see
+    either the previous complete file or the new complete file — never a
+    torn write, even when the process is killed mid-``json.dump`` or
+    several processes write the same path at once.
+    """
+    tmp_path = _temp_path(path)
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+
+
+def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write an NPZ bundle via temp file + fsync + rename (see above)."""
+    tmp_path = _temp_path(path)
+    with open(tmp_path, "wb") as handle:
+        np.savez(handle, **arrays)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     """Validate that ``value`` is positive (strictly, by default).
@@ -23,6 +25,20 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def check_positive_int(value, name: str) -> int:
+    """Validate that ``value`` is a whole number >= 1 and return it as ``int``.
+
+    Integral floats (``100.0``) pass.  Fractions, NaN, inf and booleans are
+    rejected rather than truncated or read as ``0`` / ``1``.
+    """
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+    if not (numeric and float(value).is_integer() and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_range(value: float, name: str, low: float, high: float) -> float:

@@ -50,12 +50,8 @@ from repro.exec.executor import COUNTERS, ExecutionStats
 from repro.exec.resilience import StragglerPolicy
 from repro.exec.shard import MergeReport, ShardSpec
 from repro.scenarios import ScenarioRunner, ScenarioSpec, scenario_names
-from repro.store import (
-    CacheCorruptionError,
-    PersistentResultCache,
-    _atomic_write_json,
-    open_worker_cache,
-)
+from repro.store import CacheCorruptionError, PersistentResultCache, open_worker_cache
+from repro.utils.serialization import atomic_write_json
 
 # --------------------------------------------------------------------------
 # Policy and chunking.
@@ -270,7 +266,7 @@ class TestElasticScheduler:
             created_unix=time.time() - 50.0,
             heartbeat_unix=time.time() - 50.0,
         )
-        _atomic_write_json(
+        atomic_write_json(
             scheduler.board.lease_path("chunk-0000"), burned.to_dict()
         )
         _backdate(scheduler.board.lease_path("chunk-0000"), 50.0)
@@ -302,7 +298,7 @@ class TestElasticScheduler:
             created_unix=time.time() - 100.0,
             heartbeat_unix=time.time(),
         )
-        _atomic_write_json(scheduler.board.lease_path("chunk-0000"), slow.to_dict())
+        atomic_write_json(scheduler.board.lease_path("chunk-0000"), slow.to_dict())
         ran: list = []
         kinds = scheduler.drain(chunks, lambda chunk: ran.append(chunk.id))
         assert kinds["chunk-0000"] == "done"
@@ -338,7 +334,7 @@ class TestElasticScheduler:
             tmp_path, "scn", policy=policy, owner="me", stats=stats
         )
         peer_file = tmp_path / "workers" / "peer.json"
-        _atomic_write_json(peer_file, {"owner": "peer", "heartbeat_unix": 0.0})
+        atomic_write_json(peer_file, {"owner": "peer", "heartbeat_unix": 0.0})
         scheduler._account_peers()
         assert stats.peers_joined == 1  # itself is never counted
         assert stats.peers_lost == 0
@@ -798,7 +794,7 @@ class TestElasticRunner:
             created_unix=time.time() - 50.0,
             heartbeat_unix=time.time() - 50.0,
         )
-        _atomic_write_json(board.lease_path("chunk-0000"), burned.to_dict())
+        atomic_write_json(board.lease_path("chunk-0000"), burned.to_dict())
         _backdate(board.lease_path("chunk-0000"), 50.0)
         result = ScenarioRunner(
             pipeline_factory=_stub_factory,
@@ -821,7 +817,7 @@ class TestElasticRunner:
             created_unix=time.time() - 50.0,
             heartbeat_unix=time.time() - 50.0,
         )
-        _atomic_write_json(board.lease_path("whole"), burned.to_dict())
+        atomic_write_json(board.lease_path("whole"), burned.to_dict())
         _backdate(board.lease_path("whole"), 50.0)
         result = ScenarioRunner(
             pipeline_factory=_stub_factory,

@@ -47,12 +47,8 @@ from repro.exec import (
 from repro.exec import chaos as chaos_module
 from repro.exec.executor import COUNTERS, ExecutionStats
 from repro.scenarios import ScenarioRunner, get_scenario
-from repro.store import (
-    PersistentResultCache,
-    _atomic_write_json,
-    _atomic_write_npz,
-    save_scenario_result,
-)
+from repro.store import PersistentResultCache, save_scenario_result
+from repro.utils.serialization import atomic_write_json, atomic_write_npz
 
 
 @dataclasses.dataclass
@@ -509,9 +505,9 @@ def _hammer_one_path(path, writer, rounds) -> int:
     """Rewrite ``path`` ``rounds`` times from this process; returns the pid."""
     for round_index in range(rounds):
         if writer == "json":
-            _atomic_write_json(path, {"pid": os.getpid(), "round": round_index})
+            atomic_write_json(path, {"pid": os.getpid(), "round": round_index})
         else:
-            _atomic_write_npz(path, {"round": np.array([round_index])})
+            atomic_write_npz(path, {"round": np.array([round_index])})
     return os.getpid()
 
 
@@ -538,27 +534,27 @@ class TestAtomicWrites:
 
     def test_interrupted_json_write_preserves_the_original(self, tmp_path, monkeypatch):
         path = tmp_path / "artifact.json"
-        _atomic_write_json(path, {"value": 1})
+        atomic_write_json(path, {"value": 1})
 
         def explode(fd):
             raise OSError("simulated crash mid-write")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError, match="simulated crash"):
-            _atomic_write_json(path, {"value": 2})
+            atomic_write_json(path, {"value": 2})
         assert json.loads(path.read_text(encoding="utf-8")) == {"value": 1}
 
     def test_interrupted_npz_write_preserves_the_original(self, tmp_path, monkeypatch):
         path = tmp_path / "arrays.npz"
         original = {"a": np.arange(4.0)}
-        _atomic_write_npz(path, original)
+        atomic_write_npz(path, original)
 
         def explode(fd):
             raise OSError("simulated crash mid-write")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError, match="simulated crash"):
-            _atomic_write_npz(path, {"a": np.zeros(4)})
+            atomic_write_npz(path, {"a": np.zeros(4)})
         with np.load(path) as loaded:
             np.testing.assert_array_equal(loaded["a"], original["a"])
 

@@ -669,3 +669,17 @@ class TestDiffArtifactsTool:
         proc = self._run(a, b)
         assert proc.returncode == 1
         assert "metric 'x'" in proc.stderr
+
+    def test_changed_case_fails(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out_dir, accuracy in ((a, 0.1111111111111111), (b, 0.11111111111111109)):
+            paths, *_ = _saved_scenario(out_dir)
+            document = json.loads(paths.json_path.read_text())
+            document["cases"] = [{"label": "vdd=0.8", "accuracy": accuracy}]
+            paths.json_path.write_text(json.dumps(document))
+        proc = self._run(a, b)
+        assert proc.returncode == 1
+        assert "case 0" in proc.stderr
+        # Identical cases still pass.
+        proc = self._run(a, a)
+        assert proc.returncode == 0, proc.stderr

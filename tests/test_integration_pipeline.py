@@ -13,7 +13,7 @@ from repro.attacks import (
     AttackCampaign,
     NoAttack,
 )
-from repro.core import ClassificationPipeline
+from repro.core import ClassificationPipeline, ExperimentConfig
 
 
 class TestBaseline:
@@ -89,3 +89,36 @@ class TestCampaign:
         assert grid.accuracy_at(0.2, 1.0) < smoke_baseline.accuracy
         assert grid.worst_case_relative_degradation() > 0.3
         assert grid.metadata["layer"] == "inhibitory"
+
+
+class TestEncodingStreamCache:
+    """Each pipeline draws its three attack-independent streams once."""
+
+    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    def test_two_batches_encode_each_stream_once(self, engine, monkeypatch):
+        from repro.snn import encoding
+
+        encoded = []
+        original_batch = encoding.poisson_encode_batch
+        original_one = encoding.poisson_encode
+
+        def counting_batch(images, **kwargs):
+            encoded.append(len(images))
+            return original_batch(images, **kwargs)
+
+        def counting_one(image, **kwargs):
+            encoded.append(1)
+            return original_one(image, **kwargs)
+
+        monkeypatch.setattr(encoding, "poisson_encode_batch", counting_batch)
+        monkeypatch.setattr(encoding, "poisson_encode", counting_one)
+        # Smoke-sized splits (120 training, 45 held-out images), short rasters.
+        config = ExperimentConfig.smoke().with_overrides(time_steps=30)
+        attack = Attack5GlobalSupply(vdd=0.85)
+        pipeline = ClassificationPipeline(config, engine=engine)
+        first = pipeline.run_batch([None])
+        second = pipeline.run_batch([attack])
+        assert sum(encoded) == 2 * 120 + 45 == 285
+
+        fresh = ClassificationPipeline(config, engine=engine)
+        assert fresh.run_batch([None, attack]) == first + second

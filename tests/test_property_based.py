@@ -238,13 +238,22 @@ def test_poisson_encoding_rate_bounded_by_max_rate(intensity):
 
 #: Every encoder, fed one image (the batch encoder as a batch of two).
 ENCODERS = {
-    "poisson": lambda image: poisson_encode(image, time_steps=5, rng=0),
-    "poisson_batch": lambda image: poisson_encode_batch(
-        np.stack([np.zeros_like(image), image]), time_steps=5, rng=0
+    "poisson": lambda image, steps=5: poisson_encode(image, time_steps=steps, rng=0),
+    "poisson_batch": lambda image, steps=5: poisson_encode_batch(
+        np.stack([np.zeros_like(image), image]), time_steps=steps, rng=0
     ),
-    "bernoulli": lambda image: bernoulli_encode(image, time_steps=5, rng=0),
-    "regular_rate": lambda image: regular_rate_encode(image, time_steps=5),
+    "bernoulli": lambda image, steps=5: bernoulli_encode(image, time_steps=steps, rng=0),
+    "regular_rate": lambda image, steps=5: regular_rate_encode(image, time_steps=steps),
 }
+
+#: ``time_steps`` values every encoder must reject instead of truncating.
+MALFORMED_TIME_STEPS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).filter(
+        lambda value: not (value >= 1 and float(value).is_integer())
+    ),
+    st.booleans(),
+    st.integers(max_value=0),
+)
 
 
 @given(
@@ -269,6 +278,44 @@ def test_encoders_reject_non_finite_pixels(pixels, bad, n_bad, encoder, data):
         ENCODERS[encoder](image)
     # Finite images of the same shape still encode.
     ENCODERS[encoder](np.array(pixels))
+
+
+@given(
+    steps=MALFORMED_TIME_STEPS,
+    encoder=st.sampled_from(sorted(ENCODERS)),
+    pixels=st.lists(st.floats(min_value=0.0, max_value=255.0), min_size=1, max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_encoders_reject_malformed_time_steps(steps, encoder, pixels):
+    with pytest.raises(ValueError, match="time_steps"):
+        ENCODERS[encoder](np.array(pixels), steps)
+
+
+@given(pixels=st.integers(min_value=0, max_value=40), steps=st.integers(1, 20))
+@settings(max_examples=20, deadline=None)
+def test_poisson_batch_rejects_an_empty_batch(pixels, steps):
+    with pytest.raises(ValueError, match="non-empty batch"):
+        poisson_encode_batch(np.zeros((0, pixels)), time_steps=steps, rng=0)
+
+
+@given(
+    n_images=st.integers(min_value=1, max_value=6),
+    time_steps=st.integers(min_value=1, max_value=40),
+    n_pixels=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_poisson_batch_equals_sequential_encoding(n_images, time_steps, n_pixels, seed):
+    """One batch draw from ``g`` is the stacked per-image draws from ``g'``."""
+    images = np.random.default_rng(seed).uniform(0.0, 300.0, size=(n_images, n_pixels))
+    batch = poisson_encode_batch(
+        images, time_steps=time_steps, rng=np.random.default_rng(seed)
+    )
+    g_prime = np.random.default_rng(seed)
+    sequential = np.stack(
+        [poisson_encode(image, time_steps=time_steps, rng=g_prime) for image in images]
+    )
+    assert np.array_equal(batch, sequential)
 
 
 @given(

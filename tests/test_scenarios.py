@@ -557,6 +557,16 @@ class TestBisectionVsDenseGrid:
         assert adaptive_runs <= 0.25 * dense_runs
         assert adaptive_runs >= 2  # it did probe, not guess
 
+    def test_bisection_cases_report_the_measured_accuracies(self):
+        runner = ScenarioRunner(pipeline_factory=_fake_factory)
+        spec = self._bisect_spec()
+        result = runner.run(spec)
+        executor = runner.executor_for(spec)
+        assert len(result.cases) == result.metrics["n_probes"]
+        for case in result.cases:
+            cached = executor.run_attack(spec.build_attack(case["params"]))
+            assert case["accuracy"] == cached.accuracy, case["label"]
+
     def test_bisection_resumes_free_after_a_dense_sweep(self):
         runner = ScenarioRunner(pipeline_factory=_fake_factory)
         runner.run(self._dense_spec())

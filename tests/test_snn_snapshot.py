@@ -182,9 +182,7 @@ class TestPipelineRoundTrip:
         paths, _ = tiny_snapshot_paths
         engine = ScoringEngine(load_snapshot(paths.json_path))
         network, assignments, _rates = tiny_pipeline.trained_network()
-        counts = tiny_pipeline.record_responses(
-            network, tiny_pipeline.eval_images, stream="eval"
-        )
+        counts = tiny_pipeline.record_responses(network, stream="eval")
         result = engine.score(tiny_pipeline.eval_images, stream="eval")
         assert np.array_equal(result.spike_counts, counts)
         assert np.array_equal(engine.snapshot.arrays[ASSIGNMENTS_KEY], assignments)

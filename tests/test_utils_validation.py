@@ -1,11 +1,13 @@
 """Tests for repro.utils.validation."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     check_fraction,
     check_in_choices,
     check_positive,
+    check_positive_int,
     check_probability,
     check_range,
     check_same_length,
@@ -19,6 +21,20 @@ def test_check_positive_accepts_positive():
 def test_check_positive_rejects_zero_when_strict():
     with pytest.raises(ValueError, match="x must be > 0"):
         check_positive(0, "x")
+
+
+def test_check_positive_int_returns_an_int():
+    for value in (3, 3.0, np.int64(3), np.float32(3.0)):
+        result = check_positive_int(value, "n")
+        assert result == 3 and type(result) is int
+
+
+@pytest.mark.parametrize(
+    "value", [0, -1, 0.5, 2.7, float("nan"), float("inf"), True, np.bool_(True), "3", None]
+)
+def test_check_positive_int_rejects_non_integral_values(value):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        check_positive_int(value, "n")
 
 
 def test_check_positive_allows_zero_when_not_strict():

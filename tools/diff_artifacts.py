@@ -5,7 +5,8 @@ Loads each artifact from both directories through
 :func:`repro.store.load_artifact`, so every NPZ array is re-hashed and
 checked against its manifest before anything is compared.  Two artifacts
 match when their ``metrics`` and their array manifests (dtype, shape and
-SHA-256 per array) are equal.  The CI parity steps (chaos, elastic,
+SHA-256 per array) are equal, and, when both documents carry ``cases``
+(scenario artifacts do), when those are equal as canonical JSON.  The CI parity steps (chaos, elastic,
 static-shard, engine and process-pool) all run this one check.
 
 Usage::
@@ -64,7 +65,20 @@ def diff_artifact(a: StoredArtifact, b: StoredArtifact) -> List[str]:
             differences.append(
                 f"array {name!r}: {a_arrays.get(name)} != {b_arrays.get(name)}"
             )
+    if "cases" in a.document and "cases" in b.document:
+        a_cases, b_cases = a.document["cases"], b.document["cases"]
+        if _canonical(a_cases) != _canonical(b_cases):
+            differences.append(_case_difference(a_cases, b_cases))
     return differences
+
+
+def _case_difference(a_cases, b_cases) -> str:
+    """The first differing case of two ``cases`` lists, as one line."""
+    if isinstance(a_cases, list) and isinstance(b_cases, list) and len(a_cases) == len(b_cases):
+        for index, (a, b) in enumerate(zip(a_cases, b_cases)):
+            if _canonical(a) != _canonical(b):
+                return f"case {index}: {_canonical(a)} != {_canonical(b)}"
+    return f"cases: {_canonical(a_cases)} != {_canonical(b_cases)}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
