@@ -15,24 +15,17 @@ This package provides the simulation substrate used by the reproduction:
 * :mod:`repro.analog.compiled` — the compiled engine: per-topology split
   linear/nonlinear assembly, vectorised MOSFET/diode/switch evaluation and
   LU reuse.  Selected automatically (``engine="auto"``) by the analyses.
-* :mod:`repro.analog.sparse` — the large-N engine tier: CSC assembly over
-  the compiled scatter maps with ``scipy.sparse.linalg.splu`` factor reuse.
-  Selected by ``engine="sparse"`` or automatically at crossbar-scale sizes.
 * :mod:`repro.analog.batch` — lockstep batched transients/DC sweeps over
-  parameter variants of one topology (stacked ``(B, N, N)`` dense or
-  ``(B, nnz)`` sparse solves).
+  parameter variants of one topology (stacked ``(B, N, N)`` dense solves).
 * :mod:`repro.analog.dc` — Newton-Raphson DC operating point and DC sweeps.
 * :mod:`repro.analog.transient` — backward-Euler transient analysis.
 * :mod:`repro.analog.waveform` — waveform post-processing (spike detection,
   threshold crossings, rise/fall times).
-* :mod:`repro.analog.sweep` — parameter sweep drivers used by the
-  sensitivity analyses (threshold vs VDD, driver amplitude vs VDD, ...).
 
 The solver is deliberately compact, but it is a real circuit simulator:
 every figure-level sensitivity in the paper is produced by solving the
-nonlinear device equations, not by table lookup.  Single-neuron testbenches
-(tens of nodes) run dense; crossbar-layer netlists (hundreds to a thousand
-unknowns, see :mod:`repro.circuits.crossbar`) route to the sparse tier.
+nonlinear device equations, not by table lookup.  The paper's testbenches
+have at most a few tens of unknowns, so every solve is a dense LU.
 """
 
 from repro.analog.devices import (
@@ -48,13 +41,7 @@ from repro.analog.devices import (
 )
 from repro.analog.mosfet import MOSFET, MOSFETParameters, NMOS_65NM, PMOS_65NM
 from repro.analog.netlist import Circuit, SubCircuit
-from repro.analog.compiled import (
-    CompiledCircuit,
-    EngineStats,
-    estimate_system_size,
-    make_system,
-)
-from repro.analog.sparse import SparseCircuit, try_sparse_system
+from repro.analog.compiled import CompiledCircuit, EngineStats, make_system
 from repro.analog.batch import (
     BatchedCircuit,
     TopologyMismatchError,
@@ -66,7 +53,6 @@ from repro.analog.batch import (
 from repro.analog.dc import OperatingPoint, dc_operating_point, dc_sweep
 from repro.analog.transient import TransientResult, transient_analysis
 from repro.analog.waveform import Waveform, detect_spikes, threshold_crossings
-from repro.analog.sweep import ParameterSweep, SweepResult
 from repro.analog.units import parse_value, si_format
 
 __all__ = [
@@ -87,10 +73,7 @@ __all__ = [
     "SubCircuit",
     "CompiledCircuit",
     "EngineStats",
-    "estimate_system_size",
     "make_system",
-    "SparseCircuit",
-    "try_sparse_system",
     "BatchedCircuit",
     "TopologyMismatchError",
     "batched_dc_sweep",
@@ -105,8 +88,6 @@ __all__ = [
     "Waveform",
     "detect_spikes",
     "threshold_crossings",
-    "ParameterSweep",
-    "SweepResult",
     "parse_value",
     "si_format",
 ]

@@ -19,18 +19,6 @@ Entry points:
 * :func:`batched_dc_sweep` / :func:`batched_operating_points` — DC solves of
   B variants in lockstep (threshold-vs-VDD and driver-amplitude grids).
 
-At paper-scale system sizes the stacked dense ``(B, N, N)`` workspace and
-batched dense LU become the bottleneck, so the batch engine has a sparse
-mode (``engine="sparse"``, or ``engine="auto"`` from
-:data:`repro.analog.compiled.SPARSE_SIZE_THRESHOLD` unknowns): variants
-compile as :class:`~repro.analog.sparse.SparseCircuit` members sharing one
-CSC pattern, assembly stacks per-variant ``(B, nnz)`` data vectors through
-the same scatter maps (with CSC data positions instead of dense flat
-indices), and each variant is solved through its own
-:func:`scipy.sparse.linalg.splu` factorisation — cached per
-``(analysis, dt, gmin)`` for linear circuits, exactly like the
-single-variant tiers.
-
 All variants must share a topology (same nodes, same device names/types in
 the same order) — :func:`assert_same_topology` checks this and raises
 :class:`TopologyMismatchError` otherwise, which callers use to fall back to
@@ -43,13 +31,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analog.compiled import (
-    _CACHE_LIMIT,
-    SPARSE_SIZE_THRESHOLD,
-    CompiledCircuit,
-    EngineStats,
-    estimate_system_size,
-)
+from repro.analog.compiled import CompiledCircuit, EngineStats
 from repro.analog.dc import DCSweepResult, OperatingPoint, _solution_to_op
 from repro.analog.devices import CurrentSource, VoltageSource
 from repro.analog.mna import (
@@ -116,38 +98,12 @@ class BatchedCircuit:
     Wraps one :class:`~repro.analog.compiled.CompiledCircuit` per variant
     (reused verbatim for the per-variant fallback path) plus stacked
     parameter arrays for cross-variant vectorised device evaluation.
-
-    ``engine`` selects the stacked storage: ``"compiled"`` forces the dense
-    ``(B, N, N)`` workspace, ``"sparse"`` the shared-pattern ``(B, nnz)``
-    CSC mode (degrading to dense, with the usual one-time warning, when
-    SciPy is missing), and ``"auto"`` picks sparse from
-    :data:`~repro.analog.compiled.SPARSE_SIZE_THRESHOLD` unknowns.
     """
 
-    def __init__(self, circuits: Sequence[Circuit], engine: str = "auto") -> None:
+    def __init__(self, circuits: Sequence[Circuit]) -> None:
         assert_same_topology(circuits)
         self.circuits = list(circuits)
-        self.sparse_mode = False
-        members: Optional[List[CompiledCircuit]] = None
-        if engine == "sparse" or (
-            engine == "auto"
-            and estimate_system_size(circuits[0]) >= SPARSE_SIZE_THRESHOLD
-        ):
-            from repro.analog.sparse import try_sparse_system
-
-            first = try_sparse_system(circuits[0], explicit=engine == "sparse")
-            if first is not None:
-                members = [first] + [
-                    try_sparse_system(c, explicit=False) for c in circuits[1:]
-                ]
-                self.sparse_mode = True
-        elif engine not in ("auto", "compiled"):
-            raise ValueError(
-                f"unknown engine {engine!r}; use 'auto', 'compiled' or 'sparse'"
-            )
-        if members is None:
-            members = [CompiledCircuit(c) for c in circuits]
-        self.members: List[CompiledCircuit] = members
+        self.members: List[CompiledCircuit] = [CompiledCircuit(c) for c in circuits]
         reference = self.members[0]
         for member in self.members:
             if member._fallback:
@@ -162,29 +118,10 @@ class BatchedCircuit:
         self.n_nodes = reference.n_nodes
         self.is_nonlinear = reference.is_nonlinear
         self.stats = EngineStats()
-        # Stacked workspaces and per-variant flat offsets.  In sparse mode
-        # the dense (B, N, N) stack is replaced by (B, nnz) data vectors
-        # over the members' shared CSC pattern, with one persistent
-        # csc_matrix view per variant for factorisation.
+        # Stacked workspaces and per-variant flat offsets.
         b, n = self.batch_size, self.size
-        if self.sparse_mode:
-            from repro.analog.sparse import csc_matrix
-
-            nnz = reference.nnz
-            self._matrix = np.zeros((b, nnz))
-            self._matrix_offsets = np.arange(b, dtype=np.intp) * nnz
-            self._variant_matrices = []
-            for i in range(b):
-                variant = csc_matrix(
-                    (self._matrix[i], reference._csc_indices, reference._csc_indptr),
-                    shape=(n, n),
-                )
-                variant.data = self._matrix[i]  # guarantee the view is shared
-                self._variant_matrices.append(variant)
-            self._lu_cache: Dict[tuple, list] = {}
-        else:
-            self._matrix = np.zeros((b, n, n))
-            self._matrix_offsets = np.arange(b, dtype=np.intp) * (n * n)
+        self._matrix = np.zeros((b, n, n))
+        self._matrix_offsets = np.arange(b, dtype=np.intp) * (n * n)
         self._rhs = np.zeros((b, n))
         self._padded_guess = np.zeros((b, n + 1))
         self._padded_prev = np.zeros((b, n + 1))
@@ -207,18 +144,11 @@ class BatchedCircuit:
         guess: np.ndarray,
         gmin: float,
     ) -> tuple:
-        """One lockstep assembly into the stacked workspace.
-
-        The workspace is ``(B, N, N)`` dense or ``(B, nnz)`` CSC data
-        depending on the mode; the RHS logic is storage independent.
-        """
+        """One lockstep assembly into the stacked ``(B, N, N)`` workspace."""
         matrix, rhs = self._matrix, self._rhs
         key = self.reference.step_key(analysis, dt)
         for b, member in enumerate(self.members):
-            if self.sparse_mode:
-                matrix[b] = member._base_data_for(key, analysis, dt)
-            else:
-                matrix[b] = member._base_for(key, analysis, dt)
+            matrix[b] = member._base_for(key, analysis, dt)
             row = rhs[b]
             row.fill(0.0)
             member._assemble_source_rhs(row, time)
@@ -243,9 +173,7 @@ class BatchedCircuit:
             padded = self._padded_guess
             padded[:, : self.size] = guess
             matrix_flat = matrix.ravel()
-            for gi, (group, params) in enumerate(
-                zip(reference._groups, self._group_params)
-            ):
+            for group, params in zip(reference._groups, self._group_params):
                 mat_comp, rhs_comp = group.evaluate(padded, params)
                 group.scatter(
                     matrix_flat,
@@ -254,61 +182,10 @@ class BatchedCircuit:
                     rhs_comp,
                     matrix_offsets=self._matrix_offsets,
                     rhs_offsets=self._rhs_offsets,
-                    mat_index=(
-                        reference._group_mat_pos[gi] if self.sparse_mode else None
-                    ),
                 )
-        if self.sparse_mode:
-            matrix[:, reference._diag_pos] += gmin
-        else:
-            matrix.reshape(self.batch_size, -1)[
-                :, reference._node_diag_flat
-            ] += gmin
+        matrix.reshape(self.batch_size, -1)[:, reference._node_diag_flat] += gmin
         self.stats.assemblies += self.batch_size
         return matrix, rhs
-
-    # ----------------------------------------------------------------- solving
-    def _solve_stacked(
-        self, rhs: np.ndarray, analysis: str, dt: float, gmin: float
-    ) -> np.ndarray:
-        """Solve every variant of the assembled stack at once.
-
-        Dense mode batches through ``np.linalg.solve``; sparse mode factors
-        each variant's CSC matrix with ``splu`` (reusing the members'
-        adaptive column ordering) and caches the factor list per
-        ``(analysis, dt, gmin)`` for linear circuits.  A singular variant
-        raises :class:`ConvergenceError` so the caller's per-variant rescue
-        path engages.
-        """
-        if not self.sparse_mode:
-            return np.linalg.solve(self._matrix, rhs[..., None])[..., 0]
-        signature = (
-            (self.reference.step_key(analysis, dt), gmin)
-            if not self.is_nonlinear
-            else None
-        )
-        factors = (
-            self._lu_cache.pop(signature, None) if signature is not None else None
-        )
-        if factors is None:
-            factors = []
-            for b, member in enumerate(self.members):
-                factorisation = member._factor(self._variant_matrices[b])
-                if factorisation is None:
-                    raise ConvergenceError(
-                        f"singular matrix for variant {b} of batch of "
-                        f"{self.batch_size} x {self.reference.circuit.name!r}"
-                    )
-                factors.append(factorisation)
-        else:
-            self.stats.lu_reuses += self.batch_size
-        if signature is not None:
-            if len(self._lu_cache) >= _CACHE_LIMIT:
-                self._lu_cache.pop(next(iter(self._lu_cache)))
-            self._lu_cache[signature] = factors
-        return np.stack(
-            [factors[b].solve(rhs[b]) for b in range(self.batch_size)]
-        )
 
     # ------------------------------------------------------------------ newton
     def solve_point(
@@ -336,7 +213,7 @@ class BatchedCircuit:
             matrix, rhs = self._assemble(
                 analysis, time, dt, previous, x, options.gmin
             )
-            x_new = self._solve_stacked(rhs, analysis, dt, options.gmin)
+            x_new = np.linalg.solve(matrix, rhs[..., None])[..., 0]
             if not self.is_nonlinear:
                 return x_new
             delta = x_new - x
@@ -399,14 +276,12 @@ def batched_transient_analysis(
     use_initial_conditions: bool = False,
     record_nodes: Optional[Sequence[str]] = None,
     options: Optional[SolverOptions] = None,
-    engine: str = "auto",
 ) -> List[TransientResult]:
     """Fixed-step backward-Euler transients of B variants in lockstep.
 
     The call signature mirrors :func:`repro.analog.transient.transient_analysis`
     (fixed-step mode); ``initial_voltages`` may be one shared mapping or one
-    mapping per variant, and ``engine`` selects the stacked storage (see
-    :class:`BatchedCircuit`).  Returns one :class:`TransientResult` per
+    mapping per variant.  Returns one :class:`TransientResult` per
     circuit, in input order.  Steps where the lockstep Newton fails are
     re-run per-variant through the compiled scalar path (gmin stepping plus
     recursive subdivision), so a single stiff variant cannot poison the
@@ -416,7 +291,7 @@ def batched_transient_analysis(
     time_step = check_positive(parse_value(time_step), "time_step")
     if time_step > stop_time:
         raise ValueError("time_step must not exceed stop_time")
-    batch = BatchedCircuit(circuits, engine=engine)
+    batch = BatchedCircuit(circuits)
     options = options or SolverOptions()
 
     per_member_ivs: List[Optional[Dict[str, float]]]
@@ -487,10 +362,9 @@ def batched_operating_points(
     *,
     initial_guesses: Optional[Sequence[Dict[str, float]]] = None,
     options: Optional[SolverOptions] = None,
-    engine: str = "auto",
 ) -> List[OperatingPoint]:
     """DC operating points of B topology-sharing variants in one lockstep solve."""
-    batch = BatchedCircuit(circuits, engine=engine)
+    batch = BatchedCircuit(circuits)
     options = options or SolverOptions()
     guess = np.zeros((batch.batch_size, batch.size))
     if initial_guesses is not None:
@@ -518,7 +392,6 @@ def batched_dc_sweep(
     values: np.ndarray,
     *,
     options: Optional[SolverOptions] = None,
-    engine: str = "auto",
 ) -> List[DCSweepResult]:
     """Sweep one named source across B variants in lockstep.
 
@@ -528,7 +401,7 @@ def batched_dc_sweep(
     variant exactly as in :func:`repro.analog.dc.dc_sweep`.  Returns one
     :class:`DCSweepResult` per circuit.
     """
-    batch = BatchedCircuit(circuits, engine=engine)
+    batch = BatchedCircuit(circuits)
     options = options or SolverOptions()
     grid = np.asarray(values, dtype=float)
     if grid.ndim == 1:

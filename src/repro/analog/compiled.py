@@ -22,8 +22,8 @@ with scalar ``stamp()`` calls:
   assembled Jacobian are kept and offered as a *frozen-Jacobian first
   iterate* for the next step (:meth:`CompiledCircuit.predict_step`), with a
   backward-error residual check that falls back to full Newton when the
-  step is not mild.  SciPy provides the factorisation; without it the
-  engine still runs (dense solves), only the reuse paths are disabled.
+  step is not mild.  SciPy's raw LAPACK bindings provide the
+  factorisation.
 
 Device *values* that only affect the right-hand side (independent source
 values/waveforms) may change freely between solves — ``dc_sweep`` relies on
@@ -59,17 +59,11 @@ from repro.analog.mna import MNASystem, SolverOptions, Stamper, StampState
 from repro.analog.mosfet import MOSFET, channel_current_array
 from repro.analog.netlist import Circuit
 
-try:  # SciPy is optional: only the LU-reuse fast paths need it.
-    # The raw LAPACK bindings are used instead of scipy.linalg.lu_factor /
-    # lu_solve: the high-level wrappers cost tens of microseconds per call,
-    # which swamps the back-substitution itself at circuit sizes of a few
-    # tens of unknowns.
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised on scipy-free installs
-    dgetrf = dgetrs = None
-    HAVE_SCIPY = False
+# The raw LAPACK bindings are used instead of scipy.linalg.lu_factor /
+# lu_solve: the high-level wrappers cost tens of microseconds per call, which
+# swamps the back-substitution itself at circuit sizes of a few tens of
+# unknowns.
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 #: Device classes the compiler knows how to vectorise / pre-assemble.  Exact
 #: type matches only: subclasses may override ``stamp`` and are therefore
@@ -90,27 +84,8 @@ COMPILED_DEVICE_TYPES = (
 #: bound keeps the caches from growing without limit.
 _CACHE_LIMIT = 16
 
-#: System size (unknown count) from which ``engine="auto"`` routes a
-#: compiled-supported circuit to the sparse tier instead of the dense one.
-#: Dense LU is O(N^3) with a small constant, sparse ``splu`` roughly
-#: O(nnz^1.5) with a larger one; on crossbar-shaped MNA matrices (a few
-#: percent dense) the measured crossover sits well below this threshold, so
-#: the margin keeps small circuits on the dense path where they are
-#: fastest.  See ``benchmarks/test_engine_hotpath.py`` for the measured
-#: dense-vs-sparse scaling curve.
-SPARSE_SIZE_THRESHOLD = 256
-
 #: Valid ``engine=`` values of :func:`make_system` and the analyses.
-ENGINES = ("auto", "compiled", "sparse", "scalar")
-
-
-def estimate_system_size(circuit: Circuit) -> int:
-    """Unknown count (nodes + branch currents) of ``circuit``.
-
-    Cheap enough to call before building a system: used by the ``auto``
-    engine heuristic to decide dense vs sparse without compiling twice.
-    """
-    return len(circuit.nodes()) + sum(d.n_branches for d in circuit.devices)
+ENGINES = ("auto", "compiled", "scalar")
 
 
 def _dt_key(dt: float) -> float:
@@ -253,20 +228,12 @@ class _VectorGroup:
         *,
         matrix_offsets: Optional[np.ndarray] = None,
         rhs_offsets: Optional[np.ndarray] = None,
-        mat_index: Optional[np.ndarray] = None,
     ) -> None:
-        """Accumulate evaluated components into (possibly batched) workspaces.
-
-        ``mat_index`` overrides the dense flat-index scatter map with an
-        alternative per-entry target (the sparse engines pass the CSC
-        ``data`` positions of the same entries); the RHS map is storage
-        independent and always used as compiled.
-        """
-        target = self._mat_flat if mat_index is None else mat_index
+        """Accumulate evaluated components into (possibly batched) workspaces."""
         if mat_comp.ndim == 2:  # single variant: components are (C, M)
             np.add.at(
                 matrix_flat,
-                target,
+                self._mat_flat,
                 self._mat_sign * mat_comp[self._mat_comp, self._mat_dev],
             )
             np.add.at(
@@ -280,7 +247,7 @@ class _VectorGroup:
         mat_values = self._mat_sign * mat_comp[self._mat_comp, :, self._mat_dev].T
         np.add.at(
             matrix_flat,
-            target[None, :] + matrix_offsets[:, None],
+            self._mat_flat[None, :] + matrix_offsets[:, None],
             mat_values,
         )
         rhs_values = self._rhs_sign * rhs_comp[self._rhs_comp, :, self._rhs_dev].T
@@ -499,15 +466,12 @@ class CompiledCircuit(MNASystem):
         self._fallback: List[Device] = []
         caps: List[Capacitor] = []
         inductors: List[Inductor] = []
-        # The constant linear stamps are collected as (row, col, value)
-        # coordinate entries first; _finalise_pattern turns them into the
-        # engine's storage (a dense matrix here, a CSC pattern in the
-        # sparse subclass).
-        static_entries: List[Tuple[int, int, float]] = []
+        # The constant linear stamps, summed once into a dense matrix.
+        self._static_matrix = np.zeros((size, size))
 
         def add_static(row: int, col: int, value: float) -> None:
             if row >= 0 and col >= 0:
-                static_entries.append((row, col, value))
+                self._static_matrix[row, col] += value
 
         for device in circuit.devices:
             kind = type(device)
@@ -588,24 +552,6 @@ class CompiledCircuit(MNASystem):
         #: Fully linear circuits have an iteration-independent matrix, so
         #: their LU factors can be cached exactly.
         self._fully_linear = not self._groups and not self._fallback
-        self._static_entries = (
-            np.array([e[0] for e in static_entries], dtype=np.intp),
-            np.array([e[1] for e in static_entries], dtype=np.intp),
-            np.array([e[2] for e in static_entries], dtype=float),
-        )
-        self._finalise_pattern()
-
-    def _finalise_pattern(self) -> None:
-        """Freeze the constant-stamp storage (dense matrix for this engine).
-
-        Runs once at the end of :meth:`_compile`, after the scatter maps
-        (static entries, capacitor/inductor companions, vectorised device
-        groups) exist.  The sparse subclass overrides this to build the CSC
-        pattern instead of a dense matrix.
-        """
-        rows, cols, values = self._static_entries
-        self._static_matrix = np.zeros((self.size, self.size))
-        np.add.at(self._static_matrix, (rows, cols), values)
 
     # ----------------------------------------------------------- base matrices
     def step_key(self, analysis: str, dt: float) -> tuple:
@@ -726,8 +672,6 @@ class CompiledCircuit(MNASystem):
             # to the *previous* solve and predict_step has had its chance.
             self._frozen_fresh = False
         self._solve_iterations = iteration + 1
-        if not HAVE_SCIPY:
-            return super().solve_assembled(matrix, rhs, iteration=iteration)
         if self._linear_signature is not None:
             # pop + re-insert keeps the dict in LRU order, so the eviction
             # below removes the least recently used factors, not the hottest.
@@ -770,13 +714,12 @@ class CompiledCircuit(MNASystem):
         componentwise backward error against the freshly assembled system is
         small; otherwise the caller proceeds with full Newton from
         ``solution``.  Returns ``None`` whenever reuse does not apply:
-        linear circuits (their whole factorisation is cached instead),
-        SciPy missing, a changed dt, or a preceding step mild enough that
-        plain Newton is already minimal.
+        linear circuits (their whole factorisation is cached instead), a
+        changed dt, or a preceding step mild enough that plain Newton is
+        already minimal.
         """
         if (
-            not HAVE_SCIPY
-            or not self.is_nonlinear
+            not self.is_nonlinear
             or not self._frozen_fresh
             or self._frozen_lu is None
             or self._solve_iterations < _PREDICTOR_MIN_ITERATIONS
@@ -802,33 +745,17 @@ def make_system(circuit: Circuit, engine: str = "auto") -> MNASystem:
     """Build the solver backend selected by ``engine``.
 
     ``"scalar"`` always uses the reference :class:`MNASystem`;
-    ``"compiled"`` always uses the dense :class:`CompiledCircuit` (unknown
-    device types are still handled through its scalar fallback stamping);
-    ``"sparse"`` requests the CSC + ``splu`` tier of
-    :mod:`repro.analog.sparse`, degrading to the dense compiled engine
-    (with a single warning per process) when SciPy is unavailable or the
-    circuit contains non-compiled device types; ``"auto"`` compiles exactly
-    when every device is a compiled type, picking the sparse tier once the
-    system size reaches :data:`SPARSE_SIZE_THRESHOLD` unknowns.
+    ``"compiled"`` always uses :class:`CompiledCircuit` (unknown device
+    types are still handled through its scalar fallback stamping);
+    ``"auto"`` compiles exactly when every device is a compiled type.
     """
     if engine == "scalar":
         return MNASystem(circuit)
     if engine == "compiled":
         return CompiledCircuit(circuit)
-    if engine == "sparse":
-        from repro.analog.sparse import try_sparse_system
-
-        system = try_sparse_system(circuit, explicit=True)
-        return system if system is not None else CompiledCircuit(circuit)
     if engine == "auto":
         if not CompiledCircuit.supports(circuit):
             return MNASystem(circuit)
-        if estimate_system_size(circuit) >= SPARSE_SIZE_THRESHOLD:
-            from repro.analog.sparse import try_sparse_system
-
-            system = try_sparse_system(circuit, explicit=False)
-            if system is not None:
-                return system
         return CompiledCircuit(circuit)
     raise ValueError(
         f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"

@@ -9,7 +9,7 @@ prefix for its internal nodes and devices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from repro.analog.devices import (
     Capacitor,
@@ -263,11 +263,3 @@ def _rename_device(device: Device, new_name: str, map_node: Callable[[str], str]
     clone.nodes = tuple(map_node(node) for node in device.nodes)
     return clone
 
-
-def merge_circuits(name: str, circuits: Iterable[Circuit]) -> Circuit:
-    """Merge several circuits that share node names into one flat circuit."""
-    merged = Circuit(name)
-    for circuit in circuits:
-        for device in circuit.devices:
-            merged.add(device)
-    return merged

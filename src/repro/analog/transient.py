@@ -247,10 +247,8 @@ def transient_analysis(
     engine:
         ``"auto"`` (default) compiles the circuit into a
         :class:`~repro.analog.compiled.CompiledCircuit` when every device
-        type is supported (routing crossbar-scale netlists to the sparse
-        tier, see :data:`~repro.analog.compiled.SPARSE_SIZE_THRESHOLD`),
-        falling back to the scalar reference engine otherwise;
-        ``"compiled"`` / ``"sparse"`` / ``"scalar"`` force one backend.
+        type is supported, falling back to the scalar reference engine
+        otherwise; ``"compiled"`` / ``"scalar"`` force one backend.
     """
     stop_time = check_positive(parse_value(stop_time), "stop_time")
     time_step = check_positive(parse_value(time_step), "time_step")

@@ -234,6 +234,11 @@ class Attack5GlobalSupply(PowerAttack):
     def __post_init__(self) -> None:
         if not math.isfinite(check_positive(self.vdd, "vdd")):
             raise ValueError(f"vdd must be finite, got {self.vdd!r}")
+        # Resolve both scales now, so a supply outside the map's calibrated
+        # range or an uncalibrated neuron type fails at construction (and a
+        # scenario spec at load), not when the fault is applied.
+        self.induced_theta_scale()
+        self.induced_threshold_scale()
 
     def _map(self) -> VddToParameterMap:
         # Never mutate self: the attack object doubles as a cache/task key in

@@ -92,6 +92,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import ExperimentConfig
+from repro.core.pipeline import ENGINES
 from repro.core.reporting import (
     format_artifact_summary,
     format_recovered_faults,
@@ -173,15 +174,14 @@ def _add_scale_workers_engine(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "batched", "scalar", "sparse"),
+        choices=ENGINES,
         default=None,
         help="execution engine for BOTH tiers: the SNN tier ('scalar' = "
         "per-example reference, 'batched' = lockstep engine, 'auto' = "
         "batched when available; bit-identical results either way) and "
         "the circuit tier ('scalar' forces the per-device reference "
-        "MNA path, 'sparse' forces the CSC+splu large-N tier, otherwise "
-        "the compiled/batched engine — auto still routes crossbar-scale "
-        "netlists to the sparse tier; identical within solver tolerance)",
+        "MNA path, otherwise the compiled/batched engine; identical within "
+        "solver tolerance)",
     )
     parser.add_argument(
         "--out",
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snap_export.add_argument(
         "--engine",
-        choices=("auto", "batched", "scalar", "sparse"),
+        choices=ENGINES,
         default="auto",
         help="SNN engine used for training and the recorded eval pass "
         "(bit-identical results either way)",
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snap_info.add_argument(
         "--engine",
-        choices=("auto", "batched", "scalar", "sparse"),
+        choices=ENGINES,
         default="auto",
         help="scoring engine for --rescore (parity must hold either way)",
     )

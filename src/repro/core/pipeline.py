@@ -26,9 +26,6 @@ Engine selection
   ``tests/test_snn_batched.py``).
 * ``"auto"`` (default) — ``"batched"`` unless the runtime fails the
   engine's reduction-order self-check, then ``"scalar"``.
-* ``"sparse"`` — accepted for symmetry with the circuit tier (where it
-  forces the CSC + ``splu`` solver, see :mod:`repro.analog.sparse`); the
-  SNN has no sparse mode, so it behaves exactly like ``"auto"`` here.
 """
 
 from __future__ import annotations
@@ -59,10 +56,8 @@ from repro.snn.models import DiehlAndCook2015, EXCITATORY_LAYER, INPUT_LAYER
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_in_choices, check_positive
 
-#: Valid values of the pipeline's ``engine`` parameter.  ``"sparse"`` is a
-#: circuit-tier choice accepted here so one ``--engine`` flag can steer both
-#: tiers; the SNN treats it as ``"auto"``.
-ENGINES = ("auto", "batched", "scalar", "sparse")
+#: Valid values of the pipeline's ``engine`` parameter.
+ENGINES = ("auto", "batched", "scalar")
 
 #: The pipeline's encoding streams, each with the images it encodes.  A
 #: stream's generator is ``RandomState(config.seed, name=f"{stream}_encoding")``.
@@ -78,8 +73,7 @@ class ClassificationPipeline:
         Experiment scale and network hyper-parameters.
     engine:
         SNN execution engine — ``"auto"`` (default), ``"batched"`` or
-        ``"scalar"`` (``"sparse"`` is accepted and treated as ``"auto"``).
-        Engine choice never changes results, only speed.
+        ``"scalar"``.  Engine choice never changes results, only speed.
     example_chunk:
         How many examples the batched inference passes advance in lockstep
         (bounds the memory of one unpacked block of input rasters).
@@ -145,8 +139,7 @@ class ClassificationPipeline:
     def resolved_engine(self) -> str:
         """The engine actually used: ``"batched"`` or ``"scalar"``.
 
-        ``"auto"`` (and ``"sparse"``, a circuit-tier choice with no SNN
-        counterpart) resolves to the batched engine unless this NumPy fails
+        ``"auto"`` resolves to the batched engine unless this NumPy fails
         the lockstep engine's reduction-order self-check (in which case the
         scalar reference is the only engine that can honour the pipeline's
         determinism guarantees).

@@ -47,11 +47,11 @@ class CircuitSweepDispatcher:
         behaviour, useful for parity debugging).
     engine:
         Solver backend forwarded to every analysis (see
-        :func:`repro.analog.compiled.make_system`): ``"auto"`` (default)
-        picks dense-compiled or sparse by system size, ``"sparse"`` forces
-        the CSC + ``splu`` tier, ``"compiled"`` forces the dense engine and
-        ``"scalar"`` forces the per-device reference path (which also
-        disables batching — the scalar engine has no lockstep mode).
+        :func:`repro.analog.compiled.make_system`) on the serial route:
+        ``"auto"`` (default) and ``"compiled"`` use the compiled engine,
+        and ``"scalar"`` forces the per-device reference path (which also
+        disables batching — the scalar engine has no lockstep mode).  The
+        batched route always runs the compiled engine.
 
     The ``batched_sweeps`` / ``serial_sweeps`` counters record which route
     each sweep actually took.
@@ -98,7 +98,6 @@ class CircuitSweepDispatcher:
                     use_initial_conditions=use_initial_conditions,
                     record_nodes=record_nodes,
                     options=options,
-                    engine=self.engine,
                 )
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
                 pass  # fall back to the serial path below
@@ -140,9 +139,7 @@ class CircuitSweepDispatcher:
             )
         if self._use_batch(circuits):
             try:
-                return batched_dc_sweep(
-                    circuits, source_name, grid, options=options, engine=self.engine
-                )
+                return batched_dc_sweep(circuits, source_name, grid, options=options)
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
                 pass  # fall back to the serial path below
         return [
@@ -164,7 +161,6 @@ class CircuitSweepDispatcher:
                     circuits,
                     initial_guesses=initial_guesses,
                     options=options,
-                    engine=self.engine,
                 )
             except TopologyMismatchError:  # pragma: no cover - racy rebuild
                 pass  # fall back to the serial path below

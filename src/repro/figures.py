@@ -101,12 +101,10 @@ class FigureContext:
         across processes.
     engine:
         Execution engine for *both* tiers — ``"auto"`` (default,
-        lockstep-batched when available), ``"batched"``, ``"sparse"`` or
-        ``"scalar"``.  On the SNN tier the choice never changes the numbers
-        (the batched engine is bit-exact against the scalar reference;
-        ``"sparse"`` behaves like ``"auto"`` there); on the circuit tier
-        ``"scalar"`` forces the per-device reference MNA path and
-        ``"sparse"`` forces the CSC + ``splu`` tier (see
+        lockstep-batched when available), ``"batched"`` or ``"scalar"``.
+        On the SNN tier the choice never changes the numbers (the batched
+        engine is bit-exact against the scalar reference); on the circuit
+        tier ``"scalar"`` forces the per-device reference MNA path (see
         :attr:`circuit_engine` / :attr:`circuit_batch`), identical within
         solver tolerance.  A pre-built ``pipeline`` keeps its own engine.
     executor:
@@ -146,12 +144,7 @@ class FigureContext:
             )
         else:
             self.executor = SweepExecutor(
-                pipeline_factory=PipelineFromConfig(
-                    self.config,
-                    # The SNN tier has no sparse mode; the sparse choice
-                    # only steers the circuit tier (circuit_engine).
-                    engine="auto" if engine == "sparse" else engine,
-                ),
+                pipeline_factory=PipelineFromConfig(self.config, engine=engine),
                 workers=workers,
                 cache=cache,
                 policy=resilience,
@@ -167,15 +160,11 @@ class FigureContext:
         """The analog-tier engine matching this context's ``engine`` choice.
 
         ``--engine scalar`` forces the per-device reference MNA path on the
-        circuit tier too and ``--engine sparse`` forces the CSC + ``splu``
-        tier; any other choice keeps the compiled engine (``"auto"``, which
-        still routes crossbar-scale netlists to the sparse tier).  All
-        backends agree with the reference within solver tolerance (~1e-14,
-        pinned by ``tests/test_analog_compiled.py``).
+        circuit tier too; any other choice keeps the compiled engine
+        (``"auto"``).  Both agree within solver tolerance (~1e-14, pinned
+        by ``tests/test_analog_compiled.py``).
         """
-        if self.engine in ("scalar", "sparse"):
-            return self.engine
-        return "auto"
+        return "scalar" if self.engine == "scalar" else "auto"
 
     @property
     def circuit_batch(self) -> bool:

@@ -54,7 +54,17 @@ class VddSensitivity:
             raise ValueError("vdd_values must be strictly increasing")
 
     def value_at(self, vdd: float) -> float:
-        """Interpolated value at ``vdd``."""
+        """Interpolated value at ``vdd``, which must lie in the sampled range.
+
+        ``np.interp`` clamps outside the samples, which would report an end
+        point's value under the label of an unsampled supply.
+        """
+        low, high = self.vdd_values[0], self.vdd_values[-1]
+        if not low <= vdd <= high:
+            raise ValueError(
+                f"{self.name}: vdd={vdd!r} V lies outside the sampled range "
+                f"[{low:g}, {high:g}] V"
+            )
         return float(np.interp(vdd, self.vdd_values, self.values))
 
     @property

@@ -88,9 +88,8 @@ def check_scenario_name(name: str) -> str:
         )
     return name
 
-#: Engine choices (mirrors ``repro.core.pipeline.ENGINES``; ``"sparse"``
-#: steers the circuit tier and is treated as ``"auto"`` by the SNN tier).
-ENGINES = ("auto", "batched", "scalar", "sparse")
+#: Engine choices (mirrors ``repro.core.pipeline.ENGINES``).
+ENGINES = ("auto", "batched", "scalar")
 
 
 @dataclass(frozen=True)
@@ -286,9 +285,7 @@ class ScenarioSpec:
         Defense names co-evaluated against every grid point (see
         :func:`repro.defenses.evaluation.residual_defense_factors`).
     engine:
-        SNN engine for this scenario (``auto``/``batched``/``scalar``/
-        ``sparse``; ``sparse`` is a circuit-tier backend choice that the
-        SNN tier runs as ``auto``).
+        SNN engine for this scenario (``auto``/``batched``/``scalar``).
     scale:
         Optional scale preset pin; ``None`` defers to the runner/CLI.
     """

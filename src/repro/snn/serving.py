@@ -63,8 +63,8 @@ from repro.utils.rng import RandomState
 from repro.utils.validation import check_in_choices, check_positive
 
 #: Engine choices accepted by the serving tier (mirrors the pipeline's
-#: ``ENGINES``; ``"sparse"`` is a circuit-tier choice treated as ``"auto"``).
-SERVING_ENGINES = ("auto", "batched", "scalar", "sparse")
+#: ``ENGINES``).
+SERVING_ENGINES = ("auto", "batched", "scalar")
 
 
 class InputShapeError(ValueError):
@@ -113,8 +113,8 @@ class ScoringEngine:
         The trained-state snapshot to serve.
     engine:
         ``"auto"`` (default, lockstep-batched when available),
-        ``"batched"`` or ``"scalar"`` (``"sparse"`` behaves like
-        ``"auto"``).  Engine choice never changes results, only speed.
+        ``"batched"`` or ``"scalar"``.  Engine choice never changes results,
+        only speed.
     example_chunk:
         How many examples the batched path advances in lockstep per pass.
     attack:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analog.netlist import Circuit, SubCircuit, is_ground, merge_circuits
+from repro.analog.netlist import Circuit, SubCircuit, is_ground
 from repro.analog.devices import Resistor
 
 
@@ -89,15 +89,6 @@ def test_subcircuit_ground_not_prefixed():
     parent = Circuit("p")
     parent.instantiate(sub, "X1", {"in": "a"})
     assert parent["X1.RA"].nodes == ("a", "0")
-
-
-def test_merge_circuits():
-    a = Circuit("a")
-    a.add_resistor("R1", "x", "0", "1k")
-    b = Circuit("b")
-    b.add_resistor("R2", "x", "y", "1k")
-    merged = merge_circuits("ab", [a, b])
-    assert len(merged) == 2 and "R1" in merged and "R2" in merged
 
 
 def test_copy_is_shallow_but_independent_container():

@@ -1,9 +1,8 @@
-"""Tests for waveform post-processing and the sweep driver."""
+"""Tests for waveform post-processing."""
 
 import numpy as np
 import pytest
 
-from repro.analog.sweep import ParameterSweep
 from repro.analog.waveform import Waveform, detect_spikes, threshold_crossings
 
 
@@ -79,36 +78,3 @@ class TestWaveform:
         wave = Waveform(time, np.clip(time * 2, 0, 1))
         rise = wave.rise_time()
         assert rise is not None and 0.3 < rise < 0.5
-
-
-class TestParameterSweep:
-    def test_collects_metrics(self):
-        sweep = ParameterSweep("x", [1.0, 2.0, 3.0], lambda x: {"square": x * x, "double": 2 * x})
-        result = sweep.run()
-        assert np.allclose(result.metric("square"), [1, 4, 9])
-        assert result.header() == ["x", "square", "double"]
-        assert len(result.as_rows()) == 3
-
-    def test_relative_change(self):
-        sweep = ParameterSweep("x", [1.0, 2.0], lambda x: {"y": 10 * x})
-        result = sweep.run()
-        change = result.relative_change("y", reference_value=1.0)
-        assert change == pytest.approx([0.0, 1.0])
-
-    def test_metric_at_interpolates(self):
-        result = ParameterSweep("x", [0.0, 1.0], lambda x: {"y": x}).run()
-        assert result.metric_at("y", 0.5) == pytest.approx(0.5)
-
-    def test_rejects_empty_values(self):
-        with pytest.raises(ValueError):
-            ParameterSweep("x", [], lambda x: {"y": x})
-
-    def test_rejects_inconsistent_metric_names(self):
-        calls = {"n": 0}
-
-        def evaluate(x):
-            calls["n"] += 1
-            return {"a": x} if calls["n"] == 1 else {"b": x}
-
-        with pytest.raises(ValueError):
-            ParameterSweep("x", [1.0, 2.0], evaluate).run()

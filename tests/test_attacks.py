@@ -193,6 +193,17 @@ class TestAttacks:
         with pytest.raises(ValueError, match="vdd"):
             Attack5GlobalSupply(vdd=vdd)
 
+    @pytest.mark.parametrize("vdd", [0.1, 0.79, 1.21, 5.0])
+    def test_attack5_rejects_a_supply_outside_the_calibrated_range(self, vdd):
+        # The default map samples 0.8-1.2 V; a clamped lookup would inject
+        # the end point's fault under this supply's label.
+        with pytest.raises(ValueError, match=r"outside the sampled range \[0\.8, 1\.2\]"):
+            Attack5GlobalSupply(vdd=vdd)
+
+    def test_attack5_rejects_an_uncalibrated_neuron_type(self):
+        with pytest.raises(ValueError, match="neuron_type"):
+            Attack5GlobalSupply(neuron_type="x")
+
     def test_attack5_finite_vdd_labels_are_unchanged(self):
         labels = [Attack5GlobalSupply(vdd=vdd).label() for vdd in (0.8, 1.0, 1.2)]
         assert labels == ["attack5(vdd=0.80V)", "attack5(vdd=1.00V)", "attack5(vdd=1.20V)"]

@@ -95,18 +95,17 @@ class TestSnapshotSchema:
                 extra["micro_examples_per_sec"] > extra["single_examples_per_sec"]
             )
 
-    def test_snapshot_records_the_large_n_scaling_curve(self, path):
-        """Every snapshot carries the sparse-tier crossbar series.
+    def test_has_engine_benchmarks(self, path):
+        """Every snapshot carries the circuit-engine hot-path series.
 
         The nightly run executes the whole ``benchmarks/`` suite, which
-        includes ``TestSparseScaling`` — a snapshot without the crossbar
-        series means the engine benchmarks silently stopped running.
+        includes ``benchmarks/test_engine_hotpath.py`` — a snapshot without
+        its compiled-transient and batched-sweep entries means the engine
+        benchmarks silently stopped running.
         """
         payload = json.loads(path.read_text())
         names = [bench["name"] for bench in payload["benchmarks"]]
-        assert any("test_crossbar_sparse" in name for name in names), (
-            f"{path.name} misses the crossbar sparse scaling benchmarks"
-        )
-        assert any("test_crossbar_dense" in name for name in names), (
-            f"{path.name} misses the crossbar dense baseline benchmarks"
-        )
+        for expected in ("test_compiled_layer_transient", "test_batched_vdd_sweep"):
+            assert any(expected in name for name in names), (
+                f"{path.name} misses the {expected} engine benchmark"
+            )

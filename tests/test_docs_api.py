@@ -49,8 +49,6 @@ class TestApiDocsBuild:
             "repro_snn_serving.md",
             "repro_exec_microbatch.md",
             "repro_analog_compiled.md",
-            "repro_analog_sparse.md",
-            "repro_circuits_crossbar.md",
         ):
             assert (out / page).exists(), f"missing API page {page}"
         spec_page = (out / "repro_scenarios_spec.md").read_text()

@@ -17,6 +17,16 @@ class TestVddSensitivity:
         assert sensitivity.scale_at(1.2) == pytest.approx(1.2)
         assert sensitivity.fractional_change(0.8) == pytest.approx(-0.2)
 
+    def test_value_outside_the_sampled_range_is_rejected(self):
+        sensitivity = VddSensitivity("x", [0.8, 1.0, 1.2], [80.0, 100.0, 120.0])
+        for vdd in (0.6, 1.3, float("nan")):
+            with pytest.raises(
+                ValueError, match=r"^x: vdd=.* outside the sampled range \[0\.8, 1\.2\]"
+            ):
+                sensitivity.value_at(vdd)
+        assert sensitivity.value_at(0.8) == 80.0
+        assert sensitivity.value_at(1.2) == 120.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             VddSensitivity("x", [1.0], [1.0])

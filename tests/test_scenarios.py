@@ -128,6 +128,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be numeric"):
             ScenarioSpec(name="x", family="global_vdd", grid={"vdd": ("low",)})
 
+    def test_uncalibrated_supply_or_neuron_type_is_rejected_at_load(self):
+        with pytest.raises(ValueError, match="scenario 'x'.*outside the sampled range"):
+            ScenarioSpec(name="x", family="global_vdd", grid={"vdd": (0.9, 0.6)})
+        with pytest.raises(ValueError, match="scenario 'x'.*neuron_type"):
+            ScenarioSpec(
+                name="x",
+                family="global_vdd",
+                fixed={"neuron_type": "x"},
+                grid={"vdd": (0.9,)},
+            )
+
     def test_duplicate_values_are_rejected(self):
         with pytest.raises(ValueError, match="repeats values"):
             ScenarioSpec(name="x", family="global_vdd", grid={"vdd": (0.8, 0.8)})

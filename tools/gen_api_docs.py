@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Generate the markdown API reference for ``repro`` under ``docs/api/``.
 
-Stdlib-only on purpose: the repository's only hard runtime dependency is
-NumPy, and the docs build must run in the same minimal environment as the
+Stdlib-only on purpose: the repository's runtime dependencies are NumPy
+and SciPy, and the docs build must run in the same minimal environment as the
 test suite (pdoc/sphinx would do this job too, but would be the only build
 step needing an extra tool).  The generator imports every module under
 ``src/repro`` — an import error is a build error — and emits one markdown
@@ -13,7 +13,7 @@ docstrings.
 ``--check`` additionally enforces docstring coverage on the API-critical
 modules (``repro.scenarios``, ``repro.exec``, ``repro.snn.batched``,
 ``repro.snn.snapshot``, ``repro.snn.serving``, ``repro.analog.compiled``,
-``repro.analog.sparse``, ``repro.circuits.crossbar``, ``repro.store``):
+``repro.store``):
 any public function, class, method or property there without a docstring
 fails the build.  The ``docs`` CI job runs
 ``python tools/gen_api_docs.py --out docs/api --check``.
@@ -44,8 +44,6 @@ COVERAGE_TARGETS = (
     "repro.snn.snapshot",
     "repro.snn.serving",
     "repro.analog.compiled",
-    "repro.analog.sparse",
-    "repro.circuits.crossbar",
     "repro.store",
 )
 
