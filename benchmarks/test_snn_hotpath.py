@@ -17,6 +17,10 @@ Three workloads, mirroring ``test_engine_hotpath.py`` one tier up:
   claim is stated over: the batched sweep must beat the per-run scalar
   sweep by :data:`MIN_SWEEP_SPEEDUP` while producing bit-identical
   accuracy grids.
+* **STDP kernel step** — one lockstep plastic step of the smoke-scale
+  input projection (784 × 64) across 16 variants, with the live rows and
+  spiking pairs of an average ``run --all`` training step.  It has no
+  floor; its time goes to the nightly snapshots only.
 
 Speedup floors are asserted below typical measurements (~3x stepping with
 STDP on, ~4x on the benchmark-scale sweep) to stay robust on noisy CI
@@ -32,6 +36,7 @@ import numpy as np
 from repro.attacks.campaign import AttackCampaign
 from repro.core import ClassificationPipeline, ExperimentConfig
 from repro.snn import BatchedNetwork, DiehlAndCook2015, DiehlAndCookParameters
+from repro.snn.models import EXCITATORY_LAYER, INPUT_LAYER
 
 #: Fig. 8-shaped grid at benchmark scale (5 unique train-and-evaluate runs).
 THRESHOLD_CHANGES = (-0.2, 0.2)
@@ -53,6 +58,14 @@ MIN_SWEEP_SPEEDUP = 3.0
 #: (measured 1.3-1.6x).
 SINGLE_PRESENTATIONS = 12
 MIN_SINGLE_VARIANT_SPEEDUP = 1.1
+
+#: The STDP kernel step: the lanes of the ``run --all --scale smoke`` pass
+#: and its mean activity per training step (inputs that fire, inputs with a
+#: nonzero trace, spiking (variant, neuron) pairs).
+KERNEL_VARIANTS = 16
+KERNEL_SPIKING_INPUTS = 14
+KERNEL_LIVE_ROWS = 230
+KERNEL_SPIKING_PAIRS = 39
 
 
 def _variant_networks(n_variants: int = N_VARIANTS):
@@ -191,3 +204,40 @@ def test_fig8_shaped_sweep_speedup(benchmark, experiment_config):
         f"Fig. 8-shaped sweep speedup {speedup:.2f}x below the "
         f"{MIN_SWEEP_SPEEDUP}x floor"
     )
+
+
+def test_stdp_kernel_step(benchmark):
+    """One seeded lockstep STDP step (depression and potentiation), no floor.
+
+    Outside a run no drive has cached the spiking rows, so each step also
+    gathers its depression block, which a training step takes from the drive.
+    """
+    parameters = ExperimentConfig.smoke().network
+    batched = BatchedNetwork.from_networks(
+        [DiehlAndCook2015(parameters, rng=5) for _ in range(KERNEL_VARIANTS)]
+    )
+    for layer in batched.layers.values():
+        layer.ensure_state(1)
+    source, target = batched.layers[INPUT_LAYER], batched.layers[EXCITATORY_LAYER]
+    rng = np.random.default_rng(31)
+    live = rng.choice(source.n, KERNEL_LIVE_ROWS, replace=False)
+    source.traces[0, 0, live] = rng.random(KERNEL_LIVE_ROWS)
+    source.spikes[0, 0, live[:KERNEL_SPIKING_INPUTS]] = True
+    pairs = rng.choice(KERNEL_VARIANTS * target.n, KERNEL_SPIKING_PAIRS, replace=False)
+    target.spikes.reshape(-1)[pairs] = True
+    target.traces[:] = rng.random(target.traces.shape)
+    for layer in (source, target):
+        layer.traces[layer.spikes] = 1.0
+    connection = batched.connections[(INPUT_LAYER, EXCITATORY_LAYER)]
+    connection.clamp()
+
+    benchmark.pedantic(
+        connection.update_rule.update_batched, args=(connection,), rounds=30, iterations=1
+    )
+    assert connection.sign_safe
+    benchmark.extra_info["variants"] = KERNEL_VARIANTS
+    benchmark.extra_info["weights_shape"] = list(connection.w.shape[1:])
+    benchmark.extra_info["spiking_inputs"] = int(source.spikes.sum())
+    benchmark.extra_info["live_rows"] = int(np.count_nonzero(source.traces))
+    benchmark.extra_info["spiking_pairs"] = int(target.spikes.sum())
+    benchmark.extra_info["us_per_step"] = 1e6 * benchmark.stats.stats.mean

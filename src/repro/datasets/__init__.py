@@ -9,7 +9,6 @@ rate-coded image task preserves the relative accuracy-degradation trends
 
 * :mod:`repro.datasets.digits` — the stroke renderer and the
   :class:`SyntheticDigits` dataset.
-* :mod:`repro.datasets.transforms` — intensity scaling / normalisation.
 * :mod:`repro.datasets.loaders` — shuffled batching helpers.
 """
 
@@ -18,16 +17,12 @@ from repro.datasets.digits import (
     SyntheticDigits,
     render_digit,
 )
-from repro.datasets.transforms import intensity_scale, normalize_unit, threshold_binarize
 from repro.datasets.loaders import DataLoader, train_test_split
 
 __all__ = [
     "DIGIT_SKELETONS",
     "SyntheticDigits",
     "render_digit",
-    "intensity_scale",
-    "normalize_unit",
-    "threshold_binarize",
     "DataLoader",
     "train_test_split",
 ]

@@ -43,10 +43,14 @@ per-lane result provably equals the scalar op:
   half of the rule as one gather/modify/scatter over them — the scalar
   expression per cell, no loop over variants.  The clamp is fused in:
   every modified cell is clipped once, to the scalar ``clip(w - dep +
-  pot)``, and untouched cells are never written (clipping an in-range
-  value is the identity; a masked ``+ 0.0`` would turn ``-0.0`` into
-  ``+0.0``).  A full-matrix clip follows the first learning step and every
-  normalisation, the only places the scalar every-step clip has an effect.
+  pot)`` (depressed cells that are also potentiated reach the potentiation
+  block unclipped), and untouched cells are never written (a masked
+  ``+ 0.0`` would turn ``-0.0`` into ``+0.0``).  A full-matrix clip
+  follows the first learning step and every normalisation, the only places
+  the scalar every-step clip has an effect.  On a *sign-safe* connection,
+  decided once at compile, no step can make a ``-0.0``; there potentiation
+  skips the source rows whose pre-trace is still exactly zero, whose
+  scalar update ``clip(w + 0.0)`` is the identity.
 
 Entry points
 ------------
@@ -373,6 +377,21 @@ class _ConnectionBatch:
             self.w = weights[0].copy()
         else:
             self.w = np.stack(weights)
+        # Potentiation gathers and scatters through flat indices on this view.
+        self.flat_w = self.w.reshape(-1)
+        assert np.shares_memory(self.flat_w, self.w), "weight stack is not contiguous"
+        # Sign-safe: no step can make a -0.0 (a sum that rounds to zero is
+        # +0.0, clips land on sign-clear bounds, normalisation scales by a
+        # positive factor), and finite weights keep every skipped delta an
+        # exact zero, so the rules may skip source rows with a zero pre-trace.
+        self.sign_safe = bool(
+            plastic
+            and self.wmin >= 0
+            and not np.signbit([self.wmin, self.wmax]).any()
+            and (self.norm is None or self.norm > 0)
+            and not np.signbit(self.w).any()
+            and np.isfinite(self.w).all()
+        )
         self.strategy = self._select_strategy()
         # The rules clip the cells they modify; the scalar engine's every-step
         # full clip only bites on the first learning step and right after a

@@ -73,10 +73,11 @@ class PostPre(LearningRule):
         The spiking ``(variant, index)`` pairs are found once with
         ``np.nonzero``: depression is one gather/modify/scatter over the
         spiking source rows of every variant, potentiation one over the
-        spiking target columns, with no Python loop over variants.  Each
-        variant's arithmetic is exactly :meth:`update`'s, and each modified
-        cell is clipped once, to the value the scalar engine's clamp leaves
-        (the order is set out in :func:`_pair_stdp_batched`).
+        live rows of the spiking target columns, with no Python loop over
+        variants.  Each variant's arithmetic is exactly :meth:`update`'s,
+        and each modified cell is clipped once, to the value the scalar
+        engine's clamp leaves (the order is set out in
+        :func:`_pair_stdp_batched`).
         """
         _pair_stdp_batched(
             connection,
@@ -135,44 +136,60 @@ def _pair_stdp_batched(connection, rule, depression, potentiation) -> None:
     ``depression(rows, post_traces)`` and ``potentiation(cols, pre_traces)``
     return the scalar rule's per-cell deltas for a gathered weight block;
     a zero ``rule.nu_pre`` / ``rule.nu_post`` skips that half, as in the
-    scalar rule.  The spiking ``(variant, index)`` pairs are found once and each
-    half is one gather/modify/scatter: depression over ``w[:, rows, :]``
+    scalar rule.  The spiking ``(variant, index)`` pairs are found once and
+    each half is one gather/modify/scatter: depression over ``w[:, rows, :]``
     (uniform source, reusing the rows the drive gathered) or ``w[v, r, :]``
-    (per-variant source), potentiation over ``w[v, :, c]``.
+    (per-variant source), potentiation over a ``(live row, pair)`` block of
+    ``w[v, :, c]`` cells, through flat indices into ``w``.
 
     The scalar step leaves every cell at ``clip(w - dep + pot)``, clipped
-    once.  The potentiation block is clipped before its scatter; the
-    depression block too when nothing is potentiated (the common case),
-    otherwise its rows are written unclipped and clipped after
-    potentiation, since a cell can be both depressed and potentiated.
-    Cells the step does not touch are left alone (no masked adds, which
-    would turn ``-0.0`` into ``+0.0``).
+    once.  The depression block is clipped before its scatter, except for
+    the cells potentiation also touches: a uniform source splices their
+    unclipped ``w - dep`` into the potentiation block, a per-variant source
+    leaves them out of its clip (``where=``).  The potentiation block is
+    clipped before its scatter.
+
+    ``live`` is every source row, or, on a sign-safe connection (see
+    ``_ConnectionBatch``), only the rows with a nonzero pre-trace, which
+    include every row that fired this step.  A skipped cell's scalar update
+    is ``clip(w + 0.0)``; with no ``-0.0`` to flip, ``w + 0.0`` is ``w``, and
+    its clip is the identity except where ``clamp()`` clips the whole stack.
+    Cells outside both blocks are never written.
     """
     source, target, w = connection.source_batch, connection.target_batch, connection.w
     wmin, wmax = connection.wmin, connection.wmax
     post_v, post_c = np.nonzero(target.spikes[:, 0, :])
     potentiate = bool(rule.nu_post) and post_v.size > 0
-    rows = None
+    splice = None
     if rule.nu_pre:
         if source.uniform_across_variants:
             index, block = connection.source_rows()
             rows = (slice(None), index)
             block -= depression(block, target.traces)
+            if potentiate:
+                splice = index, block[post_v, :, post_c].T
+            block.clip(wmin, wmax, out=block)
         else:
             rows = np.nonzero(source.spikes[:, 0, :])
             block = w[rows]
             block -= depression(block, target.traces[rows[0], 0])
-        if not potentiate:
-            np.clip(block, wmin, wmax, out=block)
+            keep = target.spikes[rows[0], 0] if potentiate else np.False_
+            block.clip(wmin, wmax, out=block, where=~keep)
         w[rows] = block
     if potentiate:
-        if source.uniform_across_variants:
-            pre_traces = source.traces[0, 0]
+        _, n_pre, n_post = w.shape
+        if connection.sign_safe:
+            live = np.flatnonzero(source.traces[:, 0].any(axis=0))
         else:
-            pre_traces = source.traces[post_v, 0]
-        block = w[post_v, :, post_c]
+            live = np.arange(n_pre)
+        cells = (live * n_post)[:, None] + (post_v * (n_pre * n_post) + post_c)
+        block = connection.flat_w.take(cells)
+        if splice is not None:
+            block[np.searchsorted(live, splice[0])] = splice[1]
+        if source.uniform_across_variants:
+            pre_traces = source.traces[0, 0, live, None]
+        else:
+            pre_traces = source.traces[post_v, 0, live[:, None]]
         block += potentiation(block, pre_traces)
-        np.clip(block, wmin, wmax, out=block)
-        w[post_v, :, post_c] = block
-        if rows is not None:
-            w[rows] = np.clip(w[rows], wmin, wmax)
+        block.clip(wmin, wmax, out=block)
+        connection.flat_w[cells] = block

@@ -7,10 +7,7 @@ from repro.datasets import (
     DIGIT_SKELETONS,
     DataLoader,
     SyntheticDigits,
-    intensity_scale,
-    normalize_unit,
     render_digit,
-    threshold_binarize,
     train_test_split,
 )
 
@@ -83,22 +80,6 @@ class TestSyntheticDigits:
         reference = {d: render_digit(d) for d in range(10)}
         for image, label in zip(dataset.images, dataset.labels):
             assert np.allclose(image, reference[label])
-
-
-class TestTransforms:
-    def test_intensity_scale_clips(self):
-        image = np.array([[100.0, 200.0]])
-        assert np.allclose(intensity_scale(image, 2.0), [[200.0, 255.0]])
-        with pytest.raises(ValueError):
-            intensity_scale(image, 0.0)
-
-    def test_normalize_unit(self):
-        assert normalize_unit(np.array([0.0, 127.5, 255.0])).max() == 1.0
-        assert np.allclose(normalize_unit(np.zeros(4)), 0.0)
-
-    def test_threshold_binarize(self):
-        binary = threshold_binarize(np.array([10.0, 200.0]))
-        assert np.allclose(binary, [0.0, 255.0])
 
 
 class TestLoaders:

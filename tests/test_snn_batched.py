@@ -396,6 +396,92 @@ class TestVariantDivergentPlasticSource:
                     assert np.array_equal(monitor.raster(variant, example), expected)
 
 
+def _plastic_pair(w, *, wmin=0.0, wmax=1.0, norm=None):
+    """Input → LIF through one plastic connection, for the sign-safety checks."""
+    network = Network()
+    source = network.add_layer("input", InputNodes(w.shape[0]))
+    target = network.add_layer(
+        "out", LIFNodes(w.shape[1], thresh=-64.0, rest=-65.0, reset=-65.0)
+    )
+    network.add_connection(
+        "input",
+        "out",
+        Connection(
+            source,
+            target,
+            w=w,
+            wmin=wmin,
+            wmax=wmax,
+            norm=norm,
+            update_rule=PostPre(nu_pre=0.01, nu_post=0.02),
+        ),
+    )
+    network.add_monitor("out_spikes", SpikeMonitor("out"))
+    return network
+
+
+class TestSignSafeRowSkip:
+    """Potentiation skips zero-trace rows only where that cannot flip a sign.
+
+    On a sign-safe connection a skipped cell's scalar update ``w + 0.0`` is
+    ``w``; a ``-0.0`` weight would come out ``+0.0`` instead, so one must
+    turn the skip off.
+    """
+
+    KEY = ("input", "out")
+
+    def sign_safe(self, network):
+        return BatchedNetwork.from_networks([network]).connections[self.KEY].sign_safe
+
+    @pytest.mark.parametrize("name", sorted(MODEL_VARIANTS))
+    def test_registered_plastic_projections_are_sign_safe(self, name):
+        batched = BatchedNetwork.from_networks([MODEL_VARIANTS[name](4)])
+        plastic = [c for c in batched.connections.values() if c.update_rule is not None]
+        assert plastic and all(connection.sign_safe for connection in plastic)
+        static = [c for c in batched.connections.values() if c.update_rule is None]
+        assert not any(connection.sign_safe for connection in static)
+
+    @pytest.mark.parametrize(
+        "corner, overrides",
+        [
+            (0.5, {"wmin": -0.25}),
+            (0.5, {"wmin": -0.0}),
+            (0.5, {"wmax": -0.0}),
+            (0.5, {"norm": -3.0}),
+            (-0.0, {}),
+            (np.inf, {"wmax": np.inf}),
+        ],
+        ids=["negative_wmin", "negative_zero_wmin", "negative_zero_wmax",
+             "negative_norm", "negative_zero_weight", "infinite_weight"],
+    )
+    def test_unsafe_connections_are_detected(self, corner, overrides):
+        assert self.sign_safe(_plastic_pair(np.full((4, 3), 0.5), norm=2.0))
+        w = np.full((4, 3), 0.5)
+        w[0, 0] = corner
+        assert not self.sign_safe(_plastic_pair(w, **overrides))
+
+    def test_negative_zero_weight_under_a_firing_column(self):
+        # Row 0 never fires, so its pre-trace stays 0.0; every column fires.
+        # The scalar engine potentiates w[0, c] = -0.0 by 0.02 * 0.0 and
+        # leaves +0.0: skipping the row would keep the -0.0.
+        rng = np.random.default_rng(21)
+        w = rng.uniform(0.2, 1.0, (10, 3))
+        w[0] = -0.0
+        raster = rng.random((30, 10)) < 0.5
+        raster[:, 0] = False
+        reference = _plastic_pair(w)
+        reference.set_learning(True)
+        reference.run({"input": raster})
+        batched = BatchedNetwork.from_networks([_plastic_pair(w)])
+        batched.present({"input": raster}, learning=True, normalize=False)
+
+        assert reference.monitors["out_spikes"].get().any(axis=0).all()
+        expected = reference.connections[self.KEY].w
+        assert np.array_equal(expected[0], np.zeros(3))
+        assert not np.signbit(expected[0]).any()
+        assert batched.variant_weights(self.KEY, 0).tobytes() == expected.tobytes()
+
+
 class TestEngineGuards:
     def test_reduction_contract_holds_here(self):
         assert reduction_contract_holds()
