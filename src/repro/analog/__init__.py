@@ -8,8 +8,8 @@ This package provides the simulation substrate used by the reproduction:
 * :mod:`repro.analog.mosfet` — a level-1 (square-law) MOSFET model with
   channel-length modulation and a smooth subthreshold tail, parameterised to
   approximate a 65 nm low-power CMOS process.
-* :mod:`repro.analog.netlist` — circuit/netlist construction with named nodes
-  and hierarchical subcircuits.
+* :mod:`repro.analog.netlist` — flat circuit/netlist construction with named
+  nodes.
 * :mod:`repro.analog.mna` — modified nodal analysis matrix assembly (the
   scalar reference engine).
 * :mod:`repro.analog.compiled` — the compiled engine: per-topology split
@@ -40,7 +40,7 @@ from repro.analog.devices import (
     VoltageSource,
 )
 from repro.analog.mosfet import MOSFET, MOSFETParameters, NMOS_65NM, PMOS_65NM
-from repro.analog.netlist import Circuit, SubCircuit
+from repro.analog.netlist import Circuit
 from repro.analog.compiled import CompiledCircuit, EngineStats, make_system
 from repro.analog.batch import (
     BatchedCircuit,
@@ -70,7 +70,6 @@ __all__ = [
     "NMOS_65NM",
     "PMOS_65NM",
     "Circuit",
-    "SubCircuit",
     "CompiledCircuit",
     "EngineStats",
     "make_system",

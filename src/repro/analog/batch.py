@@ -363,11 +363,16 @@ def batched_operating_points(
     initial_guesses: Optional[Sequence[Dict[str, float]]] = None,
     options: Optional[SolverOptions] = None,
 ) -> List[OperatingPoint]:
-    """DC operating points of B topology-sharing variants in one lockstep solve."""
+    """DC operating points of B topology-sharing variants in one lockstep solve.
+
+    ``initial_guesses``, when given, holds one mapping per circuit.
+    """
     batch = BatchedCircuit(circuits)
     options = options or SolverOptions()
     guess = np.zeros((batch.batch_size, batch.size))
     if initial_guesses is not None:
+        if len(initial_guesses) != batch.batch_size:
+            raise ValueError("initial_guesses must hold one mapping per circuit")
         for b, (member, ivs) in enumerate(zip(batch.members, initial_guesses)):
             seed_solution_vector(member, ivs, guess[b])
     try:

@@ -79,8 +79,8 @@ COMPILED_DEVICE_TYPES = (
     VoltageControlledSwitch,
 )
 
-#: Bound on the per-(analysis, dt) base-matrix and LU caches.  Adaptive
-#: stepping and subdivision produce a stream of distinct dt values; the
+#: Bound on the per-(analysis, dt) base-matrix and LU caches.  Step
+#: subdivision and clamped final steps produce extra distinct dt values; the
 #: bound keeps the caches from growing without limit.
 _CACHE_LIMIT = 16
 

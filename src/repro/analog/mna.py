@@ -23,11 +23,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class NewtonStats:
-    """Optional diagnostics filled in by :func:`newton_solve`.
-
-    The adaptive transient controller uses ``iterations`` as its
-    convergence-speed signal (few iterations → the time step can grow).
-    """
+    """Optional diagnostics filled in by :func:`newton_solve`."""
 
     #: Newton iterations of the final (successful) solve.
     iterations: int = 0

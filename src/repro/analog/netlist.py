@@ -2,14 +2,13 @@
 
 A :class:`Circuit` is an ordered collection of devices connected by named
 nodes.  Node ``"0"`` (aliases ``"gnd"``, ``"GND"``, ``"vss"``) is the global
-ground reference.  Hierarchy is supported through :class:`SubCircuit`, which
-is a reusable template instantiated into a parent circuit with a per-instance
-prefix for its internal nodes and devices.
+ground reference.  Circuits are flat: every builder in
+:mod:`repro.circuits` adds its devices with explicit node names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.analog.devices import (
     Capacitor,
@@ -153,21 +152,6 @@ class Circuit:
             MOSFET(name, drain, gate, source, parameters, width=width, length=length)
         )
 
-    # --------------------------------------------------------------- hierarchy
-    def instantiate(
-        self,
-        subcircuit: "SubCircuit",
-        instance_name: str,
-        port_map: Dict[str, str],
-    ) -> List[Device]:
-        """Instantiate ``subcircuit`` into this circuit.
-
-        ``port_map`` maps the subcircuit's port names to parent node names.
-        Internal nodes and device names are prefixed with ``instance_name.``.
-        Returns the list of devices added.
-        """
-        return subcircuit.instantiate_into(self, instance_name, port_map)
-
     # ----------------------------------------------------------------- utility
     def source_names(self) -> List[str]:
         """Names of all independent sources (voltage and current)."""
@@ -193,73 +177,3 @@ class Circuit:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Circuit({self.name!r}, devices={len(self._devices)})"
-
-
-class SubCircuit:
-    """A reusable circuit template with named ports.
-
-    A subcircuit is defined by a builder function that populates a circuit
-    using the *port* node names plus any internal nodes it likes.  When the
-    subcircuit is instantiated, ports are renamed to the parent's nodes and
-    everything else is prefixed with the instance name.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        ports: Sequence[str],
-        builder: Callable[[Circuit], None],
-    ) -> None:
-        self.name = name
-        self.ports = tuple(ports)
-        self.builder = builder
-
-    def build_flat(self) -> Circuit:
-        """Build a standalone circuit using the raw port node names."""
-        circuit = Circuit(self.name)
-        self.builder(circuit)
-        return circuit
-
-    def instantiate_into(
-        self,
-        parent: Circuit,
-        instance_name: str,
-        port_map: Dict[str, str],
-    ) -> List[Device]:
-        """Add this subcircuit's devices to ``parent`` with renamed nodes."""
-        missing = set(self.ports) - set(port_map)
-        if missing:
-            raise ValueError(
-                f"missing port mappings for {sorted(missing)} when instantiating "
-                f"{self.name!r}"
-            )
-        template = self.build_flat()
-
-        def map_node(node: str) -> str:
-            if node in port_map:
-                return port_map[node]
-            if is_ground(node):
-                return node
-            return f"{instance_name}.{node}"
-
-        added: List[Device] = []
-        for device in template.devices:
-            renamed = _rename_device(device, f"{instance_name}.{device.name}", map_node)
-            parent.add(renamed)
-            added.append(renamed)
-        return added
-
-
-def _rename_device(device: Device, new_name: str, map_node: Callable[[str], str]) -> Device:
-    """Create a copy of ``device`` with a new name and remapped nodes.
-
-    Devices are lightweight dataclass-like objects; we duplicate them via
-    ``__class__.__new__`` plus ``__dict__`` copy and then patch name/nodes,
-    which avoids having to re-run validation on already validated values.
-    """
-    clone = device.__class__.__new__(device.__class__)
-    clone.__dict__.update(device.__dict__)
-    clone.name = new_name
-    clone.nodes = tuple(map_node(node) for node in device.nodes)
-    return clone
-

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog import Circuit, PulseSource, dc_operating_point, transient_analysis
+from repro.analog import Circuit, dc_operating_point
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM
 from repro.analog.units import ValueLike, parse_value
 from repro.utils.validation import check_positive
@@ -134,7 +134,6 @@ def amplitude_vs_vdd(
     *,
     design: Optional[CurrentDriverDesign] = None,
     load_voltage: float = 0.2,
-    batch: bool = True,
     engine: str = "auto",
 ) -> np.ndarray:
     """Output amplitude for each supply voltage (paper Fig. 5b).
@@ -142,8 +141,8 @@ def amplitude_vs_vdd(
     All supply points share the driver topology, so the grid is routed
     through :class:`repro.exec.circuits.CircuitSweepDispatcher`: one
     lockstep batched DC solve instead of one operating point per supply.
-    ``batch=False`` forces the serial per-point reference path and
-    ``engine`` picks the solver backend.
+    ``engine`` picks the solver backend; ``"scalar"`` runs the serial
+    per-point reference path.
     """
     from repro.exec.circuits import CircuitSweepDispatcher
 
@@ -154,39 +153,7 @@ def amplitude_vs_vdd(
         )
         for v in values
     ]
-    ops = CircuitSweepDispatcher(batch=batch, engine=engine).run_operating_points(
+    ops = CircuitSweepDispatcher(engine=engine).run_operating_points(
         circuits
     )
     return np.array([abs(op.current("VLOAD")) for op in ops])
-
-
-def spike_train_response(
-    vdd: ValueLike = 1.0,
-    *,
-    design: Optional[CurrentDriverDesign] = None,
-    spike_width: ValueLike = "25n",
-    spike_period: ValueLike = "50n",
-    n_periods: int = 4,
-    time_step: ValueLike = "0.5n",
-    load_voltage: float = 0.2,
-):
-    """Transient response of the driver to a pulse train on ``Vctr``.
-
-    Returns the :class:`~repro.analog.transient.TransientResult`; the output
-    current waveform is the ``VLOAD`` branch current.
-    """
-    vdd = parse_value(vdd)
-    ctrl = PulseSource(
-        0.0,
-        vdd,
-        width=spike_width,
-        period=spike_period,
-        rise="0.2n",
-        fall="0.2n",
-        delay="2n",
-    )
-    circuit = build_current_driver(
-        vdd, design=design, load_voltage=load_voltage, ctrl_source=ctrl
-    )
-    stop = parse_value(spike_period) * n_periods
-    return transient_analysis(circuit, stop_time=stop, time_step=time_step)

@@ -161,7 +161,6 @@ def threshold_vs_vdd(
     nmos_params: MOSFETParameters = NMOS_65NM,
     pmos_params: MOSFETParameters = PMOS_65NM,
     points: int = 81,
-    batch: bool = True,
     engine: str = "auto",
 ) -> np.ndarray:
     """Switching threshold for each VDD in ``vdd_values`` (paper Fig. 6a).
@@ -170,8 +169,9 @@ def threshold_vs_vdd(
     parameter values, so the grid is routed through
     :class:`repro.exec.circuits.CircuitSweepDispatcher`: one stacked
     lockstep DC sweep of all VDD variants instead of one sweep per point.
-    ``batch=False`` forces the serial reference path and ``engine`` picks
-    the solver backend (see :func:`repro.analog.compiled.make_system`).
+    ``engine`` picks the solver backend (see
+    :func:`repro.analog.compiled.make_system`); ``"scalar"`` runs the serial
+    reference path.
     """
     from repro.exec.circuits import CircuitSweepDispatcher
 
@@ -182,7 +182,7 @@ def threshold_vs_vdd(
     ]
     # Each variant ramps VIN over its own [0, VDD] grid, in lockstep.
     vin_grid = np.stack([np.linspace(0.0, v, points) for v in vdds])
-    sweeps = CircuitSweepDispatcher(batch=batch, engine=engine).run_dc_sweep(
+    sweeps = CircuitSweepDispatcher(engine=engine).run_dc_sweep(
         circuits, "VIN", vin_grid
     )
     return np.array(

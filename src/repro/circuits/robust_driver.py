@@ -126,15 +126,14 @@ def amplitude_vs_vdd(
     *,
     design: Optional[RobustDriverDesign] = None,
     load_voltage: float = 0.2,
-    batch: bool = True,
     engine: str = "auto",
 ) -> np.ndarray:
     """Output amplitude for each supply voltage (flat, unlike Fig. 5b).
 
     Routed through :class:`repro.exec.circuits.CircuitSweepDispatcher`: one
     lockstep batched DC solve across the VDD grid (all points share the
-    regulated-driver topology); ``batch=False`` forces the serial path and
-    ``engine`` picks the solver backend.
+    regulated-driver topology); ``engine`` picks the solver backend, and
+    ``"scalar"`` runs the serial path.
     """
     from repro.exec.circuits import CircuitSweepDispatcher
 
@@ -144,7 +143,7 @@ def amplitude_vs_vdd(
         build_robust_driver(v, design=design, load_voltage=load_voltage)
         for v in values
     ]
-    ops = CircuitSweepDispatcher(batch=batch, engine=engine).run_operating_points(
+    ops = CircuitSweepDispatcher(engine=engine).run_operating_points(
         circuits, initial_guesses=[{"vset": reference}] * len(circuits)
     )
     return np.array([abs(op.current("VLOAD")) for op in ops])

@@ -8,12 +8,13 @@ advance every point in lockstep through the batched engine of
 :mod:`repro.analog.batch` — stacked ``(B, N, N)`` matrices, one vectorised
 device evaluation for all points, one batched solve per Newton iteration.
 
-:class:`CircuitSweepDispatcher` decides the route: batched when every
-circuit shares the reference topology and consists of compiled device
-types, per-circuit serial otherwise.  The figure runners and the circuit
-helpers (``threshold_vs_vdd``, ``amplitude_vs_vdd``, ...) use this to make
-the threshold/VDD sweeps of Figs. 5, 6 and the attack-calibration maps one
-simulation pass each.
+:class:`CircuitSweepDispatcher` decides the route with one rule: a sweep
+runs batched exactly when its engine is not ``"scalar"`` and it holds two
+or more circuits of one topology built from compiled device types; every
+other sweep runs one analysis per circuit.  The figure runners and the
+circuit helpers (``threshold_vs_vdd``, ``amplitude_vs_vdd``, ...) use this
+to make the threshold/VDD sweeps of Figs. 5, 6 and the attack-calibration
+maps one simulation pass each.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analog.batch import (
-    TopologyMismatchError,
     batched_dc_sweep,
     batched_operating_points,
-    batched_transient_analysis,
     shares_topology,
 )
+from repro.analog.compiled import ENGINES
 from repro.analog.dc import DCSweepResult, OperatingPoint, dc_operating_point, dc_sweep
 from repro.analog.netlist import Circuit
-from repro.analog.transient import TransientResult, transient_analysis
 
 
 @dataclass
@@ -41,31 +40,31 @@ class CircuitSweepDispatcher:
 
     Parameters
     ----------
-    batch:
-        ``True`` (default) batches whenever the circuits share a topology;
-        ``False`` always runs the serial per-circuit path (reference
-        behaviour, useful for parity debugging).
     engine:
-        Solver backend forwarded to every analysis (see
-        :func:`repro.analog.compiled.make_system`) on the serial route:
-        ``"auto"`` (default) and ``"compiled"`` use the compiled engine,
-        and ``"scalar"`` forces the per-device reference path (which also
-        disables batching — the scalar engine has no lockstep mode).  The
+        Solver backend, one of :data:`repro.analog.compiled.ENGINES`
+        (checked on construction).  The serial route forwards it to every
+        analysis (see :func:`repro.analog.compiled.make_system`);
+        ``"scalar"`` forces the per-device reference path and so never
+        batches, since the scalar engine has no lockstep mode.  The
         batched route always runs the compiled engine.
 
     The ``batched_sweeps`` / ``serial_sweeps`` counters record which route
     each sweep actually took.
     """
 
-    batch: bool = True
     engine: str = "auto"
     batched_sweeps: int = 0
     serial_sweeps: int = 0
 
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; use one of {', '.join(ENGINES)}"
+            )
+
     def _use_batch(self, circuits: Sequence[Circuit]) -> bool:
         route_batched = (
-            self.batch
-            and self.engine != "scalar"
+            self.engine != "scalar"
             and len(circuits) > 1
             and shares_topology(circuits)
         )
@@ -75,47 +74,6 @@ class CircuitSweepDispatcher:
             self.serial_sweeps += 1
         return route_batched
 
-    # --------------------------------------------------------------- transient
-    def run_transients(
-        self,
-        circuits: Sequence[Circuit],
-        *,
-        stop_time,
-        time_step,
-        initial_voltages: Optional[Dict[str, float]] = None,
-        use_initial_conditions: bool = False,
-        record_nodes: Optional[Sequence[str]] = None,
-        options=None,
-    ) -> List[TransientResult]:
-        """Fixed-step transients of every circuit, batched when possible."""
-        if self._use_batch(circuits):
-            try:
-                return batched_transient_analysis(
-                    circuits,
-                    stop_time=stop_time,
-                    time_step=time_step,
-                    initial_voltages=initial_voltages,
-                    use_initial_conditions=use_initial_conditions,
-                    record_nodes=record_nodes,
-                    options=options,
-                )
-            except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                pass  # fall back to the serial path below
-        return [
-            transient_analysis(
-                circuit,
-                stop_time=stop_time,
-                time_step=time_step,
-                initial_voltages=initial_voltages,
-                use_initial_conditions=use_initial_conditions,
-                record_nodes=record_nodes,
-                options=options,
-                engine=self.engine,
-            )
-            for circuit in circuits
-        ]
-
-    # ---------------------------------------------------------------------- dc
     def run_dc_sweep(
         self,
         circuits: Sequence[Circuit],
@@ -138,10 +96,7 @@ class CircuitSweepDispatcher:
                 f"shape {grid.shape} for {len(circuits)} circuits"
             )
         if self._use_batch(circuits):
-            try:
-                return batched_dc_sweep(circuits, source_name, grid, options=options)
-            except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                pass  # fall back to the serial path below
+            return batched_dc_sweep(circuits, source_name, grid, options=options)
         return [
             dc_sweep(circuit, source_name, grid[i], options=options, engine=self.engine)
             for i, circuit in enumerate(circuits)
@@ -154,20 +109,24 @@ class CircuitSweepDispatcher:
         initial_guesses: Optional[Sequence[Dict[str, float]]] = None,
         options=None,
     ) -> List[OperatingPoint]:
-        """DC operating points of every circuit, batched when possible."""
+        """DC operating points of every circuit, batched when possible.
+
+        ``initial_guesses``, when given, holds one mapping per circuit.
+        """
+        if initial_guesses is None:
+            initial_guesses = [None] * len(circuits)
+        elif len(initial_guesses) != len(circuits):
+            raise ValueError(
+                f"initial_guesses must hold one mapping per circuit; got "
+                f"{len(initial_guesses)} for {len(circuits)} circuits"
+            )
         if self._use_batch(circuits):
-            try:
-                return batched_operating_points(
-                    circuits,
-                    initial_guesses=initial_guesses,
-                    options=options,
-                )
-            except TopologyMismatchError:  # pragma: no cover - racy rebuild
-                pass  # fall back to the serial path below
-        guesses = initial_guesses or [None] * len(circuits)
+            return batched_operating_points(
+                circuits, initial_guesses=initial_guesses, options=options
+            )
         return [
             dc_operating_point(
                 circuit, initial_guess=guess, options=options, engine=self.engine
             )
-            for circuit, guess in zip(circuits, guesses)
+            for circuit, guess in zip(circuits, initial_guesses)
         ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analog.netlist import Circuit, SubCircuit, is_ground
+from repro.analog.netlist import Circuit, is_ground
 from repro.analog.devices import Resistor
 
 
@@ -59,36 +59,6 @@ def test_source_helpers():
     with pytest.raises(TypeError):
         circuit.add_resistor("R1", "a", "0", "1k")
         circuit.set_source_value("R1", 1.0)
-
-
-def test_subcircuit_instantiation_renames_internals():
-    def build(circuit: Circuit) -> None:
-        circuit.add_resistor("RA", "in", "mid", "1k")
-        circuit.add_resistor("RB", "mid", "out", "1k")
-
-    divider = SubCircuit("divider", ports=("in", "out"), builder=build)
-    parent = Circuit("parent")
-    added = parent.instantiate(divider, "X1", {"in": "vin", "out": "vout"})
-    assert len(added) == 2
-    assert "X1.RA" in parent and "X1.RB" in parent
-    assert parent["X1.RA"].nodes == ("vin", "X1.mid")
-    assert parent["X1.RB"].nodes == ("X1.mid", "vout")
-
-
-def test_subcircuit_missing_port_mapping_raises():
-    divider = SubCircuit("s", ports=("in", "out"), builder=lambda c: None)
-    with pytest.raises(ValueError, match="missing port"):
-        Circuit("p").instantiate(divider, "X1", {"in": "a"})
-
-
-def test_subcircuit_ground_not_prefixed():
-    def build(circuit: Circuit) -> None:
-        circuit.add_resistor("RA", "in", "0", "1k")
-
-    sub = SubCircuit("s", ports=("in",), builder=build)
-    parent = Circuit("p")
-    parent.instantiate(sub, "X1", {"in": "a"})
-    assert parent["X1.RA"].nodes == ("a", "0")
 
 
 def test_copy_is_shallow_but_independent_container():

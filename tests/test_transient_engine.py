@@ -1,4 +1,4 @@
-"""Tests for the transient engine's subdivision fallback and adaptive mode."""
+"""Tests for the transient engine's subdivision fallback, grid and traces."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.analog.mna import ConvergenceError, MNASystem, SolverOptions
 from repro.analog.transient import (
     _MAX_SUBDIVISION_DEPTH,
     _SUBDIVISION_FACTOR,
-    StepDiagnostics,
     _advance,
 )
 
@@ -30,14 +29,12 @@ class RecordingSolver:
         self.always_fail = always_fail
         self.calls = []
 
-    def __call__(self, system, state, guess, options, stats=None):
+    def __call__(self, system, state, guess, options):
         self.calls.append(float(state.dt))
         if self.always_fail or (
             self.fail_above_dt is not None and state.dt > self.fail_above_dt
         ):
             raise ConvergenceError("forced failure")
-        if stats is not None:
-            stats.iterations = 1
         return np.asarray(guess, dtype=float)
 
 
@@ -46,22 +43,12 @@ class TestSubdivisionFallback:
         system = MNASystem(rc_circuit())
         solver = RecordingSolver(fail_above_dt=0.5e-6)
         monkeypatch.setattr(transient_module, "newton_solve", solver)
-        diagnostics = StepDiagnostics()
-        _advance(
-            system,
-            np.zeros(system.size),
-            0.0,
-            1e-6,
-            SolverOptions(),
-            depth=0,
-            diagnostics=diagnostics,
-        )
+        _advance(system, np.zeros(system.size), 0.0, 1e-6, SolverOptions(), depth=0)
         # One failed full-step attempt, then _SUBDIVISION_FACTOR sub-steps.
         assert len(solver.calls) == 1 + _SUBDIVISION_FACTOR
         assert solver.calls[0] == pytest.approx(1e-6)
         for sub_dt in solver.calls[1:]:
             assert sub_dt == pytest.approx(1e-6 / _SUBDIVISION_FACTOR)
-        assert diagnostics.subdivisions == 1
 
     def test_recursive_subdivision_depth(self, monkeypatch):
         system = MNASystem(rc_circuit())
@@ -70,19 +57,15 @@ class TestSubdivisionFallback:
         # the threshold comparison robust to linspace rounding.
         solver = RecordingSolver(fail_above_dt=1.5e-6 / _SUBDIVISION_FACTOR**2)
         monkeypatch.setattr(transient_module, "newton_solve", solver)
-        diagnostics = StepDiagnostics()
-        _advance(
-            system,
-            np.zeros(system.size),
-            0.0,
-            1e-6,
-            SolverOptions(),
-            depth=0,
-            diagnostics=diagnostics,
-        )
+        _advance(system, np.zeros(system.size), 0.0, 1e-6, SolverOptions(), depth=0)
         expected = 1 + _SUBDIVISION_FACTOR * (1 + _SUBDIVISION_FACTOR)
         assert len(solver.calls) == expected
-        assert diagnostics.subdivisions == 1 + _SUBDIVISION_FACTOR
+        # The full step and each first-level sub-step failed once, so
+        # 1 + _SUBDIVISION_FACTOR intervals were subdivided.
+        finest = 1e-6 / _SUBDIVISION_FACTOR**2
+        assert sum(dt == pytest.approx(finest) for dt in solver.calls) == (
+            _SUBDIVISION_FACTOR**2
+        )
 
     def test_failure_at_max_depth_is_raised(self, monkeypatch):
         system = MNASystem(rc_circuit())
@@ -112,44 +95,7 @@ class TestSubdivisionFallback:
             )
 
 
-class TestAdaptiveMode:
-    def test_adaptive_matches_fixed_rc_charging(self):
-        fixed = transient_analysis(
-            rc_circuit(),
-            stop_time="5m",
-            time_step="10u",
-            use_initial_conditions=True,
-        )
-        adaptive = transient_analysis(
-            rc_circuit(),
-            stop_time="5m",
-            time_step="10u",
-            use_initial_conditions=True,
-            adaptive=True,
-        )
-        # Fewer solves, same endpoints, same waveform (within BE accuracy of
-        # the coarser local steps).
-        assert len(adaptive) < len(fixed)
-        assert adaptive.time[0] == 0.0
-        assert adaptive.time[-1] == pytest.approx(5e-3, rel=1e-9)
-        assert np.all(np.diff(adaptive.time) > 0)
-        # Backward Euler is first order: the grown steps trade a bounded
-        # truncation error (a few percent of the 1 V swing) for ~10x fewer
-        # solves.
-        resampled = np.interp(adaptive.time, fixed.time, fixed.voltage("out"))
-        assert np.max(np.abs(resampled - adaptive.voltage("out"))) < 0.05
-
-    def test_adaptive_respects_max_step(self):
-        adaptive = transient_analysis(
-            rc_circuit(),
-            stop_time="1m",
-            time_step="10u",
-            use_initial_conditions=True,
-            adaptive=True,
-            max_step="20u",
-        )
-        assert np.max(np.diff(adaptive.time)) <= 20e-6 * (1 + 1e-9)
-
+class TestFixedStepGrid:
     def test_fixed_mode_grid_is_exact(self):
         result = transient_analysis(
             rc_circuit(), stop_time="1m", time_step="100u", use_initial_conditions=True
