@@ -13,10 +13,11 @@ Three workloads, mirroring ``test_engine_hotpath.py`` one tier up:
   the lockstep engine too.
 * **campaign sweep wall-clock** — a Fig. 8-shaped layer-threshold sweep
   (threshold change × fraction grid, the benchmark-scale ``fig8`` grid) run
-  once per engine on dedicated pipelines.  This is the number the PR-level
-  claim is stated over: the batched sweep must beat the per-run scalar
-  sweep by :data:`MIN_SWEEP_SPEEDUP` while producing bit-identical
-  accuracy grids.
+  once per engine on dedicated pipelines.  The batched sweep must beat the
+  per-run scalar sweep by :data:`MIN_SWEEP_SPEEDUP` while producing
+  bit-identical accuracy grids.  It takes about a minute, so it runs only
+  where ``REPRO_SCALE`` is set (the nightly job); the grid's parity is
+  checked at tiny scale in ``tests/test_snn_batched.py``.
 * **STDP kernel step** — one lockstep plastic step of the smoke-scale
   input projection (784 × 64) across 16 variants, with the live rows and
   spiking pairs of an average ``run --all`` training step.  It has no
@@ -29,9 +30,11 @@ runners; the measured values land in ``extra_info`` so the nightly
 alongside the circuit engine's.
 """
 
+import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.attacks.campaign import AttackCampaign
 from repro.core import ClassificationPipeline, ExperimentConfig
@@ -165,8 +168,12 @@ def test_single_variant_lockstep_training_beats_scalar(benchmark):
     )
 
 
-def test_fig8_shaped_sweep_speedup(benchmark, experiment_config):
-    """The PR claim: >=3x on a Fig. 8-shaped layer-threshold sweep.
+@pytest.mark.skipif(
+    "REPRO_SCALE" not in os.environ,
+    reason="the sweep timing floor runs in the nightly job, which sets REPRO_SCALE",
+)
+def test_fig8_shaped_sweep_speedup_nightly(benchmark, experiment_config):
+    """>=3x on a Fig. 8-shaped layer-threshold sweep (nightly only).
 
     Dedicated pipelines (not the shared session fixture) so both engines
     train from cold caches; the batched sweep must also reproduce the

@@ -28,13 +28,26 @@ inputs — not "close", identical.  Every batched operation is chosen so its
 per-lane result provably equals the scalar op:
 
 * elementwise updates (leak, integrate, fire, traces, theta) are identical
-  regardless of stacking, and run in place;
+  regardless of stacking, and run in place.  A step does only the work its
+  spikes require.  Each run plans every input's per-step *fired* flags
+  (and a one-example run's spiking rows, from one flat ``np.nonzero``);
+  each layer counts its spikes once per step, and when no lane fired skips
+  its writes at spiking neurons.  The refractory mask and decrement are
+  skipped once every lane has gone ``settle_steps`` steps without a spike:
+  the ``np.maximum(r - dt, 0.0)`` decrements that take ``refractory_period``
+  to exactly ``+0.0``, counted once (``inf``, ``NaN``: never);
+* a *zero-safe* layer (``rest`` is not ``-0.0``) sums its drive directly
+  instead of from the scalar ``0.0``, which only flips a zero's sign, and
+  ``v + (+/-0.0)`` differs only for a leaked ``v`` of ``-0.0``; with every
+  ``input_gain`` finite it skips adding a zero drive.  Both are decided at
+  each run start, as the injector may change a layer between runs;
 * the scalar synaptic drive ``w[spikes].sum(axis=0)`` reduces over a
   *strided* axis, which NumPy accumulates sequentially — the stacked form
   ``w[:, spikes, :].sum(axis=1)`` reduces in the same per-lane order
   (verified at runtime by :func:`reduction_contract_holds`), and example
   batches or per-variant sources add every lane's k-th spiking row at
-  once, which keeps that order with no loop over lanes;
+  once, which keeps that order with no loop over lanes; sorted by spike
+  count, the lanes still adding a k-th row are a prefix of the lanes;
 * the one-to-one and lateral-inhibition projections of the Diehl&Cook
   wiring are detected structurally and evaluated in closed form whose
   exactness is *checked against the scalar reduction* when the engine is
@@ -65,6 +78,7 @@ this module via ``engine="auto"|"batched"|"scalar"`` — see
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,6 +214,17 @@ def assert_same_topology(networks: Sequence[Network]) -> None:
 # --------------------------------------------------------------------------
 
 
+def _settle_steps(period: float, dt: float) -> float:
+    """The engine's ``np.maximum(r - dt, 0.0)`` decrements that take
+    ``period`` to exactly ``+0.0``; ``inf`` if 10,000 do not."""
+    r = np.float64(period)
+    for steps in range(10_000 if np.isfinite(r) else 0):
+        if r == 0 and not np.signbit(r):
+            return steps
+        r = np.maximum(r - dt, 0.0)
+    return math.inf
+
+
 class _LayerBatch:
     """Stacked state of one layer across V variants and E example lanes.
 
@@ -227,6 +252,7 @@ class _LayerBatch:
             self.reset = template.reset
             self.decay = template.decay
             self.refractory_period = template.refractory_period
+            self.settle_steps = _settle_steps(self.refractory_period, self.dt)
             self.threshold_convention = template.threshold_convention
             self.base_thresh = template.base_thresh.copy()
             self.threshold_scale = np.stack(
@@ -256,28 +282,37 @@ class _LayerBatch:
         lanes = 1 if self.is_input else self.variants
         return (lanes, examples, self.n)
 
-    def ensure_state(self, examples: int) -> None:
-        """Prepare an ``examples``-wide run: thresholds and transient state.
+    def ensure_state(self, examples: int, learning: bool = False) -> None:
+        """Prepare an ``examples``-wide run: thresholds, state, decisions.
 
-        The corrupted base threshold is fixed for the run but recomputed
-        here at every run start, because the injector (and
-        ``ScoringEngine.under_attack``) may change ``threshold_scale``
-        between runs.
+        The corrupted base threshold (with ``theta`` when it cannot move)
+        and the zero-safety of "Exact parity" are fixed for the run but
+        decided here at every run start, because the injector (and
+        ``ScoringEngine.under_attack``) may change ``threshold_scale`` or
+        ``input_gain`` between runs.  ``fired`` (did any lane spike),
+        ``rows`` (an input's spiking rows) and ``_countdown`` (steps until
+        every refractory value is ``+0.0``) are per-step state.
         """
-        if not self.is_input:
-            if self.threshold_convention == "signed_value":
-                self.base = self.base_thresh * self.threshold_scale
-            else:
-                self.base = self.rest + (self.base_thresh - self.rest) * self.threshold_scale
-        if self._examples == examples and self.spikes is not None:
+        if self._examples != examples or self.spikes is None:
+            shape = self.state_shape(examples)
+            self.spikes = np.zeros(shape, dtype=bool)
+            self.traces = np.zeros(shape)
+            if not self.is_input:
+                self.v = np.full(shape, self.rest)
+                self.refractory = np.zeros(shape)
+                self._countdown = 0.0
+            self._examples = examples
+        self.fired, self.rows = bool(np.count_nonzero(self.spikes)), None
+        if self.is_input:
             return
-        shape = self.state_shape(examples)
-        self.spikes = np.zeros(shape, dtype=bool)
-        self.traces = np.zeros(shape)
-        if not self.is_input:
-            self.v = np.full(shape, self.rest)
-            self.refractory = np.zeros(shape)
-        self._examples = examples
+        if self.threshold_convention == "signed_value":
+            self.base = self.base_thresh * self.threshold_scale
+        else:
+            self.base = self.rest + (self.base_thresh - self.rest) * self.threshold_scale
+        self.zero_safe = self.rest != 0 or math.copysign(1.0, self.rest) > 0
+        self.skip_idle = self.zero_safe and bool(np.isfinite(self.input_gain).all())
+        self._thresh = self.base + self.theta if self.is_adaptive else self.base
+        self._adapting = self.is_adaptive and learning
 
     def reset_state_variables(self) -> None:
         """Reset per-example state; adaptation (theta) persists — as scalar."""
@@ -285,37 +320,56 @@ class _LayerBatch:
             return
         self.spikes.fill(False)
         self.traces.fill(0.0)
+        self.fired = False
         if not self.is_input:
             self.v.fill(self.rest)
             self.refractory.fill(0.0)
+            self._countdown = 0.0
 
     # --------------------------------------------------------------- dynamics
-    def set_input(self, spikes: np.ndarray) -> None:
+    def set_input(self, spikes: np.ndarray, fired: bool, rows: Optional[np.ndarray] = None) -> None:
         """Present one step of input spikes, ``(E, n)``, and update traces."""
         np.copyto(self.spikes[0], spikes)
+        self.fired, self.rows = fired, rows
         self.update_traces()
 
     def update_traces(self) -> None:
         self.traces *= self.trace_decay
-        np.copyto(self.traces, 1.0, where=self.spikes)
+        if self.fired and self.rows is None:
+            np.copyto(self.traces, 1.0, where=self.spikes)
+        elif self.fired:
+            self.traces.put(self.rows, 1.0)  # one example: (1, 1, n)
 
-    def step(self, drive: np.ndarray, learning: bool) -> None:
-        """One lockstep LIF update — the exact scalar expressions, in place."""
+    def step(self, drive: Optional[np.ndarray]) -> None:
+        """One lockstep LIF update — the exact scalar expressions, in place.
+
+        ``drive`` is ``None`` (a zero drive) when no incoming source fired.
+        """
         v, refractory, spikes = self.v, self.refractory, self.spikes
         v -= self.rest
         v *= self.decay
         v += self.rest
-        v += (refractory <= 0) * self.input_gain * drive
-        refractory -= self.dt
-        np.maximum(refractory, 0.0, out=refractory)
-        thresh = self.base + self.theta if self.is_adaptive else self.base
-        np.greater_equal(v, thresh, out=spikes)
-        np.copyto(v, self.reset, where=spikes)
-        np.copyto(refractory, self.refractory_period, where=spikes)
+        settled = self._countdown <= 0
+        if drive is not None or not self.skip_idle:
+            gain = self.input_gain if settled else (refractory <= 0) * self.input_gain
+            v += gain * (0.0 if drive is None else drive)
+        if not settled:
+            refractory -= self.dt
+            np.maximum(refractory, 0.0, out=refractory)
+            self._countdown -= 1
+        if self._adapting:
+            np.add(self.base, self.theta, out=self._thresh)
+        np.greater_equal(v, self._thresh, out=spikes)
+        self.fired = bool(np.count_nonzero(spikes))
+        if self.fired:
+            np.copyto(v, self.reset, where=spikes)
+            np.copyto(refractory, self.refractory_period, where=spikes)
+            self._countdown = self.settle_steps
         self.update_traces()
-        if self.is_adaptive and learning:
+        if self._adapting:
             self.theta *= self.theta_decay
-            np.add(self.theta, self.theta_plus, out=self.theta, where=spikes)
+            if self.fired:
+                np.add(self.theta, self.theta_plus, out=self.theta, where=spikes)
 
 
 # --------------------------------------------------------------------------
@@ -452,49 +506,58 @@ class _ConnectionBatch:
         Returns ``None`` when the source is silent (the scalar path adds an
         exact zero vector then, so skipping the add is bit-identical).
         """
-        spikes = self.source_batch.spikes
+        source = self.source_batch
         self._source_rows = None
-        if not spikes.any():
+        if not source.fired:
             return None
+        spikes = source.spikes
         if self.strategy == DRIVE_DIAGONAL:
             return np.where(spikes, self._diagonal, 0.0)
         if self.strategy == DRIVE_LATERAL:
             counts = spikes.sum(axis=2)
             return self._lateral_table[counts[:, :, None] - spikes]
-        return self._generic_drive(spikes)
+        return self._generic_drive(spikes, source.rows)
 
-    def _generic_drive(self, spikes: np.ndarray) -> np.ndarray:
+    def _generic_drive(self, spikes: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-lane sums of the spiking source rows, ``(V, E, n_post)``.
 
         Adds the k-th spiking row of every (variant, example) lane at once,
         k = 0, 1, ..., so each lane still sums its rows in ascending order,
-        as the scalar reduction does.  Starting the sums from 0.0 can only
-        flip the sign of a zero total, which the caller's add into a zero
-        drive erases.
+        as the scalar reduction does, from the scalar drive's 0.0.  ``rows``
+        are a one-example source's spiking rows, when the plan has them.
         """
         if not self.shared and spikes.shape[:2] == (1, 1):
             # A training step: the gathered rows are also STDP's depression
             # block (see source_rows), so keep them.
-            rows = np.flatnonzero(spikes[0, 0])
+            if rows is None:
+                rows = np.flatnonzero(spikes[0, 0])
             self._source_rows = (rows, self.w[:, rows, :])
             return self._source_rows[1].sum(axis=1)[:, None, :]
         w = self.w[None] if self.shared else self.w
+        stacks, n_pre, n_post = w.shape
         lanes, examples, _ = spikes.shape
-        lane, example, row = np.nonzero(spikes)
-        group = lane * examples + example
+        # A flat nonzero: an n-d one costs ~10x more on example batches.
+        group, row = np.divmod(np.flatnonzero(spikes), n_pre)
         counts = np.bincount(group, minlength=lanes * examples)
-        rank = np.arange(row.size) - (np.cumsum(counts) - counts)[group]
-        table = np.zeros((lanes, examples, counts.max()), dtype=np.intp)
-        valid = np.zeros(table.shape, dtype=bool)
-        table[lane, example, rank] = row
-        valid[lane, example, rank] = True
-        variants = max(lanes, len(w))
-        # Lane v reads weight stack v, or the one shared matrix.
-        weights = np.arange(variants)[:, None] % len(w)
-        out = np.zeros((variants, examples, self.target_batch.n))
-        for k in range(table.shape[2]):
-            np.add(out, w[weights, table[:, :, k]], out=out, where=valid[:, :, k, None])
-        return out
+        first = np.cumsum(counts) - counts
+        variants = max(lanes, stacks)
+        if lanes < variants:
+            # A uniform source: every variant reads its one lane.
+            counts, first = np.tile(counts, variants), np.tile(first, variants)
+        order = np.argsort(-counts, kind="stable")
+        ranked = counts[order]
+        # live[k] lanes add a k-th row, the first of ``order``; index holds
+        # their flat weight rows, k-major (lane v reads stack v, or the one).
+        live = np.searchsorted(-ranked, -np.arange(ranked[0]), side="left")
+        offsets = np.cumsum(live) - live
+        lane = order[np.arange(ranked.sum()) - np.repeat(offsets, live)]
+        index = row[first[lane] + np.repeat(np.arange(live.size), live)]
+        index += lane // examples % stacks * n_pre
+        flat, out = w.reshape(-1, n_post), np.zeros((variants * examples, n_post))
+        for start, count in zip(offsets.tolist(), live.tolist()):
+            out[:count] += flat.take(index[start : start + count], axis=0)
+        out[order] = out.copy()
+        return out.reshape(variants, examples, n_post)
 
     # ------------------------------------------------------------- plasticity
     def source_rows(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -552,6 +615,18 @@ class _ConnectionBatch:
 # --------------------------------------------------------------------------
 
 
+def _lane(record: np.ndarray, variants: int, variant: int, example: int) -> Tuple[int, int]:
+    """Lane ``(variant, example)`` of a ``(T, V|1, E, n)`` record (one lane
+    of a uniform layer serves every variant)."""
+    lanes, examples = record.shape[1:3]
+    if not (0 <= variant < variants and 0 <= example < examples):
+        raise IndexError(
+            f"lane (variant {variant}, example {example}) is outside the recorded "
+            f"(variants, examples) = ({variants}, {examples})"
+        )
+    return min(variant, lanes - 1), example
+
+
 class BatchedSpikeMonitor:
     """Spike recorder over a batched layer.
 
@@ -566,10 +641,12 @@ class BatchedSpikeMonitor:
         self._counts: Optional[np.ndarray] = None
         self._buffer: Optional[np.ndarray] = None
         self._length = 0
+        self._variants = 0
 
     def reserve(self, time_steps: int, layer: _LayerBatch) -> None:
         """Size the buffers for a run of ``time_steps`` steps."""
         shape = layer.state_shape(layer._examples)
+        self._variants = layer.variants
         if self.counts_only:
             if self._counts is None or self._counts.shape != shape:
                 self._counts = np.zeros(shape, dtype=np.int64)
@@ -616,8 +693,8 @@ class BatchedSpikeMonitor:
             raise ValueError("raster() is unavailable on a counts-only monitor")
         if self._length == 0:
             return np.zeros((0, 0), dtype=bool)
-        lanes = self._buffer.shape[1]
-        return self._buffer[: self._length, min(variant, lanes - 1), example].copy()
+        lane, example = _lane(self._buffer, self._variants, variant, example)
+        return self._buffer[: self._length, lane, example].copy()
 
     def reset(self) -> None:
         """Clear the recording (buffers are kept for reuse)."""
@@ -641,9 +718,11 @@ class BatchedStateMonitor:
         self._buffer: Optional[np.ndarray] = None
         self._length = 0
         self._shape: Optional[Tuple[int, ...]] = None
+        self._variants = 0
 
     def reserve(self, time_steps: int, layer: _LayerBatch) -> None:
         """Size the buffer for a run of ``time_steps`` further steps."""
+        self._variants = layer.variants
         shape = np.broadcast_shapes(
             layer.state_shape(layer._examples), getattr(layer, self.variable).shape
         )
@@ -673,11 +752,8 @@ class BatchedStateMonitor:
         """One lane's recorded trace, shape ``(time_steps, n)``."""
         if self._length == 0:
             return np.zeros((0, 0))
-        lanes = self._buffer.shape[1]
-        examples = self._buffer.shape[2]
-        return self._buffer[
-            : self._length, min(variant, lanes - 1), min(example, examples - 1)
-        ].copy()
+        lane, example = _lane(self._buffer, self._variants, variant, example)
+        return self._buffer[: self._length, lane, example].copy()
 
     def reset(self) -> None:
         """Clear the recording (the buffer is kept for reuse)."""
@@ -817,41 +893,62 @@ class BatchedNetwork:
                 "engine trains strictly one example at a time"
             )
         for layer in self.layers.values():
-            layer.ensure_state(examples)
+            layer.ensure_state(examples, self.learning)
         for monitor in self.monitors.values():
             monitor.reserve(time_steps, self.layers[monitor.layer_name])
 
-        non_input = [
-            (name, layer) for name, layer in self.layers.items() if not layer.is_input
+        # The run's plan: every input's per-step fired flags and (one
+        # example) spiking rows, and every layer's incoming connections.
+        feeds = []
+        for name, raster in rasters.items():
+            rows = [None] * time_steps
+            if examples == 1:
+                step, index = np.divmod(np.flatnonzero(raster[0]), raster.shape[2])
+                bounds = np.searchsorted(step, np.arange(time_steps + 1)).tolist()
+                rows = [index[a:b] for a, b in zip(bounds, bounds[1:])]
+            fired = raster.any(axis=(0, 2)).tolist()
+            feeds.append((self.layers[name], raster, fired, rows))
+        targets = [
+            (layer, [c for (_, target), c in self.connections.items() if target == name])
+            for name, layer in self.layers.items()
+            if not layer.is_input
         ]
-        shape_by_layer = {
-            name: (self.variants, examples, layer.n) for name, layer in non_input
-        }
         plastic = [
             connection
             for connection in self.connections.values()
             if self.learning and connection.update_rule is not None
         ]
+        recorders = [(m, self.layers[m.layer_name]) for m in self.monitors.values()]
         for t in range(time_steps):
             # 1. Present the encoded input spikes.
-            for name, raster in rasters.items():
-                self.layers[name].set_input(raster[:, t, :])
+            for layer, raster, fired, rows in feeds:
+                layer.set_input(raster[:, t, :], fired[t], rows[t])
             # 2. Accumulate synaptic drive from the current source spikes.
-            drive = {name: np.zeros(shape) for name, shape in shape_by_layer.items()}
-            for (_, target), connection in self.connections.items():
-                if target in drive:
-                    contribution = connection.compute_drive()
-                    if contribution is not None:
-                        drive[target] += contribution
+            drives = [self._drive(layer, incoming) for layer, incoming in targets]
             # 3. Integrate and fire.
-            for name, layer in non_input:
-                layer.step(drive[name], self.learning)
+            for (layer, _), drive in zip(targets, drives):
+                layer.step(drive)
             # 4. Plasticity.
             for connection in plastic:
                 connection.apply_update()
             # 5. Recording.
-            for monitor in self.monitors.values():
-                monitor.record(self.layers[monitor.layer_name])
+            for monitor, layer in recorders:
+                monitor.record(layer)
+
+    @staticmethod
+    def _drive(layer: _LayerBatch, incoming: List[_ConnectionBatch]) -> Optional[np.ndarray]:
+        """A layer's summed drive (``None``: no source fired); only a layer
+        that is not zero-safe starts the sum from the scalar engine's 0.0."""
+        drive = None
+        for connection in incoming:
+            contribution = connection.compute_drive()
+            if contribution is None:
+                continue
+            if drive is None:
+                drive = contribution if layer.zero_safe else 0.0 + contribution
+            else:
+                drive = drive + contribution
+        return drive
 
     def present(
         self,

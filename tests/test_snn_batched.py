@@ -247,6 +247,17 @@ class TestPipelineParity:
         result = pipeline.run(self.ATTACKS[2])
         assert result.accuracy == scalar_results[2].accuracy
 
+    def test_fig8_shaped_sweep_matches_scalar_grid(self, tiny_config):
+        # The grid of benchmarks/test_snn_hotpath.py's nightly sweep floor.
+        changes, fractions = (-0.2, 0.2), (0.0, 0.5, 1.0)
+        batched = AttackCampaign(ClassificationPipeline(tiny_config))
+        scalar = AttackCampaign(ClassificationPipeline(tiny_config, engine="scalar"))
+        grid_b = batched.sweep_layer_threshold("excitatory", changes, fractions)
+        grid_s = scalar.sweep_layer_threshold("excitatory", changes, fractions)
+        assert grid_b.accuracies.shape == (len(changes), len(fractions))
+        assert np.array_equal(grid_b.accuracies, grid_s.accuracies)
+        assert grid_b.baseline_accuracy == grid_s.baseline_accuracy
+
     def test_campaign_batched_dispatch_matches_serial(self, tiny_config):
         batched = AttackCampaign(ClassificationPipeline(tiny_config))
         scalar = AttackCampaign(ClassificationPipeline(tiny_config, engine="scalar"))
@@ -581,3 +592,101 @@ class TestScalarMonitorCompat:
         monitor.record(nodes)
         assert np.array_equal(monitor.spike_counts(), [1, 0, 2])
         assert monitor.get().shape == (2, 3)
+
+
+class TestMonitorLaneBounds:
+    """A lane outside the recorded run raises instead of reading a neighbour."""
+
+    @staticmethod
+    def recorded(variants, rasters):
+        networks = [MODEL_VARIANTS["lif_feedforward_postpre"](3) for _ in range(variants)]
+        batched = BatchedNetwork.from_networks(networks)
+        monitors = (
+            batched.add_monitor("spikes", BatchedSpikeMonitor("readout")),
+            batched.add_monitor("v", BatchedStateMonitor("readout", "v")),
+            batched.add_monitor("inputs", BatchedSpikeMonitor("input")),
+        )
+        batched.present({"input": rasters}, learning=False)
+        return monitors
+
+    def test_raster_rejects_a_variant_outside_the_run(self):
+        raster = make_rasters(MODEL_VARIANTS["lif_feedforward_postpre"](3), 1)[0]
+        spikes, _, _ = self.recorded(2, raster)
+        with pytest.raises(IndexError, match=r"variant 5, example 0.*\(2, 1\)"):
+            spikes.raster(5)
+        with pytest.raises(IndexError, match=r"variant 0, example 1"):
+            spikes.raster(0, 1)
+        with pytest.raises(IndexError):
+            spikes.raster(-1)
+
+    def test_trace_rejects_a_lane_outside_the_run(self):
+        raster = make_rasters(MODEL_VARIANTS["lif_feedforward_postpre"](3), 1)[0]
+        _, voltage, _ = self.recorded(1, raster)
+        with pytest.raises(IndexError, match=r"variant 7, example 9.*\(1, 1\)"):
+            voltage.trace(7, 9)
+        with pytest.raises(IndexError, match=r"variant 0, example 1"):
+            voltage.trace(0, 1)
+        assert voltage.trace(0, 0).shape == (len(raster), 8)
+
+    def test_uniform_input_monitor_serves_every_variant(self):
+        rasters = np.stack(make_rasters(MODEL_VARIANTS["lif_feedforward_postpre"](3), 2))
+        _, _, inputs = self.recorded(3, rasters)
+        for variant in range(3):
+            for example in range(2):
+                assert np.array_equal(inputs.raster(variant, example), rasters[example])
+        with pytest.raises(IndexError, match=r"variant 3, example 0.*\(3, 2\)"):
+            inputs.raster(3)
+
+
+#: Weights of the drive cases: signed zeros, a subnormal and plain values.
+DRIVE_WEIGHTS = np.array([0.0, -0.0, -0.0, 5e-324, 0.25, -0.5, 3.0])
+
+
+class TestPrefixSortedDrive:
+    """The example-batched generic drive equals, lane by lane and byte for
+    byte, the scalar drive: ``w[mask].sum(axis=0)`` added into zeros."""
+
+    N_PRE, N_POST, VARIANTS, EXAMPLES = 7, 5, 3, 4
+
+    def connection(self, uniform, shared, rng):
+        shared_w = rng.choice(DRIVE_WEIGHTS, (self.N_PRE, self.N_POST))
+        networks = []
+        for _ in range(self.VARIANTS):
+            network = Network()
+            layer = InputNodes if uniform else LIFNodes
+            source = network.add_layer("pre", layer(self.N_PRE))
+            target = network.add_layer("post", LIFNodes(self.N_POST))
+            w = shared_w if shared else rng.choice(DRIVE_WEIGHTS, (self.N_PRE, self.N_POST))
+            network.add_connection("pre", "post", Connection(source, target, w=w))
+            networks.append(network)
+        connection = BatchedNetwork.from_networks(networks).connections[("pre", "post")]
+        assert connection.shared == shared
+        return connection
+
+    @pytest.mark.parametrize(
+        "uniform, shared",
+        [(True, False), (False, False), (True, True), (False, True)],
+        ids=["uniform-stacked", "per-variant-stacked", "uniform-shared", "per-variant-shared"],
+    )
+    @pytest.mark.parametrize("activity", ["mixed", "silent-lanes", "all-silent"])
+    def test_drive_equals_scalar_sum_per_lane(self, uniform, shared, activity):
+        rng = np.random.default_rng(41)
+        connection = self.connection(uniform, shared, rng)
+        lanes = 1 if uniform else self.VARIANTS
+        spikes = rng.random((lanes, self.EXAMPLES, self.N_PRE)) < 0.5
+        if activity == "silent-lanes":
+            spikes[:, ::2] = False
+        elif activity == "all-silent":
+            spikes[:] = False
+        drive = connection._generic_drive(spikes)
+        assert drive.shape[1:] == (self.EXAMPLES, self.N_POST)
+        assert drive.shape[0] in (1, self.VARIANTS)
+        for variant in range(self.VARIANTS):
+            w = connection.variant_weights(variant)
+            for example in range(self.EXAMPLES):
+                mask = spikes[0 if uniform else variant, example]
+                expected = np.zeros(self.N_POST)
+                if mask.any():
+                    expected += w[mask].sum(axis=0)
+                lane = drive[min(variant, len(drive) - 1), example]
+                assert lane.tobytes() == expected.tobytes(), (variant, example)
