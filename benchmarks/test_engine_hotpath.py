@@ -133,7 +133,7 @@ class TestEngineHotpath:
 
     def test_compiled_layer_transient(self, benchmark):
         result = benchmark.pedantic(
-            lambda: _run_layer("compiled"), rounds=2, iterations=1
+            lambda: _run_layer("auto"), rounds=2, iterations=1
         )
         benchmark.extra_info["solves_per_second"] = round(
             N_STEPS / benchmark.stats.stats.mean, 1
@@ -181,9 +181,9 @@ class TestEngineSpeedupFloors:
     """Hard floors behind the benchmark numbers (robust to runner noise)."""
 
     def test_compiled_beats_scalar_on_mosfet_heavy_layer(self):
-        _run_layer("compiled")  # warm-up (base-matrix/LU compilation paths)
+        _run_layer("auto")  # warm-up (base-matrix/LU compilation paths)
         scalar_seconds = _timed(lambda: _run_layer("scalar"))
-        compiled_seconds = _timed(lambda: _run_layer("compiled"), repeats=2)
+        compiled_seconds = _timed(lambda: _run_layer("auto"), repeats=2)
         speedup = scalar_seconds / compiled_seconds
         assert speedup >= MIN_COMPILED_SPEEDUP, (
             f"compiled engine speedup {speedup:.1f}x below the "
@@ -191,7 +191,7 @@ class TestEngineSpeedupFloors:
         )
         # Parity spot-check on the same workload.
         scalar = _run_layer("scalar")
-        compiled = _run_layer("compiled")
+        compiled = _run_layer("auto")
         np.testing.assert_allclose(
             compiled.voltage("n0.vmem"), scalar.voltage("n0.vmem"), atol=1e-5
         )
@@ -214,7 +214,7 @@ class TestEngineSpeedupFloors:
 
         def run_serial():
             return [
-                transient_analysis(circuit, engine="compiled", **kwargs)
+                transient_analysis(circuit, engine="auto", **kwargs)
                 for circuit in sweep_circuits()
             ]
 

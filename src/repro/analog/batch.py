@@ -84,12 +84,16 @@ def assert_same_topology(circuits: Sequence[Circuit]) -> None:
 
 
 def shares_topology(circuits: Sequence[Circuit]) -> bool:
-    """Whether the circuits can be run through the batched engine."""
+    """Whether the circuits are parameter variants of one topology.
+
+    That is the batched engine's precondition; a device type the compiler
+    does not know still raises ``TypeError`` when the batch is built.
+    """
     try:
         assert_same_topology(circuits)
     except TopologyMismatchError:
         return False
-    return all(CompiledCircuit.supports(circuit) for circuit in circuits)
+    return True
 
 
 class BatchedCircuit:
@@ -105,13 +109,6 @@ class BatchedCircuit:
         self.circuits = list(circuits)
         self.members: List[CompiledCircuit] = [CompiledCircuit(c) for c in circuits]
         reference = self.members[0]
-        for member in self.members:
-            if member._fallback:
-                unsupported = sorted(type(d).__name__ for d in member._fallback)
-                raise TopologyMismatchError(
-                    "batched execution supports compiled device types only; "
-                    f"found {', '.join(unsupported)}"
-                )
         self.reference = reference
         self.batch_size = len(self.members)
         self.size = reference.size
@@ -126,13 +123,15 @@ class BatchedCircuit:
         self._padded_guess = np.zeros((b, n + 1))
         self._padded_prev = np.zeros((b, n + 1))
         self._rhs_offsets = np.arange(b, dtype=np.intp) * n
-        # Per-variant parameter stacks of the vectorised device groups.
-        self._group_params = [
-            group.stacked_params([member._groups[gi] for member in self.members])
-            for gi, group in enumerate(reference._groups)
-        ]
+        # Per-variant parameter stacks of the MOSFETs.
+        self._mosfet_params = (
+            None
+            if reference._mosfets is None
+            else reference._mosfets.stacked_params(
+                [member._mosfets for member in self.members]
+            )
+        )
         self._cap_values = np.stack([m._cap_values for m in self.members])
-        self._ind_values = np.stack([m._ind_values for m in self.members])
 
     # ---------------------------------------------------------------- assembly
     def _assemble(
@@ -166,23 +165,19 @@ class BatchedCircuit:
                     reference._cap_rhs_idx[None, :] + self._rhs_offsets[:, None],
                     reference._cap_rhs_sign * injection[:, reference._cap_rhs_src],
                 )
-            if self._ind_values.shape[1]:
-                branch = reference._ind_branch
-                rhs[:, branch] -= (self._ind_values / dt) * previous[:, branch]
-        if reference._groups:
+        mosfets = reference._mosfets
+        if mosfets is not None:
             padded = self._padded_guess
             padded[:, : self.size] = guess
-            matrix_flat = matrix.ravel()
-            for group, params in zip(reference._groups, self._group_params):
-                mat_comp, rhs_comp = group.evaluate(padded, params)
-                group.scatter(
-                    matrix_flat,
-                    rhs_flat,
-                    mat_comp,
-                    rhs_comp,
-                    matrix_offsets=self._matrix_offsets,
-                    rhs_offsets=self._rhs_offsets,
-                )
+            mat_comp, rhs_comp = mosfets.evaluate(padded, self._mosfet_params)
+            mosfets.scatter(
+                matrix.ravel(),
+                rhs_flat,
+                mat_comp,
+                rhs_comp,
+                matrix_offsets=self._matrix_offsets,
+                rhs_offsets=self._rhs_offsets,
+            )
         matrix.reshape(self.batch_size, -1)[:, reference._node_diag_flat] += gmin
         self.stats.assemblies += self.batch_size
         return matrix, rhs
@@ -247,14 +242,10 @@ class BatchedCircuit:
         time: float,
         guess: np.ndarray,
         options: SolverOptions,
-        previous: Optional[np.ndarray] = None,
-        dt: float = 1e-9,
     ) -> np.ndarray:
         """Scalar-engine solve of one variant (lockstep rescue path)."""
         member = self.members[index]
-        state = StampState(
-            system=member, analysis=analysis, time=time, dt=dt, previous=previous
-        )
+        state = StampState(system=member, analysis=analysis, time=time)
         return newton_solve(member, state, guess, options)
 
 

@@ -6,13 +6,13 @@ iteration from precomputed structure instead of walking ``circuit.devices``
 with scalar ``stamp()`` calls:
 
 * **Split linear/nonlinear assembly** — the matrix stamps of resistors,
-  source/inductor incidence rows and (per time step) capacitor/inductor
-  companion conductances never change, so they are pre-assembled into one
-  *base matrix* per ``(analysis, dt)`` and the per-iteration work reduces to
-  one ``memcpy`` plus the source and nonlinear re-stamps.
-* **Vectorised device evaluation** — all MOSFETs (and diodes/switches) are
-  evaluated at once: terminal voltages are gathered through precomputed
-  index arrays, the device model runs as NumPy array math
+  voltage-source incidence rows and (per time step) capacitor companion
+  conductances never change, so they are pre-assembled into one *base
+  matrix* per ``(analysis, dt)`` and the per-iteration work reduces to one
+  ``memcpy`` plus the source and MOSFET re-stamps.
+* **Vectorised device evaluation** — all MOSFETs are evaluated at once:
+  terminal voltages are gathered through precomputed index arrays, the
+  device model runs as NumPy array math
   (:func:`repro.analog.mosfet.channel_current_array`), and the resulting
   conductance/current stamps are scattered with ``np.add.at`` against
   precomputed flat-index maps.
@@ -27,10 +27,16 @@ with scalar ``stamp()`` calls:
 
 Device *values* that only affect the right-hand side (independent source
 values/waveforms) may change freely between solves — ``dc_sweep`` relies on
-this.  Topology and R/C/L/transistor parameters are frozen at compile time.
+this.  Topology and R/C/transistor parameters are frozen at compile time.
 
-The scalar :class:`~repro.analog.mna.MNASystem` path is kept untouched as
-the reference implementation; the parity suite in
+The compiler knows exactly the device types the paper's netlists use —
+:class:`~repro.analog.devices.Resistor`, ``Capacitor``, ``VoltageSource``,
+``CurrentSource`` and :class:`~repro.analog.mosfet.MOSFET` — and matches
+them by exact type: any other device, a subclass included (it may override
+``stamp``), raises ``TypeError``.  The scalar
+:class:`~repro.analog.mna.MNASystem` path stamps any
+:class:`~repro.analog.devices.Device` and is kept untouched as the
+reference implementation; the parity suite in
 ``tests/test_analog_compiled.py`` pins the two engines together on every
 registered figure circuit.
 """
@@ -46,16 +52,10 @@ from repro.analog.devices import (
     GMIN,
     Capacitor,
     CurrentSource,
-    Device,
-    Diode,
-    Inductor,
     Resistor,
-    VoltageControlledSwitch,
     VoltageSource,
-    diode_current_and_conductance_array,
-    switch_conductance_array,
 )
-from repro.analog.mna import MNASystem, SolverOptions, Stamper, StampState
+from repro.analog.mna import MNASystem, SolverOptions, StampState
 from repro.analog.mosfet import MOSFET, channel_current_array
 from repro.analog.netlist import Circuit
 
@@ -65,27 +65,13 @@ from repro.analog.netlist import Circuit
 # unknowns.
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-#: Device classes the compiler knows how to vectorise / pre-assemble.  Exact
-#: type matches only: subclasses may override ``stamp`` and are therefore
-#: routed through the scalar fallback path.
-COMPILED_DEVICE_TYPES = (
-    Resistor,
-    Capacitor,
-    Inductor,
-    VoltageSource,
-    CurrentSource,
-    MOSFET,
-    Diode,
-    VoltageControlledSwitch,
-)
-
 #: Bound on the per-(analysis, dt) base-matrix and LU caches.  Step
 #: subdivision and clamped final steps produce extra distinct dt values; the
 #: bound keeps the caches from growing without limit.
 _CACHE_LIMIT = 16
 
 #: Valid ``engine=`` values of :func:`make_system` and the analyses.
-ENGINES = ("auto", "compiled", "scalar")
+ENGINES = ("auto", "scalar")
 
 
 def _dt_key(dt: float) -> float:
@@ -136,57 +122,65 @@ class EngineStats:
         self.frozen_rejects += other.frozen_rejects
 
 
-class _VectorGroup:
-    """Shared gather/scatter machinery of one vectorised device class.
+class _MOSFETGroup:
+    """Every MOSFET of the circuit, evaluated as one array operation.
 
-    A group stores, per device, the padded gather indices of its terminals
-    plus two precomputed scatter maps: matrix entries addressed by flat
-    index into the dense workspace, and RHS entries addressed by row.  Each
-    scatter entry selects one *component* (a named per-device array produced
-    by :meth:`evaluate`, e.g. ``di/dvd`` or ``i_eq``) and a sign.
+    The group stores, per transistor, the padded gather indices of its
+    terminals plus two precomputed scatter maps: matrix entries addressed by
+    flat index into the dense workspace, and RHS entries addressed by row.
+    Each scatter entry selects one *component* (``di/dvd``, ``di/dvg`` or
+    ``di/dvs`` for the matrix, ``i_eq`` for the RHS) and a sign.
 
-    ``evaluate`` broadcasts: with a padded voltage vector of shape
+    :meth:`evaluate` broadcasts: with a padded voltage vector of shape
     ``(size+1,)`` components come out ``(C, M)``; with a batch of vectors
     ``(B, size+1)`` (and optionally stacked per-variant ``params``) they come
     out ``(C, B, M)`` and :meth:`scatter` lands them in stacked ``(B, N, N)``
     workspaces through per-variant flat offsets.
     """
 
-    #: Names of the per-device parameter arrays (stacked across a batch).
-    PARAM_KEYS: Tuple[str, ...] = ()
-
-    def __init__(self, system: MNASystem, devices: Sequence[Device]) -> None:
-        self.system = system
+    def __init__(self, system: MNASystem, devices: Sequence[MOSFET]) -> None:
         self.devices = list(devices)
-        self.params: Dict[str, np.ndarray] = {}
         self._buffer_cache: Dict[tuple, tuple] = {}
-        self._mat_flat: np.ndarray
-        self._mat_comp: np.ndarray
-        self._mat_dev: np.ndarray
-        self._mat_sign: np.ndarray
-        self._rhs_idx: np.ndarray
-        self._rhs_comp: np.ndarray
-        self._rhs_dev: np.ndarray
-        self._rhs_sign: np.ndarray
+        size = system.size
 
-    # ------------------------------------------------------------- compilation
-    def _gather_index(self, node: str) -> int:
-        """Padded solution index of ``node`` (ground maps to the zero slot)."""
-        idx = self.system.index_of(node)
-        return self.system.size if idx < 0 else idx
+        def gather_index(node: str) -> int:
+            # Ground maps to the trailing zero slot of the padded vector.
+            idx = system.index_of(node)
+            return size if idx < 0 else idx
 
-    def _build_scatter(
-        self,
-        matrix_entries: Sequence[Tuple[int, int, int, int, float]],
-        rhs_entries: Sequence[Tuple[int, int, int, float]],
-    ) -> None:
-        """Freeze the scatter maps.
-
-        ``matrix_entries`` holds ``(row, col, component, device, sign)`` and
-        ``rhs_entries`` holds ``(row, component, device, sign)``; entries with
-        a ground row/column (index < 0) must already be filtered out.
-        """
-        size = self.system.size
+        self._d = np.array([gather_index(m.nodes[0]) for m in devices], np.intp)
+        self._g = np.array([gather_index(m.nodes[1]) for m in devices], np.intp)
+        self._s = np.array([gather_index(m.nodes[2]) for m in devices], np.intp)
+        #: Per-device parameter arrays (stacked across a batch).
+        self.params: Dict[str, np.ndarray] = {
+            "sign": np.array(
+                [1.0 if m.parameters.polarity == "nmos" else -1.0 for m in devices]
+            ),
+            "beta": np.array([m.beta for m in devices]),
+            "vth0": np.array([m.parameters.vth0 for m in devices]),
+            "lambda_": np.array([m.parameters.lambda_ for m in devices]),
+            "n_vt": np.array(
+                [
+                    m.parameters.subthreshold_slope * m.parameters.thermal_voltage
+                    for m in devices
+                ]
+            ),
+        }
+        # (row, col, component, device, sign) and (row, component, device,
+        # sign); ground rows and columns are left out.
+        matrix_entries: List[Tuple[int, int, int, int, float]] = []
+        rhs_entries: List[Tuple[int, int, int, float]] = []
+        for i, mosfet in enumerate(devices):
+            d, g, s = (system.index_of(node) for node in mosfet.nodes)
+            # Components: 0 = di/dvd, 1 = di/dvg, 2 = di/dvs; KCL rows at the
+            # drain (+) and source (-), mirroring MOSFET.stamp.
+            for row, sign in ((d, 1.0), (s, -1.0)):
+                if row < 0:
+                    continue
+                for comp, col in enumerate((d, g, s)):
+                    if col >= 0:
+                        matrix_entries.append((row, col, comp, i, sign))
+                rhs_entries.append((row, 0, i, -sign))  # -i_eq at d, +i_eq at s
         self._mat_flat = np.array(
             [r * size + c for r, c, _, _, _ in matrix_entries], dtype=np.intp
         )
@@ -198,26 +192,41 @@ class _VectorGroup:
         self._rhs_dev = np.array([e[2] for e in rhs_entries], dtype=np.intp)
         self._rhs_sign = np.array([e[3] for e in rhs_entries], dtype=float)
 
-    def _component_buffers(
-        self, n_mat: int, n_rhs: int, batch_shape: tuple
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _component_buffers(self, batch_shape: tuple) -> Tuple[np.ndarray, np.ndarray]:
         """Reusable output buffers (avoids an ``np.stack`` per iteration)."""
         buffers = self._buffer_cache.get(batch_shape)
         if buffers is None:
             count = len(self.devices)
             buffers = (
-                np.empty((n_mat, *batch_shape, count)),
-                np.empty((n_rhs, *batch_shape, count)),
+                np.empty((3, *batch_shape, count)),
+                np.empty((1, *batch_shape, count)),
             )
             self._buffer_cache[batch_shape] = buffers
         return buffers
 
-    # -------------------------------------------------------------- evaluation
     def evaluate(
         self, padded: np.ndarray, params: Optional[Dict[str, np.ndarray]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:  # pragma: no cover - interface
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(matrix_components, rhs_components)`` for ``padded``."""
-        raise NotImplementedError
+        p = params or self.params
+        vd = padded[..., self._d]
+        vg = padded[..., self._g]
+        vs = padded[..., self._s]
+        i_ds, di_dvd, di_dvg, di_dvs = channel_current_array(
+            vd,
+            vg,
+            vs,
+            sign=p["sign"],
+            beta=p["beta"],
+            vth0=p["vth0"],
+            lambda_=p["lambda_"],
+            n_vt=p["n_vt"],
+        )
+        i_eq = i_ds - di_dvd * vd - di_dvg * vg - di_dvs * vs
+        mat_comp, rhs_comp = self._component_buffers(padded.shape[:-1])
+        mat_comp[0], mat_comp[1], mat_comp[2] = di_dvd, di_dvg, di_dvs
+        rhs_comp[0] = i_eq
+        return mat_comp, rhs_comp
 
     def scatter(
         self,
@@ -256,174 +265,13 @@ class _VectorGroup:
         )
 
     def stacked_params(
-        self, member_groups: Sequence["_VectorGroup"]
+        self, member_groups: Sequence["_MOSFETGroup"]
     ) -> Dict[str, np.ndarray]:
         """Stack the parameter arrays of per-variant groups into (B, M)."""
         return {
             key: np.stack([group.params[key] for group in member_groups])
-            for key in self.PARAM_KEYS
+            for key in self.params
         }
-
-
-class _MOSFETGroup(_VectorGroup):
-    """Every MOSFET of the circuit, evaluated as one array operation."""
-
-    PARAM_KEYS = ("sign", "beta", "vth0", "lambda_", "n_vt")
-
-    def __init__(self, system: MNASystem, devices: Sequence[MOSFET]) -> None:
-        super().__init__(system, devices)
-        self._d = np.array([self._gather_index(m.nodes[0]) for m in devices], np.intp)
-        self._g = np.array([self._gather_index(m.nodes[1]) for m in devices], np.intp)
-        self._s = np.array([self._gather_index(m.nodes[2]) for m in devices], np.intp)
-        self.params = {
-            "sign": np.array(
-                [1.0 if m.parameters.polarity == "nmos" else -1.0 for m in devices]
-            ),
-            "beta": np.array([m.beta for m in devices]),
-            "vth0": np.array([m.parameters.vth0 for m in devices]),
-            "lambda_": np.array([m.parameters.lambda_ for m in devices]),
-            "n_vt": np.array(
-                [
-                    m.parameters.subthreshold_slope * m.parameters.thermal_voltage
-                    for m in devices
-                ]
-            ),
-        }
-        matrix_entries: List[Tuple[int, int, int, int, float]] = []
-        rhs_entries: List[Tuple[int, int, int, float]] = []
-        for i, mosfet in enumerate(devices):
-            d, g, s = (system.index_of(node) for node in mosfet.nodes)
-            # Components: 0 = di/dvd, 1 = di/dvg, 2 = di/dvs; KCL rows at the
-            # drain (+) and source (-), mirroring MOSFET.stamp.
-            for row, sign in ((d, 1.0), (s, -1.0)):
-                if row < 0:
-                    continue
-                for comp, col in enumerate((d, g, s)):
-                    if col >= 0:
-                        matrix_entries.append((row, col, comp, i, sign))
-                rhs_entries.append((row, 0, i, -sign))  # -i_eq at d, +i_eq at s
-        self._build_scatter(matrix_entries, rhs_entries)
-
-    def evaluate(self, padded, params=None):
-        p = params or self.params
-        vd = padded[..., self._d]
-        vg = padded[..., self._g]
-        vs = padded[..., self._s]
-        i_ds, di_dvd, di_dvg, di_dvs = channel_current_array(
-            vd,
-            vg,
-            vs,
-            sign=p["sign"],
-            beta=p["beta"],
-            vth0=p["vth0"],
-            lambda_=p["lambda_"],
-            n_vt=p["n_vt"],
-        )
-        i_eq = i_ds - di_dvd * vd - di_dvg * vg - di_dvs * vs
-        mat_comp, rhs_comp = self._component_buffers(3, 1, padded.shape[:-1])
-        mat_comp[0], mat_comp[1], mat_comp[2] = di_dvd, di_dvg, di_dvs
-        rhs_comp[0] = i_eq
-        return mat_comp, rhs_comp
-
-
-class _DiodeGroup(_VectorGroup):
-    """Every diode of the circuit, evaluated as one array operation."""
-
-    PARAM_KEYS = ("saturation_current", "vt", "v_crit")
-
-    def __init__(self, system: MNASystem, devices: Sequence[Diode]) -> None:
-        super().__init__(system, devices)
-        self._a = np.array([self._gather_index(d.nodes[0]) for d in devices], np.intp)
-        self._c = np.array([self._gather_index(d.nodes[1]) for d in devices], np.intp)
-        self.params = {
-            "saturation_current": np.array([d.saturation_current for d in devices]),
-            "vt": np.array([d.vt for d in devices]),
-            "v_crit": np.array([d.v_crit for d in devices]),
-        }
-        matrix_entries: List[Tuple[int, int, int, int, float]] = []
-        rhs_entries: List[Tuple[int, int, int, float]] = []
-        for i, diode in enumerate(devices):
-            a, c = (system.index_of(node) for node in diode.nodes)
-            # Component 0 = conductance (two-terminal stamp), RHS 0 = i_eq.
-            for row, col, sign in ((a, a, 1.0), (c, c, 1.0), (a, c, -1.0), (c, a, -1.0)):
-                if row >= 0 and col >= 0:
-                    matrix_entries.append((row, col, 0, i, sign))
-            if a >= 0:
-                rhs_entries.append((a, 0, i, -1.0))
-            if c >= 0:
-                rhs_entries.append((c, 0, i, 1.0))
-        self._build_scatter(matrix_entries, rhs_entries)
-
-    def evaluate(self, padded, params=None):
-        p = params or self.params
-        v = padded[..., self._a] - padded[..., self._c]
-        current, conductance = diode_current_and_conductance_array(
-            v,
-            saturation_current=p["saturation_current"],
-            vt=p["vt"],
-            v_crit=p["v_crit"],
-        )
-        i_eq = current - conductance * v
-        mat_comp, rhs_comp = self._component_buffers(1, 1, padded.shape[:-1])
-        mat_comp[0] = conductance
-        rhs_comp[0] = i_eq
-        return mat_comp, rhs_comp
-
-
-class _SwitchGroup(_VectorGroup):
-    """Every voltage-controlled switch, evaluated as one array operation."""
-
-    PARAM_KEYS = ("threshold", "on_conductance", "off_conductance", "transition_width")
-
-    def __init__(
-        self, system: MNASystem, devices: Sequence[VoltageControlledSwitch]
-    ) -> None:
-        super().__init__(system, devices)
-        self._a = np.array([self._gather_index(d.nodes[0]) for d in devices], np.intp)
-        self._b = np.array([self._gather_index(d.nodes[1]) for d in devices], np.intp)
-        self._cp = np.array([self._gather_index(d.nodes[2]) for d in devices], np.intp)
-        self._cn = np.array([self._gather_index(d.nodes[3]) for d in devices], np.intp)
-        self.params = {
-            "threshold": np.array([d.threshold for d in devices]),
-            "on_conductance": np.array([d.on_conductance for d in devices]),
-            "off_conductance": np.array([d.off_conductance for d in devices]),
-            "transition_width": np.array([d.transition_width for d in devices]),
-        }
-        matrix_entries: List[Tuple[int, int, int, int, float]] = []
-        rhs_entries: List[Tuple[int, int, int, float]] = []
-        for i, switch in enumerate(devices):
-            a, b, cp, cn = (system.index_of(node) for node in switch.nodes)
-            # Component 0 = conductance, 1 = transconductance (dg * v_ab).
-            for row, col, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
-                if row >= 0 and col >= 0:
-                    matrix_entries.append((row, col, 0, i, sign))
-            for row, out_sign in ((a, 1.0), (b, -1.0)):
-                if row < 0:
-                    continue
-                if cp >= 0:
-                    matrix_entries.append((row, cp, 1, i, out_sign))
-                if cn >= 0:
-                    matrix_entries.append((row, cn, 1, i, -out_sign))
-                rhs_entries.append((row, 0, i, -out_sign))  # -i_eq at a, +i_eq at b
-        self._build_scatter(matrix_entries, rhs_entries)
-
-    def evaluate(self, padded, params=None):
-        p = params or self.params
-        v_ctrl = padded[..., self._cp] - padded[..., self._cn]
-        v_ab = padded[..., self._a] - padded[..., self._b]
-        g, dg = switch_conductance_array(
-            v_ctrl,
-            threshold=p["threshold"],
-            on_conductance=p["on_conductance"],
-            off_conductance=p["off_conductance"],
-            transition_width=p["transition_width"],
-        )
-        trans = dg * v_ab
-        i_eq = -trans * v_ctrl
-        mat_comp, rhs_comp = self._component_buffers(2, 1, padded.shape[:-1])
-        mat_comp[0], mat_comp[1] = g, trans
-        rhs_comp[0] = i_eq
-        return mat_comp, rhs_comp
 
 
 class CompiledCircuit(MNASystem):
@@ -451,21 +299,12 @@ class CompiledCircuit(MNASystem):
         self._compile(circuit)
 
     # ------------------------------------------------------------- compilation
-    @classmethod
-    def supports(cls, circuit: Circuit) -> bool:
-        """Whether every device is a compiled type (no scalar fallback)."""
-        return all(type(device) in COMPILED_DEVICE_TYPES for device in circuit.devices)
-
     def _compile(self, circuit: Circuit) -> None:
         size = self.size
         mosfets: List[MOSFET] = []
-        diodes: List[Diode] = []
-        switches: List[VoltageControlledSwitch] = []
         self._vsrc: List[Tuple[VoltageSource, int]] = []
         self._isrc: List[Tuple[CurrentSource, int, int]] = []
-        self._fallback: List[Device] = []
         caps: List[Capacitor] = []
-        inductors: List[Inductor] = []
         # The constant linear stamps, summed once into a dense matrix.
         self._static_matrix = np.zeros((size, size))
 
@@ -484,28 +323,26 @@ class CompiledCircuit(MNASystem):
                 add_static(b, a, -g)
             elif kind is Capacitor:
                 caps.append(device)
-            elif kind in (VoltageSource, Inductor):
+            elif kind is VoltageSource:
                 pos, neg = (self.index_of(node) for node in device.nodes)
                 branch = self.branch_index_of(device)
                 add_static(pos, branch, 1.0)
                 add_static(branch, pos, 1.0)
                 add_static(neg, branch, -1.0)
                 add_static(branch, neg, -1.0)
-                if kind is VoltageSource:
-                    self._vsrc.append((device, branch))
-                else:
-                    inductors.append(device)
+                self._vsrc.append((device, branch))
             elif kind is CurrentSource:
                 pos, neg = (self.index_of(node) for node in device.nodes)
                 self._isrc.append((device, pos, neg))
             elif kind is MOSFET:
                 mosfets.append(device)
-            elif kind is Diode:
-                diodes.append(device)
-            elif kind is VoltageControlledSwitch:
-                switches.append(device)
             else:
-                self._fallback.append(device)
+                raise TypeError(
+                    f"cannot compile {device!r} in circuit {circuit.name!r}: the "
+                    "compiled engine supports exactly Resistor, Capacitor, "
+                    "VoltageSource, CurrentSource and MOSFET; use "
+                    'engine="scalar" for other device types'
+                )
 
         # Capacitor scaffolding: matrix entries scale with geq = C/dt
         # (transient) or GMIN (DC); RHS injections gather the previous
@@ -534,33 +371,14 @@ class CompiledCircuit(MNASystem):
         self._cap_a_gather = np.array(cap_a_gather, dtype=np.intp)
         self._cap_b_gather = np.array(cap_b_gather, dtype=np.intp)
 
-        # Inductor scaffolding: branch diagonal -L/dt plus the -req * i_prev
-        # companion on the RHS (transient only; DC keeps the short circuit).
-        self._ind_values = np.array([ind.inductance for ind in inductors])
-        self._ind_branch = np.array(
-            [self.branch_index_of(ind) for ind in inductors], dtype=np.intp
+        self._mosfets: Optional[_MOSFETGroup] = (
+            _MOSFETGroup(self, mosfets) if mosfets else None
         )
-        self._ind_diag_flat = self._ind_branch * size + self._ind_branch
-
-        self._groups: List[_VectorGroup] = []
-        if mosfets:
-            self._groups.append(_MOSFETGroup(self, mosfets))
-        if diodes:
-            self._groups.append(_DiodeGroup(self, diodes))
-        if switches:
-            self._groups.append(_SwitchGroup(self, switches))
-        #: Fully linear circuits have an iteration-independent matrix, so
-        #: their LU factors can be cached exactly.
-        self._fully_linear = not self._groups and not self._fallback
 
     # ----------------------------------------------------------- base matrices
     def step_key(self, analysis: str, dt: float) -> tuple:
         """The cache key of one ``(analysis, dt)`` configuration."""
         return ("dc", 0.0) if analysis == "dc" else ("transient", _dt_key(dt))
-
-    def base_matrix(self, analysis: str, dt: float) -> np.ndarray:
-        """The constant linear stamp pattern for one ``(analysis, dt)``."""
-        return self._base_for(self.step_key(analysis, dt), analysis, dt)
 
     def _base_for(self, key: tuple, analysis: str, dt: float) -> np.ndarray:
         base = self._base_cache.pop(key, None)  # re-insert below: LRU order
@@ -577,8 +395,6 @@ class CompiledCircuit(MNASystem):
                     self._cap_mat_flat,
                     self._cap_mat_sign * geq[self._cap_mat_src],
                 )
-            if len(self._ind_values) and analysis == "transient":
-                base.ravel()[self._ind_diag_flat] -= self._ind_values / dt
             if len(self._base_cache) >= _CACHE_LIMIT:
                 self._base_cache.pop(next(iter(self._base_cache)))
         self._base_cache[key] = base
@@ -604,7 +420,7 @@ class CompiledCircuit(MNASystem):
                 rhs[neg] += current
 
     def _assemble_companion_rhs(self, rhs: np.ndarray, state: StampState) -> None:
-        """Stamp the capacitor/inductor companion injections into ``rhs``."""
+        """Stamp the capacitor companion injections into ``rhs``."""
         prev = self._padded(state.previous, self._padded_prev)
         if len(self._cap_values):
             injection = (self._cap_values / state.dt) * (
@@ -615,10 +431,6 @@ class CompiledCircuit(MNASystem):
                 self._cap_rhs_idx,
                 self._cap_rhs_sign * injection[self._cap_rhs_src],
             )
-        if len(self._ind_values):
-            rhs[self._ind_branch] -= (
-                self._ind_values / state.dt
-            ) * prev[self._ind_branch]
 
     def assemble(self, state: StampState, options: SolverOptions) -> tuple:
         """Compiled replacement of :meth:`MNASystem.assemble` (same contract)."""
@@ -630,20 +442,16 @@ class CompiledCircuit(MNASystem):
         self._assemble_source_rhs(rhs, state.time)
         if analysis == "transient":
             self._assemble_companion_rhs(rhs, state)
-        if self._groups:
+        if self._mosfets is not None:
             padded = self._padded(state.guess, self._padded_guess)
-            matrix_flat = matrix.ravel()
-            for group in self._groups:
-                mat_comp, rhs_comp = group.evaluate(padded)
-                group.scatter(matrix_flat, rhs, mat_comp, rhs_comp)
-        if self._fallback:
-            stamper = Stamper(self, matrix=matrix, rhs=rhs)
-            for device in self._fallback:
-                device.stamp(stamper, state)
+            mat_comp, rhs_comp = self._mosfets.evaluate(padded)
+            self._mosfets.scatter(matrix.ravel(), rhs, mat_comp, rhs_comp)
         gmin = state.gmin if state.gmin else options.gmin
         matrix.flat[self._node_diag_flat] += gmin
         self._last_key = key
-        self._linear_signature = (key, gmin) if self._fully_linear else None
+        # A circuit without MOSFETs has an iteration-independent matrix, so
+        # its LU factors can be cached exactly.
+        self._linear_signature = (key, gmin) if self._mosfets is None else None
         self.stats.assemblies += 1
         return matrix, rhs
 
@@ -744,18 +552,13 @@ class CompiledCircuit(MNASystem):
 def make_system(circuit: Circuit, engine: str = "auto") -> MNASystem:
     """Build the solver backend selected by ``engine``.
 
-    ``"scalar"`` always uses the reference :class:`MNASystem`;
-    ``"compiled"`` always uses :class:`CompiledCircuit` (unknown device
-    types are still handled through its scalar fallback stamping);
-    ``"auto"`` compiles exactly when every device is a compiled type.
+    ``"scalar"`` uses the reference :class:`MNASystem`, which stamps any
+    device; ``"auto"`` compiles the circuit into a :class:`CompiledCircuit`,
+    which raises ``TypeError`` on a device type it does not know.
     """
     if engine == "scalar":
         return MNASystem(circuit)
-    if engine == "compiled":
-        return CompiledCircuit(circuit)
     if engine == "auto":
-        if not CompiledCircuit.supports(circuit):
-            return MNASystem(circuit)
         return CompiledCircuit(circuit)
     raise ValueError(
         f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"

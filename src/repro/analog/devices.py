@@ -1,30 +1,27 @@
-"""Linear and quasi-linear circuit devices.
+"""The linear circuit devices: resistors, capacitors and independent sources.
 
-Every device implements the small stamping protocol used by
-:mod:`repro.analog.mna`:
+These, with the MOSFET of :mod:`repro.analog.mosfet`, are every device the
+paper's netlists use.  Every device implements the small stamping protocol
+used by :mod:`repro.analog.mna`:
 
 * ``nodes`` — the tuple of node *names* the device connects to.
 * ``n_branches`` — how many extra branch-current unknowns it needs
-  (voltage sources and inductors need one, everything else none).
+  (voltage sources need one, everything else none).
 * ``is_nonlinear`` — whether its stamp depends on the present voltage guess
   (and therefore requires Newton-Raphson iteration).
 * ``stamp(stamper, state)`` — add the device's contribution to the MNA matrix
   and right-hand side.  ``state`` carries the analysis mode, the time step and
   the current voltage guess (see :class:`repro.analog.mna.StampState`).
 
-Source values may be constants, arbitrary callables of time, or one of the
-waveform helpers (:class:`PulseSource`, :class:`PiecewiseLinearSource`,
-:class:`SineSource`), mirroring SPICE's ``PULSE``/``PWL``/``SIN`` sources.
+Source values may be constants, arbitrary callables of time, or a
+:class:`PulseSource`, mirroring SPICE's ``PULSE`` source.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
-from repro.analog.units import ValueLike, parse_value, thermal_voltage
+from repro.analog.units import ValueLike, parse_value
 from repro.utils.validation import check_positive
 
 #: Minimum conductance added in parallel with nonlinear elements to keep the
@@ -32,18 +29,7 @@ from repro.utils.validation import check_positive
 GMIN = 1e-12
 
 
-class SourceWaveform:
-    """Base class for time-dependent source waveforms."""
-
-    def __call__(self, time: float) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def value_at(self, time: float) -> float:
-        """Alias for ``self(time)``."""
-        return self(time)
-
-
-class PulseSource(SourceWaveform):
+class PulseSource:
     """A SPICE-style periodic pulse waveform.
 
     Parameters
@@ -105,52 +91,11 @@ class PulseSource(SourceWaveform):
         )
 
 
-class PiecewiseLinearSource(SourceWaveform):
-    """A piecewise-linear waveform defined by (time, value) breakpoints."""
-
-    def __init__(self, points: Sequence[tuple[ValueLike, ValueLike]]) -> None:
-        if len(points) < 2:
-            raise ValueError("a PWL source needs at least two breakpoints")
-        times = [parse_value(t) for t, _ in points]
-        values = [parse_value(v) for _, v in points]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("PWL breakpoint times must be strictly increasing")
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, time: float) -> float:
-        return float(np.interp(time, self.times, self.values))
-
-
-class SineSource(SourceWaveform):
-    """A sinusoidal waveform ``offset + amplitude * sin(2*pi*f*(t-delay))``."""
-
-    def __init__(
-        self,
-        offset: ValueLike,
-        amplitude: ValueLike,
-        frequency: ValueLike,
-        *,
-        delay: ValueLike = 0.0,
-    ) -> None:
-        self.offset = parse_value(offset)
-        self.amplitude = parse_value(amplitude)
-        self.frequency = check_positive(parse_value(frequency), "frequency")
-        self.delay = parse_value(delay)
-
-    def __call__(self, time: float) -> float:
-        if time < self.delay:
-            return self.offset
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * self.frequency * (time - self.delay)
-        )
-
-
-SourceValue = Union[ValueLike, Callable[[float], float], SourceWaveform]
+SourceValue = Union[ValueLike, Callable[[float], float], PulseSource]
 
 
 def _evaluate_source(value: SourceValue, time: float) -> float:
-    """Evaluate a constant, callable or waveform source at ``time``."""
+    """Evaluate a constant, callable or pulse source at ``time``."""
     if callable(value):
         return float(value(time))
     return parse_value(value)
@@ -169,6 +114,11 @@ class Device:
         self.nodes = tuple(str(n) for n in nodes)
 
     def stamp(self, stamper, state) -> None:  # pragma: no cover - interface
+        """Add this device's MNA contribution through ``stamper``.
+
+        ``stamper`` is a :class:`repro.analog.mna.Stamper` and ``state`` the
+        :class:`repro.analog.mna.StampState` of the solve.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -188,6 +138,7 @@ class Resistor(Device):
         return 1.0 / self.resistance
 
     def stamp(self, stamper, state) -> None:
+        """Stamp the conductance ``1 / R`` between the two nodes."""
         a, b = self.nodes
         stamper.stamp_conductance(a, b, self.conductance)
 
@@ -218,6 +169,7 @@ class Capacitor(Device):
         self.initial_voltage = initial_voltage
 
     def stamp(self, stamper, state) -> None:
+        """Stamp ``GMIN`` (DC) or the backward-Euler companion (transient)."""
         a, b = self.nodes
         if state.analysis == "dc":
             stamper.stamp_conductance(a, b, GMIN)
@@ -229,28 +181,6 @@ class Capacitor(Device):
         # term is injected as an independent source.
         stamper.stamp_current_injection(a, geq * v_prev)
         stamper.stamp_current_injection(b, -geq * v_prev)
-
-
-class Inductor(Device):
-    """An ideal linear inductor (branch-current formulation)."""
-
-    n_branches = 1
-
-    def __init__(self, name: str, node_a: str, node_b: str, inductance: ValueLike) -> None:
-        super().__init__(name, (node_a, node_b))
-        self.inductance = check_positive(parse_value(inductance), f"{name}.inductance")
-
-    def stamp(self, stamper, state) -> None:
-        a, b = self.nodes
-        branch = stamper.branch_index(self)
-        # Branch equation: v_a - v_b - (L/dt) * (i - i_prev) = 0 in transient,
-        # v_a - v_b = 0 in DC (short circuit).
-        stamper.stamp_branch_voltage(a, b, branch)
-        if state.analysis == "transient":
-            req = self.inductance / state.dt
-            i_prev = state.previous_branch_current(self)
-            stamper.add_matrix_branch(branch, branch, -req)
-            stamper.add_rhs_branch(branch, -req * i_prev)
 
 
 class VoltageSource(Device):
@@ -267,6 +197,7 @@ class VoltageSource(Device):
         return _evaluate_source(self.value, time)
 
     def stamp(self, stamper, state) -> None:
+        """Stamp the branch incidence and the source voltage at ``state.time``."""
         pos, neg = self.nodes
         branch = stamper.branch_index(self)
         stamper.stamp_branch_voltage(pos, neg, branch)
@@ -291,165 +222,8 @@ class CurrentSource(Device):
         return _evaluate_source(self.value, time)
 
     def stamp(self, stamper, state) -> None:
+        """Inject the source current at ``state.time`` into the two nodes."""
         pos, neg = self.nodes
         current = self.value_at(state.time)
         stamper.stamp_current_injection(pos, -current)
         stamper.stamp_current_injection(neg, current)
-
-
-class Diode(Device):
-    """An ideal exponential junction diode with series conductance limiting."""
-
-    is_nonlinear = True
-
-    def __init__(
-        self,
-        name: str,
-        node_anode: str,
-        node_cathode: str,
-        *,
-        saturation_current: ValueLike = 1e-14,
-        emission_coefficient: float = 1.0,
-        temperature_k: float = 300.15,
-    ) -> None:
-        super().__init__(name, (node_anode, node_cathode))
-        self.saturation_current = check_positive(
-            parse_value(saturation_current), f"{name}.saturation_current"
-        )
-        self.emission_coefficient = check_positive(
-            emission_coefficient, f"{name}.emission_coefficient"
-        )
-        self.vt = self.emission_coefficient * thermal_voltage(temperature_k)
-        # Critical voltage above which the exponential is linearised to avoid
-        # overflow during Newton iterations.
-        self.v_crit = self.vt * math.log(self.vt / (math.sqrt(2.0) * self.saturation_current))
-
-    def current_and_conductance(self, v: float) -> tuple[float, float]:
-        """Diode current and small-signal conductance at forward voltage ``v``."""
-        v_lim = min(v, self.v_crit + 10.0 * self.vt)
-        exp_term = math.exp(v_lim / self.vt)
-        current = self.saturation_current * (exp_term - 1.0)
-        conductance = self.saturation_current * exp_term / self.vt
-        if v > v_lim:
-            # Linear extrapolation beyond the clamp keeps the Jacobian finite.
-            current += conductance * (v - v_lim)
-        return current, conductance + GMIN
-
-    def stamp(self, stamper, state) -> None:
-        anode, cathode = self.nodes
-        v = state.guess_voltage(anode) - state.guess_voltage(cathode)
-        current, conductance = self.current_and_conductance(v)
-        i_eq = current - conductance * v
-        stamper.stamp_conductance(anode, cathode, conductance)
-        stamper.stamp_current_injection(anode, -i_eq)
-        stamper.stamp_current_injection(cathode, i_eq)
-
-
-def diode_current_and_conductance_array(
-    v: np.ndarray,
-    *,
-    saturation_current: np.ndarray,
-    vt: np.ndarray,
-    v_crit: np.ndarray,
-):
-    """Vectorised :meth:`Diode.current_and_conductance` over arrays of diodes.
-
-    All arguments broadcast.  Returns ``(current, conductance)`` with the
-    same exponential clamp and linear extrapolation as the scalar model.
-    """
-    v_lim = np.minimum(v, v_crit + 10.0 * vt)
-    exp_term = np.exp(v_lim / vt)
-    current = saturation_current * (exp_term - 1.0)
-    conductance = saturation_current * exp_term / vt
-    current = current + np.where(v > v_lim, conductance * (v - v_lim), 0.0)
-    return current, conductance + GMIN
-
-
-class VoltageControlledSwitch(Device):
-    """A smooth voltage-controlled switch.
-
-    The conductance between ``node_a`` and ``node_b`` transitions smoothly
-    (logistic) from ``off_conductance`` to ``on_conductance`` as the control
-    voltage ``v(ctrl_pos) - v(ctrl_neg)`` crosses ``threshold``.  The smooth
-    transition keeps Newton-Raphson well behaved.
-    """
-
-    is_nonlinear = True
-
-    def __init__(
-        self,
-        name: str,
-        node_a: str,
-        node_b: str,
-        ctrl_pos: str,
-        ctrl_neg: str,
-        *,
-        threshold: ValueLike = 0.5,
-        on_resistance: ValueLike = 1e3,
-        off_resistance: ValueLike = 1e12,
-        transition_width: ValueLike = 0.05,
-    ) -> None:
-        super().__init__(name, (node_a, node_b, ctrl_pos, ctrl_neg))
-        self.threshold = parse_value(threshold)
-        self.on_conductance = 1.0 / check_positive(
-            parse_value(on_resistance), f"{name}.on_resistance"
-        )
-        self.off_conductance = 1.0 / check_positive(
-            parse_value(off_resistance), f"{name}.off_resistance"
-        )
-        self.transition_width = check_positive(
-            parse_value(transition_width), f"{name}.transition_width"
-        )
-
-    def conductance_at(self, v_ctrl: float) -> tuple[float, float]:
-        """Switch conductance and its derivative w.r.t. the control voltage."""
-        x = (v_ctrl - self.threshold) / self.transition_width
-        # Numerically safe logistic.
-        if x >= 0:
-            sig = 1.0 / (1.0 + math.exp(-x))
-        else:
-            ex = math.exp(x)
-            sig = ex / (1.0 + ex)
-        g = self.off_conductance + (self.on_conductance - self.off_conductance) * sig
-        dg = (
-            (self.on_conductance - self.off_conductance)
-            * sig
-            * (1.0 - sig)
-            / self.transition_width
-        )
-        return g, dg
-
-    def stamp(self, stamper, state) -> None:
-        a, b, cp, cn = self.nodes
-        v_ctrl = state.guess_voltage(cp) - state.guess_voltage(cn)
-        v_ab = state.guess_voltage(a) - state.guess_voltage(b)
-        g, dg = self.conductance_at(v_ctrl)
-        # i = g(v_ctrl) * v_ab; linearise in both v_ab and v_ctrl.
-        stamper.stamp_conductance(a, b, g)
-        trans = dg * v_ab
-        stamper.stamp_transconductance(a, b, cp, cn, trans)
-        i_eq = -trans * v_ctrl
-        stamper.stamp_current_injection(a, -i_eq)
-        stamper.stamp_current_injection(b, i_eq)
-
-
-def switch_conductance_array(
-    v_ctrl: np.ndarray,
-    *,
-    threshold: np.ndarray,
-    on_conductance: np.ndarray,
-    off_conductance: np.ndarray,
-    transition_width: np.ndarray,
-):
-    """Vectorised :meth:`VoltageControlledSwitch.conductance_at` over arrays.
-
-    All arguments broadcast.  Returns ``(conductance, dconductance/dv_ctrl)``
-    using the same numerically safe logistic as the scalar model.
-    """
-    x = (v_ctrl - threshold) / transition_width
-    ex = np.exp(-np.abs(x))
-    sig = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    span = on_conductance - off_conductance
-    g = off_conductance + span * sig
-    dg = span * sig * (1.0 - sig) / transition_width
-    return g, dg

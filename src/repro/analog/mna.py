@@ -1,9 +1,14 @@
 """Modified nodal analysis (MNA) assembly and the Newton-Raphson engine.
 
 The unknown vector is ``x = [node voltages..., branch currents...]`` where
-branch currents exist for voltage sources and inductors.  Nonlinear devices
-(MOSFETs, diodes, switches) are linearised around the present guess and the
-system is iterated to convergence.
+branch currents exist for voltage sources.  The nonlinear devices (the
+MOSFETs) are linearised around the present guess and the system is iterated
+to convergence.
+
+:class:`MNASystem` walks ``circuit.devices`` and calls each device's
+``stamp``, so it solves any :class:`~repro.analog.devices.Device`.  It is
+the reference that the compiled engine of :mod:`repro.analog.compiled` is
+tested against.
 """
 
 from __future__ import annotations
@@ -19,16 +24,6 @@ from repro.analog.netlist import Circuit, is_ground
 
 class ConvergenceError(RuntimeError):
     """Raised when Newton-Raphson fails to converge."""
-
-
-@dataclass
-class NewtonStats:
-    """Optional diagnostics filled in by :func:`newton_solve`."""
-
-    #: Newton iterations of the final (successful) solve.
-    iterations: int = 0
-    #: True when the plain solve failed and gmin stepping was required.
-    used_gmin_stepping: bool = False
 
 
 @dataclass
@@ -206,12 +201,6 @@ class StampState:
             return 0.0
         return float(self.previous[idx])
 
-    def previous_branch_current(self, device: Device) -> float:
-        """Branch current at the previous time point (0.0 if unavailable)."""
-        if self.previous is None:
-            return 0.0
-        return float(self.previous[self.system.branch_index_of(device)])
-
 
 class Stamper:
     """Accumulates device stamps into the dense MNA matrix."""
@@ -243,10 +232,6 @@ class Stamper:
         if i >= 0 and j >= 0:
             self.matrix[i, j] += value
 
-    def add_matrix_branch(self, row: int, col: int, value: float) -> None:
-        """Add ``value`` at explicit matrix indices (used for branch rows)."""
-        self.matrix[row, col] += value
-
     def add_rhs_branch(self, row: int, value: float) -> None:
         """Add ``value`` to the right-hand side at an explicit index."""
         self.rhs[row] += value
@@ -261,20 +246,6 @@ class Stamper:
         if a >= 0 and b >= 0:
             self.matrix[a, b] -= conductance
             self.matrix[b, a] -= conductance
-
-    def stamp_transconductance(
-        self, out_a: str, out_b: str, ctrl_pos: str, ctrl_neg: str, gm: float
-    ) -> None:
-        """Stamp a current ``gm * (v_ctrl_pos - v_ctrl_neg)`` from ``out_a`` to ``out_b``."""
-        a, b = self._idx(out_a), self._idx(out_b)
-        cp, cn = self._idx(ctrl_pos), self._idx(ctrl_neg)
-        for out_idx, sign in ((a, 1.0), (b, -1.0)):
-            if out_idx < 0:
-                continue
-            if cp >= 0:
-                self.matrix[out_idx, cp] += sign * gm
-            if cn >= 0:
-                self.matrix[out_idx, cn] -= sign * gm
 
     def stamp_current_injection(self, node: str, value: float) -> None:
         """Inject ``value`` amperes into ``node`` (adds to the RHS)."""
@@ -298,28 +269,23 @@ def newton_solve(
     state: StampState,
     initial_guess: Optional[np.ndarray] = None,
     options: Optional[SolverOptions] = None,
-    *,
-    stats: Optional[NewtonStats] = None,
 ) -> np.ndarray:
     """Solve the (possibly nonlinear) MNA system by damped Newton-Raphson.
 
     Falls back to gmin stepping if the plain iteration does not converge.
-    Pass a :class:`NewtonStats` to receive convergence diagnostics.
     """
     options = options or SolverOptions()
     guess = (
         np.zeros(system.size) if initial_guess is None else np.array(initial_guess, dtype=float)
     )
     try:
-        return _newton_iterate(system, state, guess, options, gmin=0.0, stats=stats)
+        return _newton_iterate(system, state, guess, options, gmin=0.0)
     except (ConvergenceError, np.linalg.LinAlgError):
         pass
     # gmin stepping: solve with a heavily damped system first, then relax.
-    if stats is not None:
-        stats.used_gmin_stepping = True
     solution = guess
     for gmin in options.gmin_stepping:
-        solution = _newton_iterate(system, state, solution, options, gmin=gmin, stats=stats)
+        solution = _newton_iterate(system, state, solution, options, gmin=gmin)
     return solution
 
 
@@ -330,7 +296,6 @@ def _newton_iterate(
     options: SolverOptions,
     *,
     gmin: float,
-    stats: Optional[NewtonStats] = None,
 ) -> np.ndarray:
     nonlinear = system.is_nonlinear
     x = guess.copy()
@@ -340,8 +305,6 @@ def _newton_iterate(
         matrix, rhs = system.assemble(state, options)
         x_new = system.solve_assembled(matrix, rhs, iteration=iteration)
         if not nonlinear:
-            if stats is not None:
-                stats.iterations = iteration + 1
             return x_new
         delta = x_new - x
         node_delta = delta[: system.n_nodes]
@@ -359,8 +322,6 @@ def _newton_iterate(
         max_delta = float(np.max(np.abs(node_delta))) if len(node_delta) else 0.0
         scale = float(np.max(np.abs(x[: system.n_nodes]))) if system.n_nodes else 1.0
         if max_delta <= options.voltage_tolerance + options.relative_tolerance * max(scale, 1.0):
-            if stats is not None:
-                stats.iterations = iteration + 1
             return x
     raise ConvergenceError(
         f"Newton-Raphson failed to converge for circuit {system.circuit.name!r} "

@@ -16,7 +16,7 @@ square-law overdrive far above threshold and to an exponential tail below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class MOSFETParameters:
     def thermal_voltage(self) -> float:
         """kT/q for the configured temperature."""
         return thermal_voltage(self.temperature_k)
-
-    def with_threshold(self, vth0: float) -> "MOSFETParameters":
-        """Return a copy with a different threshold voltage."""
-        return replace(self, vth0=vth0)
 
 
 #: Representative 65 nm low-power NMOS parameters (approximating PTM 65 nm LP).
@@ -262,6 +258,7 @@ class MOSFET(Device):
 
     # ----------------------------------------------------------------- stamping
     def stamp(self, stamper, state) -> None:
+        """Stamp the Newton linearisation of the channel at the present guess."""
         d, g, s = self.nodes
         vd = state.guess_voltage(d)
         vg = state.guess_voltage(g)

@@ -14,11 +14,8 @@ from repro.analog.devices import (
     Capacitor,
     CurrentSource,
     Device,
-    Diode,
-    Inductor,
     Resistor,
     SourceValue,
-    VoltageControlledSwitch,
     VoltageSource,
 )
 from repro.analog.mosfet import MOSFET, MOSFETParameters
@@ -87,18 +84,6 @@ class Circuit:
         self._device_index[device.name] = device
         return device
 
-    def remove(self, name: str) -> Device:
-        """Remove and return the device called ``name``."""
-        device = self[name]
-        self._devices.remove(device)
-        del self._device_index[name]
-        return device
-
-    def replace(self, device: Device) -> Device:
-        """Replace the device with the same name (must already exist)."""
-        self.remove(device.name)
-        return self.add(device)
-
     # ------------------------------------------------------- typed convenience
     def add_resistor(self, name: str, a: str, b: str, resistance: ValueLike) -> Resistor:
         """Add a resistor between nodes ``a`` and ``b``."""
@@ -109,10 +94,6 @@ class Circuit:
     ) -> Capacitor:
         """Add a capacitor between nodes ``a`` and ``b``."""
         return self.add(Capacitor(name, a, b, capacitance, **kwargs))
-
-    def add_inductor(self, name: str, a: str, b: str, inductance: ValueLike) -> Inductor:
-        """Add an inductor between nodes ``a`` and ``b``."""
-        return self.add(Inductor(name, a, b, inductance))
 
     def add_voltage_source(
         self, name: str, pos: str, neg: str, value: SourceValue
@@ -125,16 +106,6 @@ class Circuit:
     ) -> CurrentSource:
         """Add an independent current source (current flows pos -> neg)."""
         return self.add(CurrentSource(name, pos, neg, value))
-
-    def add_diode(self, name: str, anode: str, cathode: str, **kwargs) -> Diode:
-        """Add a junction diode."""
-        return self.add(Diode(name, anode, cathode, **kwargs))
-
-    def add_switch(
-        self, name: str, a: str, b: str, ctrl_pos: str, ctrl_neg: str, **kwargs
-    ) -> VoltageControlledSwitch:
-        """Add a voltage-controlled switch."""
-        return self.add(VoltageControlledSwitch(name, a, b, ctrl_pos, ctrl_neg, **kwargs))
 
     def add_mosfet(
         self,
@@ -151,29 +122,6 @@ class Circuit:
         return self.add(
             MOSFET(name, drain, gate, source, parameters, width=width, length=length)
         )
-
-    # ----------------------------------------------------------------- utility
-    def source_names(self) -> List[str]:
-        """Names of all independent sources (voltage and current)."""
-        return [
-            d.name
-            for d in self._devices
-            if isinstance(d, (VoltageSource, CurrentSource))
-        ]
-
-    def set_source_value(self, name: str, value: SourceValue) -> None:
-        """Change the value/waveform of an independent source."""
-        device = self[name]
-        if not isinstance(device, (VoltageSource, CurrentSource)):
-            raise TypeError(f"device {name!r} is not an independent source")
-        device.value = value
-
-    def copy(self) -> "Circuit":
-        """Shallow copy (devices are shared; the container is new)."""
-        clone = Circuit(self.name)
-        for device in self._devices:
-            clone.add(device)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Circuit({self.name!r}, devices={len(self._devices)})"

@@ -58,20 +58,16 @@ class TransientResult:
         """Branch-current trace of a device with a branch unknown.
 
         Per :mod:`repro.analog.devices`, the devices that carry a branch
-        current are voltage sources and inductors (``n_branches == 1``);
-        both are fully supported here.  Other devices (resistors,
-        capacitors, MOSFETs, ...) have no branch unknown — their terminal
-        currents are not recorded, so looking them up raises ``KeyError``.
+        current are the voltage sources (``n_branches == 1``).  Other
+        devices (resistors, capacitors, MOSFETs, ...) have no branch
+        unknown — their terminal currents are not recorded, so looking
+        them up raises ``KeyError``.
         """
         return self.branch_currents[device_name]
 
     def waveform(self, node: str) -> Waveform:
         """The voltage trace of ``node`` wrapped as a :class:`Waveform`."""
         return Waveform(self.time, self.voltage(node), name=node)
-
-    def final_voltages(self) -> Dict[str, float]:
-        """Node voltages at the last time point."""
-        return {node: float(trace[-1]) for node, trace in self.node_voltages.items()}
 
     def __len__(self) -> int:
         return len(self.time)
@@ -212,9 +208,10 @@ def transient_analysis(
         Restrict recording to these nodes (all nodes by default).
     engine:
         ``"auto"`` (default) compiles the circuit into a
-        :class:`~repro.analog.compiled.CompiledCircuit` when every device
-        type is supported, falling back to the scalar reference engine
-        otherwise; ``"compiled"`` / ``"scalar"`` force one backend.
+        :class:`~repro.analog.compiled.CompiledCircuit`, which raises
+        ``TypeError`` on a device type it does not know; ``"scalar"`` runs
+        the reference engine (see
+        :func:`repro.analog.compiled.make_system`).
     """
     stop_time = check_positive(parse_value(stop_time), "stop_time")
     time_step = check_positive(parse_value(time_step), "time_step")

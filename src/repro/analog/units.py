@@ -70,36 +70,6 @@ def parse_value(value: ValueLike) -> float:
     raise ValueError(f"unknown unit suffix {tail!r} in value {value!r}")
 
 
-def si_format(value: float, unit: str = "", precision: int = 3) -> str:
-    """Format ``value`` with an engineering SI prefix.
-
-    >>> si_format(2e-7, "A")
-    '200 nA'
-    """
-    if value == 0:
-        return f"0 {unit}".strip()
-    prefixes = [
-        (1e12, "T"),
-        (1e9, "G"),
-        (1e6, "M"),
-        (1e3, "k"),
-        (1.0, ""),
-        (1e-3, "m"),
-        (1e-6, "u"),
-        (1e-9, "n"),
-        (1e-12, "p"),
-        (1e-15, "f"),
-    ]
-    magnitude = abs(value)
-    for scale, prefix in prefixes:
-        if magnitude >= scale:
-            scaled = value / scale
-            text = f"{scaled:.{precision}g}"
-            return f"{text} {prefix}{unit}".strip()
-    scaled = value / 1e-15
-    return f"{scaled:.{precision}g} f{unit}".strip()
-
-
 # Physical constants used by the device models.
 BOLTZMANN = 1.380649e-23
 """Boltzmann constant (J/K)."""

@@ -1,15 +1,14 @@
 """Waveform post-processing.
 
-The figure-level analyses in the paper are all statements about waveforms:
-when does the membrane voltage cross the threshold, how often does the output
-spike, how does the time-to-first-spike move when the supply voltage changes.
+The figure-level analyses in the paper are statements about waveforms: how
+high the membrane voltage swings, and when the output spikes.
 :class:`Waveform` wraps a (time, value) trace with those measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,39 +38,9 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.time)
 
-    @property
-    def duration(self) -> float:
-        """Total trace duration in seconds."""
-        if len(self.time) < 2:
-            return 0.0
-        return float(self.time[-1] - self.time[0])
-
     def maximum(self) -> float:
         """Maximum sample value."""
         return float(np.max(self.values))
-
-    def minimum(self) -> float:
-        """Minimum sample value."""
-        return float(np.min(self.values))
-
-    def peak_to_peak(self) -> float:
-        """Max minus min."""
-        return self.maximum() - self.minimum()
-
-    def mean(self) -> float:
-        """Time-weighted mean value (trapezoidal)."""
-        if len(self.time) < 2:
-            return float(self.values[0]) if len(self.values) else 0.0
-        return float(np.trapezoid(self.values, self.time) / self.duration)
-
-    def value_at(self, time: float) -> float:
-        """Linearly interpolated value at ``time``."""
-        return float(np.interp(time, self.time, self.values))
-
-    def slice(self, start: float, stop: float) -> "Waveform":
-        """Return the sub-waveform with ``start <= t <= stop``."""
-        mask = (self.time >= start) & (self.time <= stop)
-        return Waveform(self.time[mask], self.values[mask], name=self.name)
 
     # --------------------------------------------------------------- crossings
     def threshold_crossings(
@@ -83,15 +52,6 @@ class Waveform:
         """
         return threshold_crossings(self.time, self.values, level, direction=direction)
 
-    def time_to_first_crossing(
-        self, level: float, *, direction: str = "rising"
-    ) -> Optional[float]:
-        """Time of the first crossing of ``level`` (None if it never crosses)."""
-        crossings = self.threshold_crossings(level, direction=direction)
-        if len(crossings) == 0:
-            return None
-        return float(crossings[0])
-
     # ------------------------------------------------------------------ spikes
     def detect_spikes(
         self, threshold: float, *, min_separation: float = 0.0
@@ -100,34 +60,6 @@ class Waveform:
         return detect_spikes(
             self.time, self.values, threshold, min_separation=min_separation
         )
-
-    def spike_count(self, threshold: float, *, min_separation: float = 0.0) -> int:
-        """Number of detected spikes."""
-        return int(len(self.detect_spikes(threshold, min_separation=min_separation)))
-
-    def spike_rate(self, threshold: float, *, min_separation: float = 0.0) -> float:
-        """Average spike rate (spikes per second) over the trace duration."""
-        if self.duration <= 0:
-            return 0.0
-        return self.spike_count(threshold, min_separation=min_separation) / self.duration
-
-    def inter_spike_intervals(
-        self, threshold: float, *, min_separation: float = 0.0
-    ) -> np.ndarray:
-        """Differences between consecutive spike times."""
-        spikes = self.detect_spikes(threshold, min_separation=min_separation)
-        return np.diff(spikes)
-
-    # ------------------------------------------------------------- edge timing
-    def rise_time(self, low_frac: float = 0.1, high_frac: float = 0.9) -> Optional[float]:
-        """10 %-90 % (by default) rise time of the first full swing."""
-        low = self.minimum() + low_frac * self.peak_to_peak()
-        high = self.minimum() + high_frac * self.peak_to_peak()
-        t_low = self.time_to_first_crossing(low, direction="rising")
-        t_high = self.time_to_first_crossing(high, direction="rising")
-        if t_low is None or t_high is None or t_high < t_low:
-            return None
-        return t_high - t_low
 
 
 def threshold_crossings(

@@ -87,10 +87,6 @@ class AttackSweep:
         """Accuracy per swept value."""
         return np.array([outcome.accuracy for outcome in self.outcomes])
 
-    def accuracy_changes(self) -> np.ndarray:
-        """Accuracy minus baseline per swept value."""
-        return self.accuracies() - self.baseline_accuracy
-
     def worst_case(self) -> AttackOutcome:
         """The most damaging configuration."""
         return min(self.outcomes, key=lambda outcome: outcome.accuracy)

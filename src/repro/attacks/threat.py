@@ -93,15 +93,6 @@ class ThreatModel:
         """True when the attack needs no architecture knowledge."""
         return not self.knows_architecture
 
-    def can_target(self, domain: PowerDomain) -> bool:
-        """Whether this adversary can corrupt ``domain``."""
-        return domain in self.targets or PowerDomain.WHOLE_SYSTEM in self.targets
-
-    def clamp_vdd(self, vdd: float) -> float:
-        """Clip a requested supply voltage into the adversary's range."""
-        low, high = self.vdd_range
-        return min(max(vdd, low), high)
-
 
 def black_box_external_adversary() -> ThreatModel:
     """The Attack-5 adversary: controls the shared external supply only."""

@@ -1,64 +1,18 @@
-"""Supply-insensitive voltage references.
+"""The supply-insensitive voltage reference of the threshold defenses.
 
 The paper's defense for the I&F neuron replaces the VDD-divided threshold
 with a bandgap reference (citing Sanborn's sub-1-V design, ±0.56 % output
-variation for VDD between 0.85 V and 1 V).  Two models are provided:
-
-* :func:`build_diode_reference` — a circuit-level diode-referenced generator
-  whose output moves only logarithmically with VDD (orders of magnitude less
-  sensitive than the resistive divider it replaces).  This is the circuit the
-  MNA simulator characterises.
-* :class:`BandgapReferenceModel` — a behavioural model with the sensitivity
-  reported in the cited bandgap paper, used by the defense evaluation where
-  only the reference's residual sensitivity matters.
+variation for VDD between 0.85 V and 1 V).  :class:`BandgapReferenceModel`
+is a behavioural model with the sensitivity reported in the cited bandgap
+paper, used by the defense evaluation where only the reference's residual
+sensitivity matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.analog import Circuit, dc_operating_point
-from repro.analog.units import ValueLike, parse_value
 from repro.utils.validation import check_positive
-
-
-def build_diode_reference(
-    vdd: ValueLike = 1.0,
-    *,
-    bias_resistance: ValueLike = "1meg",
-    saturation_current: float = 1e-16,
-) -> Circuit:
-    """A diode-referenced voltage generator.
-
-    A resistor from VDD biases a junction diode; the diode voltage (the
-    output ``vref``) changes only with the logarithm of the bias current and
-    is therefore nearly independent of VDD.
-    """
-    circuit = Circuit("diode_reference")
-    circuit.add_voltage_source("VDD", "vdd", "0", parse_value(vdd))
-    circuit.add_resistor("RBIAS", "vdd", "vref", bias_resistance)
-    circuit.add_diode("D1", "vref", "0", saturation_current=saturation_current)
-    return circuit
-
-
-def diode_reference_voltage(
-    vdd: ValueLike = 1.0,
-    *,
-    bias_resistance: ValueLike = "1meg",
-    saturation_current: float = 1e-16,
-) -> float:
-    """DC output of the diode reference at supply ``vdd``."""
-    circuit = build_diode_reference(
-        vdd, bias_resistance=bias_resistance, saturation_current=saturation_current
-    )
-    return dc_operating_point(circuit).voltage("vref")
-
-
-def reference_vs_vdd(vdd_values, **kwargs) -> np.ndarray:
-    """Diode-reference output across a VDD sweep."""
-    return np.array([diode_reference_voltage(v, **kwargs) for v in vdd_values])
 
 
 @dataclass
@@ -106,7 +60,3 @@ class BandgapReferenceModel:
             fractional_vdd_change / 0.2
         )
         return self.nominal_output * (1.0 + fractional_output_change)
-
-    def output_vs_vdd(self, vdd_values) -> np.ndarray:
-        """Vectorised :meth:`output`."""
-        return np.array([self.output(float(v)) for v in vdd_values])

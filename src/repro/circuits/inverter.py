@@ -36,24 +36,6 @@ class InverterSizing:
         check_positive(self.nmos_width, "nmos_width")
         check_positive(self.length, "length")
 
-    @property
-    def pmos_ratio(self) -> float:
-        """PMOS W/L."""
-        return self.pmos_width / self.length
-
-    @property
-    def nmos_ratio(self) -> float:
-        """NMOS W/L."""
-        return self.nmos_width / self.length
-
-    def scaled_pmos(self, factor: float) -> "InverterSizing":
-        """Return a sizing with the PMOS width multiplied by ``factor``."""
-        return InverterSizing(self.pmos_width * factor, self.nmos_width, self.length)
-
-    def scaled_nmos(self, factor: float) -> "InverterSizing":
-        """Return a sizing with the NMOS width multiplied by ``factor``."""
-        return InverterSizing(self.pmos_width, self.nmos_width * factor, self.length)
-
 
 def add_inverter(
     circuit: Circuit,

@@ -7,20 +7,16 @@
   accuracy.
 * :mod:`repro.core.results` — result containers (baseline vs attacked
   accuracy, sweep grids).
-* :mod:`repro.core.reporting` — plain-text "figure series" tables matching
-  the paper's plots.
+* :mod:`repro.core.reporting` — plain-text execution and artifact reports.
 """
 
 from repro.core.config import ExperimentConfig
 from repro.core.pipeline import ClassificationPipeline
 from repro.core.results import AttackGridResult, ExperimentResult
-from repro.core.reporting import format_attack_grid, format_experiment_result
 
 __all__ = [
     "ExperimentConfig",
     "ClassificationPipeline",
     "ExperimentResult",
     "AttackGridResult",
-    "format_attack_grid",
-    "format_experiment_result",
 ]

@@ -383,32 +383,6 @@ class ClassificationPipeline:
             results.append(result)
         return results
 
-    def run_many(
-        self,
-        attacks: Sequence[Optional[PowerAttack]],
-        *,
-        workers: int = 0,
-        executor=None,
-    ) -> List[ExperimentResult]:
-        """Evaluate a batch of attacks through the execution subsystem.
-
-        ``None`` entries request the attack-free baseline.  With
-        ``workers >= 2`` the evaluations fan out over a process pool (each
-        worker rebuilds this pipeline from ``self.config``); on the serial
-        path the executor routes the batch through :meth:`run_batch`, so a
-        whole sweep trains in one lockstep pass.  Accuracies and spike
-        counts are identical in every mode.  The back-referencing
-        ``baseline_accuracy`` field is filled on attacked results only once
-        the baseline is known to the executor — include a ``None`` entry in
-        the batch (as the campaign sweeps do) to guarantee it in both
-        modes; without one, a serial run may still inherit it from this
-        pipeline's cached baseline while a parallel run cannot.
-        """
-        from repro.exec.executor import SweepExecutor
-
-        executor = executor or SweepExecutor(self, workers=workers)
-        return executor.map(attacks)
-
     def run_baseline(self) -> ExperimentResult:
         """Run (or return the cached) attack-free experiment."""
         if self._baseline_result is None:

@@ -1,81 +1,12 @@
-"""Plain-text reporting of attack results in the paper's figure format,
-plus execution instrumentation from the sweep executor."""
+"""Plain-text reports: the sweep executor's instrumentation and the stored
+artifacts' provenance and paper comparison (``repro report``)."""
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.results import AttackGridResult, ExperimentResult
 from repro.exec.executor import COUNTERS, ExecutionStats
 from repro.utils.tables import format_table
-
-
-def format_experiment_result(result: ExperimentResult) -> str:
-    """One experiment as a small key/value table."""
-    rows = [
-        ("attack", result.attack_label),
-        ("accuracy", f"{result.accuracy:.4f}"),
-        ("mean excitatory spikes", f"{result.mean_excitatory_spikes:.1f}"),
-    ]
-    if result.baseline_accuracy is not None:
-        rows.append(("baseline accuracy", f"{result.baseline_accuracy:.4f}"))
-        rows.append(("accuracy change", f"{result.accuracy_change:+.4f}"))
-        degradation = result.relative_degradation
-        if degradation is not None:
-            rows.append(("relative degradation", f"{degradation:+.2%}"))
-    for description in result.fault_descriptions:
-        rows.append(("fault", description))
-    return format_table(["quantity", "value"], rows, title=result.attack_label)
-
-
-def format_attack_grid(grid: AttackGridResult, *, as_change: bool = False) -> str:
-    """Render a 2-D attack sweep the way the paper's figures present it.
-
-    Rows are the threshold changes, columns the fraction of the layer
-    affected; cells are absolute accuracy or (with ``as_change=True``) the
-    change from the baseline.
-    """
-    headers = [grid.row_parameter] + [
-        f"{grid.column_parameter}={value:g}" for value in grid.column_values
-    ]
-    rows = []
-    for i, row_value in enumerate(grid.row_values):
-        cells = [f"{row_value:+g}"]
-        for j in range(len(grid.column_values)):
-            value = grid.accuracies[i, j]
-            if as_change:
-                value = value - grid.baseline_accuracy
-                cells.append(f"{value:+.4f}")
-            else:
-                cells.append(f"{value:.4f}")
-        rows.append(cells)
-    title = f"{grid.name} (baseline accuracy {grid.baseline_accuracy:.4f}, scale {grid.scale_name})"
-    return format_table(headers, rows, title=title)
-
-
-def format_sweep_series(
-    parameter_name: str,
-    values: Sequence[float],
-    accuracies: Sequence[float],
-    *,
-    baseline_accuracy: float,
-    title: str,
-) -> str:
-    """Render a 1-D sweep (e.g. accuracy vs VDD) as a table."""
-    rows = []
-    for value, accuracy in zip(values, accuracies):
-        rows.append(
-            (
-                f"{value:g}",
-                f"{accuracy:.4f}",
-                f"{accuracy - baseline_accuracy:+.4f}",
-            )
-        )
-    return format_table(
-        [parameter_name, "accuracy", "change vs baseline"],
-        rows,
-        title=f"{title} (baseline {baseline_accuracy:.4f})",
-    )
 
 
 def format_execution_report(stats: ExecutionStats, *, slowest: int = 5) -> str:

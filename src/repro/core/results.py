@@ -91,12 +91,6 @@ class AttackGridResult:
                 f"accuracies must have shape {expected}, got {self.accuracies.shape}"
             )
 
-    def accuracy_at(self, row_value: float, column_value: float) -> float:
-        """Accuracy at an exact grid point."""
-        row = int(np.argmin(np.abs(self.row_values - row_value)))
-        col = int(np.argmin(np.abs(self.column_values - column_value)))
-        return float(self.accuracies[row, col])
-
     def degradation(self) -> np.ndarray:
         """Accuracy drop below the baseline (positive numbers = degradation)."""
         return self.baseline_accuracy - self.accuracies

@@ -10,8 +10,8 @@ device evaluation for all points, one batched solve per Newton iteration.
 
 :class:`CircuitSweepDispatcher` decides the route with one rule: a sweep
 runs batched exactly when its engine is not ``"scalar"`` and it holds two
-or more circuits of one topology built from compiled device types; every
-other sweep runs one analysis per circuit.  The figure runners and the
+or more circuits of one topology; every other sweep runs one analysis per
+circuit.  The figure runners and the
 circuit helpers (``threshold_vs_vdd``, ``amplitude_vs_vdd``, ...) use this
 to make the threshold/VDD sweeps of Figs. 5, 6 and the attack-calibration
 maps one simulation pass each.

@@ -8,18 +8,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def relative_change(value: float, reference: float) -> float:
-    """Fractional change of ``value`` with respect to ``reference``.
-
-    Positive means larger than the reference.  This is the quantity the
-    paper's sensitivity figures report (e.g. "time-to-spike becomes faster by
-    24.7 %" is a relative change of −0.247).
-    """
-    if reference == 0:
-        raise ZeroDivisionError("reference value is zero; relative change undefined")
-    return (value - reference) / reference
-
-
 @dataclass
 class SpikeMetrics:
     """Summary of a neuron's spiking behaviour for one stimulus condition.
@@ -59,15 +47,3 @@ class SpikeMetrics:
         first = float(times[0]) if len(times) else None
         isi = float(np.mean(np.diff(times))) if len(times) >= 2 else None
         return cls(time_to_first_spike=first, inter_spike_interval=isi, spike_times=times)
-
-    def time_to_spike_change(self, baseline: "SpikeMetrics") -> float:
-        """Relative change in time-to-first-spike versus a baseline condition."""
-        if self.time_to_first_spike is None or baseline.time_to_first_spike is None:
-            raise ValueError("both conditions must produce at least one spike")
-        return relative_change(self.time_to_first_spike, baseline.time_to_first_spike)
-
-    def rate_change(self, baseline: "SpikeMetrics") -> float:
-        """Relative change in steady-state firing rate versus a baseline."""
-        if baseline.spike_rate == 0:
-            raise ZeroDivisionError("baseline firing rate is zero")
-        return (self.spike_rate - baseline.spike_rate) / baseline.spike_rate

@@ -18,7 +18,6 @@ from repro.utils.validation import (
     check_in_choices,
     check_positive,
     check_positive_int,
-    check_probability,
     check_range,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "check_in_choices",
     "check_positive",
     "check_positive_int",
-    "check_probability",
     "check_range",
 ]

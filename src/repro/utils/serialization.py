@@ -2,10 +2,9 @@
 
 Results produced by the attack pipeline mix NumPy scalars/arrays with plain
 Python containers and small dataclasses.  :func:`to_jsonable` converts such a
-structure into pure built-in types so it can be dumped with :mod:`json`, and
-:func:`save_json` / :func:`load_json` wrap file IO with the conversion
-applied.  :func:`atomic_write_json` / :func:`atomic_write_npz` are the one
-crash-safe writer every results file, cache and lease goes through.
+structure into pure built-in types so it can be dumped with :mod:`json`.
+:func:`atomic_write_json` / :func:`atomic_write_npz` are the one crash-safe
+writer every results file, cache and lease goes through.
 """
 
 from __future__ import annotations
@@ -38,21 +37,6 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple, set)):
         return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
-
-
-def save_json(path: str | Path, obj: Any, *, indent: int = 2) -> Path:
-    """Serialise ``obj`` to JSON at ``path`` and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(obj), handle, indent=indent, sort_keys=True)
-    return path
-
-
-def load_json(path: str | Path) -> Any:
-    """Load a JSON document previously written with :func:`save_json`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _temp_path(path: Path) -> Path:

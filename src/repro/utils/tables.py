@@ -7,7 +7,7 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def _stringify(cell) -> str:
@@ -44,10 +44,3 @@ def format_table(
     lines.append("-+-".join("-" * w for w in widths))
     lines.extend(fmt_row(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def format_mapping(mapping: Mapping, *, title: str | None = None) -> str:
-    """Render a key/value mapping as a two-column table."""
-    return format_table(
-        ["key", "value"], [(k, v) for k, v in mapping.items()], title=title
-    )

@@ -8,7 +8,7 @@ the checks keeps the error messages consistent and the call sites short.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,26 +54,9 @@ def check_fraction(value: float, name: str) -> float:
     return check_range(value, name, 0.0, 1.0)
 
 
-def check_probability(value: float, name: str) -> float:
-    """Alias of :func:`check_fraction` with probability phrasing."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return value
-
-
 def check_in_choices(value, name: str, choices: Iterable):
     """Validate that ``value`` is one of ``choices``."""
     choices = tuple(choices)
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices!r}, got {value!r}")
     return value
-
-
-def check_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Validate that two sequences have equal length."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} must have the same length, "
-            f"got {len(a)} and {len(b)}"
-        )

@@ -43,14 +43,6 @@ class TestDCOperatingPoint:
         op = dc_operating_point(circuit)
         assert op["out"] == pytest.approx(2.0, rel=1e-6)
 
-    def test_diode_clamp_voltage(self):
-        circuit = Circuit("diode")
-        circuit.add_voltage_source("V1", "in", "0", 2.0)
-        circuit.add_resistor("R1", "in", "out", "10k")
-        circuit.add_diode("D1", "out", "0")
-        op = dc_operating_point(circuit)
-        assert 0.4 < op["out"] < 0.8
-
     def test_ground_voltage_is_zero(self):
         op = dc_operating_point(voltage_divider())
         assert op.voltage("0") == 0.0
@@ -114,23 +106,13 @@ class TestTransient:
         assert out.max() > 0.95
         assert out[-1] < 0.05
 
-    def test_inductor_steady_state_current(self):
-        circuit = Circuit("rl")
-        circuit.add_voltage_source("V1", "in", "0", 1.0)
-        circuit.add_resistor("R1", "in", "out", "1k")
-        circuit.add_inductor("L1", "out", "0", "1m")
-        result = transient_analysis(
-            circuit, stop_time="100u", time_step="0.5u", use_initial_conditions=True
-        )
-        assert result.current("L1")[-1] == pytest.approx(1e-3, rel=0.02)
-
     def test_waveform_accessor_and_final_voltages(self):
         circuit = voltage_divider()
         circuit.add_capacitor("C1", "out", "0", "1n")
         result = transient_analysis(circuit, stop_time="1u", time_step="10n")
         wave = result.waveform("out")
         assert len(wave) == len(result)
-        assert result.final_voltages()["out"] == pytest.approx(0.5, abs=1e-3)
+        assert result.voltage("out")[-1] == pytest.approx(0.5, abs=1e-3)
 
     def test_invalid_time_step_rejected(self):
         with pytest.raises(ValueError):
@@ -146,16 +128,18 @@ class TestNonlinearSolver:
         circuit.add_mosfet("MN", "out", "in", "0", NMOS_65NM, width="520n", length="65n")
         low_in = dc_operating_point(circuit)
         assert low_in["out"] == pytest.approx(1.0, abs=0.01)
-        circuit.set_source_value("VIN", 1.0)
+        circuit["VIN"].value = 1.0
         high_in = dc_operating_point(circuit)
         assert high_in["out"] == pytest.approx(0.0, abs=0.01)
 
     def test_solver_options_can_force_failure(self):
-        # One iteration cannot converge a strongly nonlinear circuit.
-        circuit = Circuit("diode")
-        circuit.add_voltage_source("V1", "in", "0", 2.0)
-        circuit.add_resistor("R1", "in", "out", "10k")
-        circuit.add_diode("D1", "out", "0")
+        # One damped iteration cannot carry the inverter's nodes from 0 V to
+        # the 1 V rail.
+        circuit = Circuit("inv")
+        circuit.add_voltage_source("VDD", "vdd", "0", 1.0)
+        circuit.add_voltage_source("VIN", "in", "0", 0.0)
+        circuit.add_mosfet("MP", "out", "in", "vdd", PMOS_65NM, width="400n", length="65n")
+        circuit.add_mosfet("MN", "out", "in", "0", NMOS_65NM, width="520n", length="65n")
         options = SolverOptions(max_iterations=1, gmin_stepping=(1e-3,))
         with pytest.raises(ConvergenceError):
             dc_operating_point(circuit, options=options)

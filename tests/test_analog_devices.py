@@ -1,17 +1,12 @@
-"""Tests for the linear devices and source waveforms."""
+"""Tests for the linear devices and the pulse source."""
 
-import numpy as np
 import pytest
 
 from repro.analog.devices import (
     Capacitor,
     CurrentSource,
-    Diode,
-    PiecewiseLinearSource,
     PulseSource,
     Resistor,
-    SineSource,
-    VoltageControlledSwitch,
     VoltageSource,
 )
 
@@ -39,27 +34,6 @@ class TestPulseSource:
             PulseSource(0, 1, width="15n", period="10n")
 
 
-class TestPWLAndSine:
-    def test_pwl_interpolates(self):
-        pwl = PiecewiseLinearSource([(0, 0), (1e-6, 1.0), (2e-6, 0.5)])
-        assert pwl(0.5e-6) == pytest.approx(0.5)
-        assert pwl(1.5e-6) == pytest.approx(0.75)
-        assert pwl(5e-6) == pytest.approx(0.5)  # holds last value
-
-    def test_pwl_requires_increasing_times(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearSource([(0, 0), (0, 1)])
-
-    def test_pwl_requires_two_points(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearSource([(0, 0)])
-
-    def test_sine_offset_and_peak(self):
-        sine = SineSource(0.5, 0.1, 1e6)
-        assert sine(0.0) == pytest.approx(0.5)
-        assert sine(0.25e-6) == pytest.approx(0.6, abs=1e-6)
-
-
 class TestSimpleDevices:
     def test_resistor_requires_positive_value(self):
         with pytest.raises(ValueError):
@@ -81,41 +55,3 @@ class TestSimpleDevices:
 
     def test_device_repr_contains_name(self):
         assert "R1" in repr(Resistor("R1", "a", "b", 1.0))
-
-
-class TestDiode:
-    def test_forward_current_increases_exponentially(self):
-        diode = Diode("D1", "a", "0")
-        i_low, _ = diode.current_and_conductance(0.4)
-        i_high, _ = diode.current_and_conductance(0.5)
-        assert i_high > 30 * i_low > 0
-
-    def test_reverse_current_saturates(self):
-        diode = Diode("D1", "a", "0", saturation_current=1e-14)
-        current, conductance = diode.current_and_conductance(-1.0)
-        assert current == pytest.approx(-1e-14, rel=1e-3)
-        assert conductance > 0
-
-    def test_large_forward_bias_does_not_overflow(self):
-        diode = Diode("D1", "a", "0")
-        current, conductance = diode.current_and_conductance(5.0)
-        assert np.isfinite(current) and np.isfinite(conductance)
-
-
-class TestSwitch:
-    def test_conductance_transitions_with_control(self):
-        switch = VoltageControlledSwitch(
-            "S1", "a", "b", "c", "0", threshold=0.5, on_resistance=1e3, off_resistance=1e9
-        )
-        g_off, _ = switch.conductance_at(0.0)
-        g_on, _ = switch.conductance_at(1.0)
-        # The smooth (logistic) transition never quite reaches the asymptotes,
-        # but off/on must differ by orders of magnitude.
-        assert g_off < 1e-6
-        assert g_on == pytest.approx(1e-3, rel=0.1)
-        assert g_on / g_off > 1e3
-
-    def test_transition_derivative_is_positive_at_threshold(self):
-        switch = VoltageControlledSwitch("S1", "a", "b", "c", "0", threshold=0.5)
-        _, dg = switch.conductance_at(0.5)
-        assert dg > 0

@@ -18,12 +18,6 @@ def test_parameters_reject_bad_polarity():
         MOSFETParameters(polarity="cmos", vth0=0.4, kp=1e-4)
 
 
-def test_with_threshold_returns_modified_copy():
-    modified = NMOS_65NM.with_threshold(0.3)
-    assert modified.vth0 == 0.3
-    assert NMOS_65NM.vth0 != 0.3
-
-
 def test_nmos_off_below_threshold():
     nmos = make_nmos()
     current = nmos.drain_current(vd=1.0, vg=0.1, vs=0.0)

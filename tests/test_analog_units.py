@@ -4,7 +4,6 @@ import pytest
 
 from repro.analog.units import (
     parse_value,
-    si_format,
     thermal_voltage,
 )
 
@@ -48,16 +47,6 @@ def test_parse_value_rejects_garbage():
     with pytest.raises(ValueError)as err:
         parse_value("10q")
     assert "unknown unit suffix" in str(err.value)
-
-
-def test_si_format_picks_engineering_prefix():
-    assert si_format(2e-7, "A") == "200 nA"
-    assert si_format(1500, "Hz") == "1.5 kHz"
-    assert si_format(0, "V") == "0 V"
-
-
-def test_si_format_small_values():
-    assert "f" in si_format(2e-15, "F")
 
 
 def test_thermal_voltage_room_temperature():

@@ -43,7 +43,7 @@ class TestThreatModel:
     def test_black_box_adversary(self):
         model = black_box_external_adversary()
         assert model.is_black_box
-        assert model.can_target(PowerDomain.EXCITATORY_LAYER)
+        assert model.targets == (PowerDomain.WHOLE_SYSTEM,)
         assert model.scheme is PowerDomainScheme.SINGLE_DOMAIN
 
     def test_white_box_adversary(self):
@@ -51,12 +51,6 @@ class TestThreatModel:
         assert not model.is_black_box
         assert model.access is AdversaryAccess.LASER_GLITCHING
         assert model.reachable_fraction == 0.5
-
-    def test_clamp_vdd(self):
-        model = black_box_external_adversary()
-        assert model.clamp_vdd(0.5) == 0.8
-        assert model.clamp_vdd(2.0) == 1.2
-        assert model.clamp_vdd(1.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

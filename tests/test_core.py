@@ -1,16 +1,9 @@
-"""Tests for the experiment configuration, result containers and reporting."""
+"""Tests for the experiment configuration and the result containers."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AttackGridResult,
-    ExperimentConfig,
-    ExperimentResult,
-    format_attack_grid,
-    format_experiment_result,
-)
-from repro.core.reporting import format_sweep_series
+from repro.core import AttackGridResult, ExperimentConfig, ExperimentResult
 
 
 class TestExperimentConfig:
@@ -99,30 +92,6 @@ class TestAttackGridResult:
 
     def test_accuracy_at_and_degradation(self):
         grid = self.make_grid()
-        assert grid.accuracy_at(-0.2, 0.5) == 0.5
+        # Row -0.2, column 0.5.
+        assert grid.accuracies[0, 1] == 0.5
         assert grid.degradation().max() == pytest.approx(0.66)
-
-
-class TestReporting:
-    def test_format_experiment_result_mentions_faults(self):
-        result = ExperimentResult(
-            attack_label="attack4",
-            accuracy=0.1,
-            baseline_accuracy=0.76,
-            fault_descriptions=["excitatory.threshold x0.800 on 100 neurons (100% of layer)"],
-        )
-        text = format_experiment_result(result)
-        assert "attack4" in text and "threshold" in text and "relative degradation" in text
-
-    def test_format_attack_grid_absolute_and_change(self):
-        grid = TestAttackGridResult().make_grid()
-        absolute = format_attack_grid(grid)
-        change = format_attack_grid(grid, as_change=True)
-        assert "fraction=0.5" in absolute
-        assert "+0.0000" in change or "-0.2600" in change
-
-    def test_format_sweep_series(self):
-        text = format_sweep_series(
-            "vdd", [0.8, 1.0], [0.1, 0.76], baseline_accuracy=0.76, title="attack5"
-        )
-        assert "vdd" in text and "0.8" in text and "attack5" in text

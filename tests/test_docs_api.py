@@ -4,8 +4,8 @@ Runs ``tools/gen_api_docs.py`` (build + docstring-coverage check, the same
 invocation as the ``docs`` CI job) into a temp directory and asserts the
 key pages exist, then runs ``tools/check_links.py`` over the committed
 markdown.  A public function added to ``scenarios/``/``exec/``/
-``snn/batched.py``/``analog/compiled.py`` without a docstring fails here
-before it fails in CI.
+``snn/batched.py``/``analog/``/``circuits/`` without a docstring fails
+here before it fails in CI.
 """
 
 from __future__ import annotations

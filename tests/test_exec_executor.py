@@ -198,8 +198,10 @@ class TestParallelParity:
         config = tiny_config()
         pipeline = ClassificationPipeline(config)
         attacks = [None, Attack5GlobalSupply(vdd=0.8)]
-        serial_results = pipeline.run_many(attacks, workers=0)
-        parallel_results = ClassificationPipeline(config).run_many(attacks, workers=2)
+        serial_results = SweepExecutor(pipeline, workers=0).map(attacks)
+        parallel_results = SweepExecutor(
+            ClassificationPipeline(config), workers=2
+        ).map(attacks)
         for left, right in zip(serial_results, parallel_results):
             assert left.accuracy == right.accuracy
 

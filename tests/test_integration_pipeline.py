@@ -85,8 +85,9 @@ class TestCampaign:
             "inhibitory", threshold_changes=(0.2,), fractions=(0.0, 1.0)
         )
         assert grid.accuracies.shape == (1, 2)
-        assert grid.accuracy_at(0.2, 0.0) == smoke_baseline.accuracy
-        assert grid.accuracy_at(0.2, 1.0) < smoke_baseline.accuracy
+        assert grid.column_values.tolist() == [0.0, 1.0]
+        assert grid.accuracies[0, 0] == smoke_baseline.accuracy
+        assert grid.accuracies[0, 1] < smoke_baseline.accuracy
         assert grid.worst_case_relative_degradation() > 0.3
         assert grid.metadata["layer"] == "inhibitory"
 

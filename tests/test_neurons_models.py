@@ -10,16 +10,10 @@ from repro.neurons import (
     IFAmplifierModel,
     RobustDriverModel,
     SpikeMetrics,
-    relative_change,
 )
 
 
 class TestMetrics:
-    def test_relative_change(self):
-        assert relative_change(1.2, 1.0) == pytest.approx(0.2)
-        with pytest.raises(ZeroDivisionError):
-            relative_change(1.0, 0.0)
-
     def test_spike_metrics_from_times(self):
         metrics = SpikeMetrics.from_spike_times([1.0, 3.0, 5.0])
         assert metrics.time_to_first_spike == 1.0
@@ -31,12 +25,6 @@ class TestMetrics:
         metrics = SpikeMetrics.from_spike_times([])
         assert metrics.time_to_first_spike is None
         assert metrics.spike_rate == 0.0
-
-    def test_time_to_spike_change_requires_spikes(self):
-        silent = SpikeMetrics.from_spike_times([])
-        active = SpikeMetrics.from_spike_times([1.0])
-        with pytest.raises(ValueError):
-            active.time_to_spike_change(silent)
 
 
 class TestCurrentDriverModel:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analog import Circuit, dc_operating_point
-from repro.analog.units import parse_value, si_format
+from repro.analog.units import parse_value
 from repro.analog.waveform import Waveform
 from repro.attacks import FaultInjector
 from repro.exec.microbatch import Microbatcher
@@ -56,12 +56,6 @@ def test_parse_value_applies_magnitude(mantissa, suffix):
     scale = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
              "": 1.0, "k": 1e3, "meg": 1e6, "g": 1e9}[suffix]
     assert parse_value(f"{mantissa}{suffix}") == pytest.approx(mantissa * scale, rel=1e-9)
-
-
-@given(value=st.floats(min_value=1e-14, max_value=1e12, allow_nan=False))
-def test_si_format_always_returns_text(value):
-    text = si_format(value, "V")
-    assert isinstance(text, str) and len(text) > 0
 
 
 @given(

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.utils.serialization import load_json, save_json, to_jsonable
-from repro.utils.tables import format_mapping, format_table
+from repro.utils.serialization import to_jsonable
+from repro.utils.tables import format_table
 
 
 def test_format_table_aligns_columns():
@@ -32,11 +32,6 @@ def test_format_table_formats_floats_compactly():
     assert "0.1235" in text
 
 
-def test_format_mapping():
-    text = format_mapping({"alpha": 1, "beta": 2})
-    assert "alpha" in text and "beta" in text
-
-
 def test_to_jsonable_handles_numpy_scalars_and_arrays():
     payload = {"a": np.int64(3), "b": np.float64(2.5), "c": np.array([1, 2]), "d": np.bool_(True)}
     converted = to_jsonable(payload)
@@ -58,10 +53,3 @@ def test_to_jsonable_handles_dataclasses_and_sets():
 def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(TypeError):
         to_jsonable(object())
-
-
-def test_save_and_load_json_roundtrip(tmp_path):
-    path = tmp_path / "result.json"
-    save_json(path, {"accuracy": np.float64(0.76), "series": np.arange(3)})
-    loaded = load_json(path)
-    assert loaded == {"accuracy": 0.76, "series": [0, 1, 2]}

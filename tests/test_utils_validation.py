@@ -8,9 +8,7 @@ from repro.utils.validation import (
     check_in_choices,
     check_positive,
     check_positive_int,
-    check_probability,
     check_range,
-    check_same_length,
 )
 
 
@@ -74,11 +72,6 @@ def test_check_fraction_bounds():
         check_fraction(1.01, "f")
 
 
-def test_check_probability_rejects_negative():
-    with pytest.raises(ValueError, match="probability"):
-        check_probability(-0.1, "p")
-
-
 def test_check_in_choices_accepts_member():
     assert check_in_choices("a", "mode", ("a", "b")) == "a"
 
@@ -86,9 +79,3 @@ def test_check_in_choices_accepts_member():
 def test_check_in_choices_rejects_non_member():
     with pytest.raises(ValueError, match="mode must be one of"):
         check_in_choices("c", "mode", ("a", "b"))
-
-
-def test_check_same_length_passes_and_fails():
-    check_same_length("a", [1, 2], "b", [3, 4])
-    with pytest.raises(ValueError, match="same length"):
-        check_same_length("a", [1], "b", [1, 2])

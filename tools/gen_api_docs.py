@@ -12,8 +12,8 @@ docstrings.
 
 ``--check`` additionally enforces docstring coverage on the API-critical
 modules (``repro.scenarios``, ``repro.exec``, ``repro.snn.batched``,
-``repro.snn.snapshot``, ``repro.snn.serving``, ``repro.analog.compiled``,
-``repro.store``):
+``repro.snn.snapshot``, ``repro.snn.serving``, the whole circuit tier
+``repro.analog`` and ``repro.circuits``, and ``repro.store``):
 any public function, class, method or property there without a docstring
 fails the build.  The ``docs`` CI job runs
 ``python tools/gen_api_docs.py --out docs/api --check``.
@@ -43,7 +43,8 @@ COVERAGE_TARGETS = (
     "repro.snn.batched",
     "repro.snn.snapshot",
     "repro.snn.serving",
-    "repro.analog.compiled",
+    "repro.analog",
+    "repro.circuits",
     "repro.store",
 )
 
