@@ -58,6 +58,7 @@ from repro.analog.devices import (
 from repro.analog.mna import MNASystem, SolverOptions, StampState
 from repro.analog.mosfet import MOSFET, channel_current_array
 from repro.analog.netlist import Circuit
+from repro.utils.validation import check_engine
 
 # The raw LAPACK bindings are used instead of scipy.linalg.lu_factor /
 # lu_solve: the high-level wrappers cost tens of microseconds per call, which
@@ -69,9 +70,6 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 #: subdivision and clamped final steps produce extra distinct dt values; the
 #: bound keeps the caches from growing without limit.
 _CACHE_LIMIT = 16
-
-#: Valid ``engine=`` values of :func:`make_system` and the analyses.
-ENGINES = ("auto", "scalar")
 
 
 def _dt_key(dt: float) -> float:
@@ -556,10 +554,6 @@ def make_system(circuit: Circuit, engine: str = "auto") -> MNASystem:
     device; ``"auto"`` compiles the circuit into a :class:`CompiledCircuit`,
     which raises ``TypeError`` on a device type it does not know.
     """
-    if engine == "scalar":
+    if check_engine(engine) == "scalar":
         return MNASystem(circuit)
-    if engine == "auto":
-        return CompiledCircuit(circuit)
-    raise ValueError(
-        f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
-    )
+    return CompiledCircuit(circuit)

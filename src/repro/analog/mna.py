@@ -85,11 +85,6 @@ class MNASystem:
         """Matrix index of a device's branch current."""
         return self.n_nodes + self.branch_owner[device.name]
 
-    def voltage_of(self, solution: np.ndarray, node: str) -> float:
-        """Voltage of ``node`` in a solution vector (0.0 for ground)."""
-        idx = self.index_of(node)
-        return 0.0 if idx < 0 else float(solution[idx])
-
     def branch_current_of(self, solution: np.ndarray, device: Device) -> float:
         """Branch current of ``device`` in a solution vector."""
         return float(solution[self.branch_index_of(device)])

@@ -252,10 +252,6 @@ class MOSFET(Device):
         i_n, d_vd, d_vg, d_vs = self._oriented_current(-vd, -vg, -vs)
         return -i_n, d_vd, d_vg, d_vs
 
-    def drain_current(self, vd: float, vg: float, vs: float) -> float:
-        """Convenience accessor returning only the drain-to-source current."""
-        return self.channel_current(vd, vg, vs)[0]
-
     # ----------------------------------------------------------------- stamping
     def stamp(self, stamper, state) -> None:
         """Stamp the Newton linearisation of the channel at the present guess."""

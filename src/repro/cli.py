@@ -92,7 +92,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import ExperimentConfig
-from repro.core.pipeline import ENGINES
 from repro.core.reporting import (
     format_artifact_summary,
     format_recovered_faults,
@@ -120,6 +119,7 @@ from repro.store import (
     save_scenario_result,
 )
 from repro.utils.tables import format_table
+from repro.utils.validation import ENGINES
 
 #: File name of the persistent executor cache inside a results directory.
 CACHE_FILENAME = "cache.json"
@@ -157,6 +157,15 @@ def _install_sigterm_handler():
         return None
 
 
+#: The ``--engine`` help, shared by every command that trains or scores.
+_ENGINE_HELP = (
+    "'auto' runs the fast engines (lockstep SNN engine, compiled circuit "
+    "solver); 'scalar' forces the per-example SNN and per-device MNA "
+    "reference paths on both tiers (SNN results bit-identical, circuit "
+    "results identical within solver tolerance)"
+)
+
+
 def _add_scale_workers_engine(parser: argparse.ArgumentParser) -> None:
     """The execution flags shared by ``run`` and ``scenarios run``."""
     parser.add_argument(
@@ -170,19 +179,12 @@ def _add_scale_workers_engine(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="worker processes for pipeline sweeps (0/1 = serial)",
+        help="worker processes for pipeline sweeps (0/1 = serial: under "
+        "--engine auto each batch of attacks trains in one lockstep pass; "
+        ">= 2: a batch of two or more cache misses goes to the process pool, "
+        "where each attack trains alone in a one-lane pass)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="execution engine for BOTH tiers: the SNN tier ('scalar' = "
-        "per-example reference, 'batched' = lockstep engine, 'auto' = "
-        "batched when available; bit-identical results either way) and "
-        "the circuit tier ('scalar' forces the per-device reference "
-        "MNA path, otherwise the compiled/batched engine; identical within "
-        "solver tolerance)",
-    )
+    parser.add_argument("--engine", choices=ENGINES, default="auto", help=_ENGINE_HELP)
     parser.add_argument(
         "--out",
         default="results",
@@ -257,13 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment scale preset (default: REPRO_SCALE or 'benchmark')",
     )
-    snap_export.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="SNN engine used for training and the recorded eval pass "
-        "(bit-identical results either way)",
-    )
+    snap_export.add_argument("--engine", choices=ENGINES, default="auto", help=_ENGINE_HELP)
     snap_export.add_argument(
         "--out",
         default="results",
@@ -294,12 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exit nonzero unless accuracy and prediction SHA-256 match the "
         "values recorded at export time",
     )
-    snap_info.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="scoring engine for --rescore (parity must hold either way)",
-    )
+    snap_info.add_argument("--engine", choices=ENGINES, default="auto", help=_ENGINE_HELP)
 
     scenarios = sub.add_parser(
         "scenarios", help="declarative attack scenarios (list/run/report)"
@@ -481,7 +472,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config,
         workers=args.workers,
         cache=cache,
-        engine=args.engine or "auto",
+        engine=args.engine,
         resilience=policy,
         figures=names,
     ) as context:

@@ -14,18 +14,19 @@ executor cache key unique per member combination.
 
 Engine selection
 ----------------
-``engine`` picks how the SNN is advanced:
+``engine`` is ``"auto"`` (default) or ``"scalar"``
+(:data:`repro.utils.validation.ENGINES`);
+:func:`repro.snn.batched.resolve_engine` maps it to what runs:
 
+* ``"batched"`` — the lockstep engine (:mod:`repro.snn.batched`), what
+  ``"auto"`` runs unless the runtime fails the engine's reduction-order
+  self-check: the label assignment and evaluation passes present
+  ``example_chunk`` examples at once, and :meth:`run_batch` trains a whole
+  batch of attack variants in one lockstep pass (:meth:`run` is a batch of
+  one).  Results are bit-identical to the scalar engine (that is the
+  batched engine's contract, pinned by ``tests/test_snn_batched.py``).
 * ``"scalar"`` — the reference :class:`~repro.snn.network.Network`, one
   example at a time.
-* ``"batched"`` — the lockstep engine (:mod:`repro.snn.batched`): the label
-  assignment and evaluation passes present ``example_chunk`` examples at
-  once, and :meth:`run_batch` trains a whole batch of attack variants in one
-  lockstep pass (:meth:`run` is a batch of one).  Results are bit-identical
-  to the scalar engine (that is the batched engine's contract, pinned by
-  ``tests/test_snn_batched.py``).
-* ``"auto"`` (default) — ``"batched"`` unless the runtime fails the
-  engine's reduction-order self-check, then ``"scalar"``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.results import ExperimentResult
 from repro.datasets.digits import SyntheticDigits
 from repro.datasets.loaders import train_test_split
-from repro.snn.batched import (
-    BatchedNetwork,
-    BatchedSpikeMonitor,
-    reduction_contract_holds,
-)
+from repro.snn.batched import BatchedNetwork, BatchedSpikeMonitor, resolve_engine
 from repro.snn.encoding import PackedRasters
 from repro.snn.evaluation import (
     all_activity_prediction,
@@ -54,10 +51,7 @@ from repro.snn.evaluation import (
 )
 from repro.snn.models import DiehlAndCook2015, EXCITATORY_LAYER, INPUT_LAYER
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_in_choices, check_positive
-
-#: Valid values of the pipeline's ``engine`` parameter.
-ENGINES = ("auto", "batched", "scalar")
+from repro.utils.validation import check_engine, check_in_choices, check_positive
 
 #: The pipeline's encoding streams, each with the images it encodes.  A
 #: stream's generator is ``RandomState(config.seed, name=f"{stream}_encoding")``.
@@ -72,8 +66,8 @@ class ClassificationPipeline:
     config:
         Experiment scale and network hyper-parameters.
     engine:
-        SNN execution engine — ``"auto"`` (default), ``"batched"`` or
-        ``"scalar"``.  Engine choice never changes results, only speed.
+        SNN execution engine — ``"auto"`` (default) or ``"scalar"``.
+        Engine choice never changes results, only speed.
     example_chunk:
         How many examples the batched inference passes advance in lockstep
         (bounds the memory of one unpacked block of input rasters).
@@ -111,8 +105,7 @@ class ClassificationPipeline:
         example_chunk: int = 64,
     ) -> None:
         self.config = config or ExperimentConfig.benchmark()
-        check_in_choices(engine, "engine", ENGINES)
-        self.engine = engine
+        self.engine = check_engine(engine)
         self.example_chunk = int(check_positive(example_chunk, "example_chunk"))
         root = RandomState(self.config.seed, name="pipeline")
         self._dataset_rng = root.spawn("dataset")
@@ -137,18 +130,9 @@ class ClassificationPipeline:
     # ----------------------------------------------------------------- engine
     @property
     def resolved_engine(self) -> str:
-        """The engine actually used: ``"batched"`` or ``"scalar"``.
-
-        ``"auto"`` resolves to the batched engine unless this NumPy fails
-        the lockstep engine's reduction-order self-check (in which case the
-        scalar reference is the only engine that can honour the pipeline's
-        determinism guarantees).
-        """
-        if self.engine == "scalar":
-            return "scalar"
-        if self.engine == "batched":
-            return "batched"
-        return "batched" if reduction_contract_holds() else "scalar"
+        """The engine actually used: ``"batched"`` or ``"scalar"``
+        (see :func:`~repro.snn.batched.resolve_engine`)."""
+        return resolve_engine(self.engine)
 
     # ----------------------------------------------------------------- pieces
     def build_network(self) -> DiehlAndCook2015:
@@ -308,7 +292,7 @@ class ClassificationPipeline:
 
         ``None`` entries request the attack-free baseline.  Raises
         :class:`~repro.snn.batched.BatchedNetworkError` subclasses when the
-        lockstep engine cannot host the network; with ``engine="scalar"`` it
+        lockstep engine cannot host the network; on the scalar engine it
         simply loops over :meth:`run`.
         """
         attacks = [attack or NoAttack() for attack in attacks]

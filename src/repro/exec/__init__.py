@@ -5,8 +5,11 @@ train-and-evaluate pipeline runs per figure.  This package factors the
 "run many configurations" loop out of the sweep drivers:
 
 * :class:`~repro.exec.executor.SweepExecutor` — fans independent attack
-  evaluations out over a supervised process pool (``workers > 1``) or runs
-  them inline (``workers <= 1``, the deterministic debugging default).
+  evaluations out over a supervised process pool (``workers > 1``, one
+  attack per task) or runs them inline (``workers <= 1``, the
+  deterministic debugging default), where a pipeline on the lockstep SNN
+  engine (:mod:`repro.snn.batched`) trains and evaluates each batch of
+  attack variants in one ``run_batch`` pass instead of one run per point.
   Both paths follow one :class:`~repro.exec.resilience.ResiliencePolicy`:
   worker-death recovery (pool rebuild + re-dispatch of lost in-flight
   tasks), per-task timeout/retry with seeded exponential backoff, and
@@ -23,10 +26,6 @@ train-and-evaluate pipeline runs per figure.  This package factors the
   counterpart: sweeps whose points are parameter variants of one topology
   (threshold/VDD grids) advance in lockstep through the batched engine of
   :mod:`repro.analog.batch` instead of one simulation per point.
-* :class:`~repro.exec.snn_batch.PipelineBatchDispatcher` — the pipeline-tier
-  twin: a serial batch of attack evaluations (variants of one Diehl&Cook
-  topology) trains and evaluates in one lockstep pass through the batched
-  SNN engine (:mod:`repro.snn.batched`) instead of one full run per point.
 * :class:`~repro.exec.shard.ShardSpec` — the static splitter (the
   ``--shard i/n`` flag of ``python -m repro scenarios run``): shard ``i``
   owns one pre-assigned :class:`~repro.exec.shard.Chunk` of every ``n``-th
@@ -93,7 +92,6 @@ from repro.exec.resilience import (
     WorkerCrashError,
 )
 from repro.exec.shard import FULL, Chunk, MergeReport, ShardSpec, merge_report
-from repro.exec.snn_batch import PipelineBatchDispatcher
 
 __all__ = [
     "CHAOS_PLANS",
@@ -122,7 +120,6 @@ __all__ = [
     "sweep_stale_artifacts",
     "whole_chunk",
     "CircuitSweepDispatcher",
-    "PipelineBatchDispatcher",
     "ResultCache",
     "attack_cache_key",
     "load_fault_plan",

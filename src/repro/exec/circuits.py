@@ -29,9 +29,9 @@ from repro.analog.batch import (
     batched_operating_points,
     shares_topology,
 )
-from repro.analog.compiled import ENGINES
 from repro.analog.dc import DCSweepResult, OperatingPoint, dc_operating_point, dc_sweep
 from repro.analog.netlist import Circuit
+from repro.utils.validation import check_engine
 
 
 @dataclass
@@ -41,7 +41,7 @@ class CircuitSweepDispatcher:
     Parameters
     ----------
     engine:
-        Solver backend, one of :data:`repro.analog.compiled.ENGINES`
+        Solver backend, one of :data:`repro.utils.validation.ENGINES`
         (checked on construction).  The serial route forwards it to every
         analysis (see :func:`repro.analog.compiled.make_system`);
         ``"scalar"`` forces the per-device reference path and so never
@@ -57,10 +57,7 @@ class CircuitSweepDispatcher:
     serial_sweeps: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; use one of {', '.join(ENGINES)}"
-            )
+        check_engine(self.engine)
 
     def _use_batch(self, circuits: Sequence[Circuit]) -> bool:
         route_batched = (

@@ -4,7 +4,9 @@ Every task is one pipeline evaluation — ``pipeline.run(attack)`` or, for
 ``attack=None``, ``pipeline.run_baseline()``.  Tasks are independent by
 construction (each run trains a fresh network from seeds derived from the
 experiment config and the attack label alone), so they parallelise across
-processes without any shared state.
+processes without any shared state — and, on the serial path, a pipeline
+on the lockstep SNN engine evaluates a whole batch of them in one
+``pipeline.run_batch`` pass, bit-identical to running them one by one.
 
 Worker processes do **not** receive the parent's pipeline object.  They
 rebuild an equivalent pipeline once per worker from a picklable factory
@@ -41,7 +43,6 @@ from repro.exec.resilience import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.snn_batch import PipelineBatchDispatcher
 
 #: Module-global pipeline of the current worker process (set by the pool
 #: initializer, used by every task executed in that worker).
@@ -154,8 +155,6 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("lockstep_passes", "lockstep", "", "lockstep passes"),
     # Rendered inside the "lockstep passes" row, so it has no row label.
     Counter("lockstep_lanes", "lockstep", "", ""),
-    Counter("serial_sweeps", "lockstep", "", "per-run serial batches"),
-    Counter("lockstep_fallbacks", "lockstep", "", "lockstep fallbacks to per-run"),
 )
 
 
@@ -205,14 +204,10 @@ class ExecutionStats:
     microbatch_full_flushes: int = 0
     microbatch_linger_flushes: int = 0
     microbatch_drain_flushes: int = 0
-    #: Serial-path routing counters (filled by
-    #: :class:`~repro.exec.snn_batch.PipelineBatchDispatcher`): lockstep
-    #: passes and the tasks (lanes) they evaluated, batches that took the
-    #: per-run serial route, and lockstep passes the engine rejected.
+    #: Lockstep counters (filled by the serial path): ``run_batch`` passes
+    #: and the tasks (lanes) they evaluated.
     lockstep_passes: int = 0
     lockstep_lanes: int = 0
-    serial_sweeps: int = 0
-    lockstep_fallbacks: int = 0
 
     def record(self, timing: TaskTiming) -> None:
         """Account one finished task (cached or freshly executed)."""
@@ -272,7 +267,11 @@ class SweepExecutor:
     workers:
         Number of worker processes.  ``0`` or ``1`` selects the serial
         in-process path (deterministic call order, easiest to debug and
-        profile); ``>= 2`` fans tasks out over a supervised process pool.
+        profile); ``>= 2`` fans every batch of two or more misses out over
+        a supervised process pool, one task per dispatch — each worker
+        trains its attack alone (``pipeline.run``, a one-lane pass on the
+        lockstep engine), so a pool run never shares a lockstep pass
+        between attacks.
     pipeline_factory:
         Picklable zero-argument callable building the pipeline inside each
         worker.  Defaults to :class:`PipelineFromConfig` around
@@ -295,12 +294,14 @@ class SweepExecutor:
         pool-rebuild budget or raised as
         :class:`~repro.exec.resilience.WorkerCrashError`.
 
+    On the serial path, a pipeline whose ``resolved_engine`` is
+    ``"batched"`` trains every pending batch, a batch of one included, in
+    one ``run_batch`` lockstep pass; any other pipeline runs task by task.
     A task failure is only raised after the retry budget is exhausted, and
     only after every sibling task has been drained into the cache.  With a
-    chaos plan installed, the serial path skips the lockstep batched route
-    so faults inject per task (the batched and per-run paths are
-    bit-identical by the engine parity contract, so this changes timing
-    only, never numbers).
+    chaos plan installed, the serial path runs task by task so faults
+    inject per task (both routes are bit-identical by the engine parity
+    contract, so this changes timing only, never numbers).
     """
 
     def __init__(
@@ -330,7 +331,6 @@ class SweepExecutor:
         self.heartbeat: Optional[Callable[[], None]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._scope: Optional[str] = None
-        self.dispatcher = PipelineBatchDispatcher(self.stats)
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -350,7 +350,7 @@ class SweepExecutor:
                 "wrapped pipeline has no .config to rebuild one from"
             )
         # Propagate the wrapped pipeline's engine choice so a forced
-        # engine="scalar" (or "batched") holds on the parallel path too.
+        # engine="scalar" holds on the parallel path too.
         return PipelineFromConfig(config, engine=getattr(self._pipeline, "engine", "auto"))
 
     @property
@@ -475,17 +475,18 @@ class SweepExecutor:
 
     def _run_serial(self, pending: Dict[str, object], total: int) -> None:
         self._beat()
-        # Chaos targets individual tasks, so a chaos plan forces the per-run
-        # path: each task is then a separate injection point.
-        if self.policy.chaos is None and self.dispatcher.supports(self.pipeline, total):
-            if self._run_serial_batched(pending, total):
-                return
-        else:
-            self.dispatcher.note_serial()
+        # Chaos targets individual tasks, so a chaos plan forces the per-task
+        # loop: each task is then a separate injection point.
+        if (
+            self.policy.chaos is None
+            and getattr(self.pipeline, "resolved_engine", None) == "batched"
+        ):
+            self._run_serial_batched(pending, total)
+            return
         done = 0
         for key, attack in pending.items():
             self._beat()
-            result, seconds = self._run_serial_task(key, attack)
+            result, seconds = self._retrying(key, lambda: self._evaluate(attack))
             timing = TaskTiming(key=key, seconds=seconds, worker_mode="serial")
             self.cache.put(key, result)
             self.stats.record(timing)
@@ -493,8 +494,14 @@ class SweepExecutor:
             if self._progress is not None:
                 self._progress(timing, done, total)
 
-    def _run_serial_task(self, key: str, attack) -> Tuple[object, float]:
-        """One task on the serial path: chaos, then retry with backoff."""
+    def _evaluate(self, attack):
+        if attack is None:
+            return self.pipeline.run_baseline()
+        return self.pipeline.run(attack)
+
+    def _retrying(self, key: str, call: Callable[[], object]) -> Tuple[object, float]:
+        """``call()`` on the serial path: chaos for ``key``, then retry with
+        backoff; returns the result and the successful attempt's seconds."""
         retry = self.policy.retry
         chaos = self.policy.chaos
         attempt = 0
@@ -503,11 +510,7 @@ class SweepExecutor:
             try:
                 if chaos is not None:
                     chaos.apply(key, attempt, allow_kill=False)
-                if attack is None:
-                    result = self.pipeline.run_baseline()
-                else:
-                    result = self.pipeline.run(attack)
-                return result, time.perf_counter() - start
+                return call(), time.perf_counter() - start
             except Exception:
                 # KeyboardInterrupt/SystemExit (BaseException) propagate:
                 # an interrupt must stop the campaign, not be retried.
@@ -517,28 +520,33 @@ class SweepExecutor:
                 self.stats.retries += 1
                 time.sleep(retry.delay(key, attempt))
 
-    def _run_serial_batched(self, pending: Dict[str, object], total: int) -> bool:
-        """Evaluate a whole pending batch in one lockstep variant pass.
+    def _run_serial_batched(self, pending: Dict[str, object], total: int) -> None:
+        """Evaluate a whole pending batch, even a batch of one, in one
+        lockstep variant pass of ``pipeline.run_batch``.
 
-        Returns ``False`` when the batched engine rejected the network (the
-        caller then falls back to the per-run loop).  Timings attribute the
-        pass's wall-clock evenly across its tasks, under the ``"batched"``
-        worker mode, so ``ExecutionStats`` stays truthful about where time
-        went (``task_seconds`` equals wall time for a lockstep pass — the
-        speedup shows up as fewer seconds, not as pool concurrency).
+        The pass retries as a whole under the policy's retry budget, keyed
+        by its first task.  A failure that outlasts it — such as a
+        :class:`~repro.snn.batched.BatchedNetworkError` — propagates: the
+        pipeline's own ``run`` is a one-lane ``run_batch`` on this engine,
+        so no per-task fallback could succeed.  Timings attribute the pass's
+        wall-clock evenly across its tasks, under the ``"batched"`` worker
+        mode, so ``ExecutionStats`` stays truthful about where time went
+        (``task_seconds`` equals wall time for a lockstep pass — the speedup
+        shows up as fewer seconds, not as pool concurrency).
         """
-        start = time.perf_counter()
-        results = self.dispatcher.run(self.pipeline, list(pending.values()))
-        if results is None:
-            return False
-        seconds = (time.perf_counter() - start) / max(total, 1)
+        attacks = list(pending.values())
+        results, seconds = self._retrying(
+            next(iter(pending)), lambda: self.pipeline.run_batch(attacks)
+        )
+        self.stats.lockstep_passes += 1
+        self.stats.lockstep_lanes += len(results)
+        seconds /= total
         for done, (key, result) in enumerate(zip(pending, results), start=1):
             timing = TaskTiming(key=key, seconds=seconds, worker_mode="batched")
             self.cache.put(key, result)
             self.stats.record(timing)
             if self._progress is not None:
                 self._progress(timing, done, total)
-        return True
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The executor's persistent worker pool (created on first use).

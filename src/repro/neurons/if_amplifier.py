@@ -81,11 +81,6 @@ class IFAmplifierModel:
         nominal = self.membrane_threshold(self.nominal_vdd)
         return (self.membrane_threshold(vdd) - nominal) / nominal
 
-    # ------------------------------------------------------------------ leak
-    def leak_current(self, membrane_voltage: float) -> float:
-        """Leak current drawn from the membrane at ``membrane_voltage``."""
-        return self.leak_conductance * membrane_voltage
-
     # ------------------------------------------------------------- behaviour
     def refractory_period(self) -> float:
         """Supply-independent refractory period after each spike."""

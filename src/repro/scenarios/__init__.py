@@ -5,7 +5,7 @@ full scenario space its threat model supports *declarative*:
 
 * :mod:`repro.scenarios.spec` — :class:`ScenarioSpec`: one scenario as
   plain data (attack family, fixed parameters, swept grid, strategy,
-  co-evaluated defenses, engine/scale), loadable from YAML/JSON with
+  co-evaluated defenses, scale pin), loadable from YAML/JSON with
   strict validation.
 * :mod:`repro.scenarios.composite` — :class:`CompositeScenario`: sequence
   or product composition; products fuse member grid points into compound

@@ -41,9 +41,9 @@ class CompositeScenario:
         The member specs, in declaration order.
     mode:
         ``"sequence"`` or ``"product"`` (see module docstring).
-    engine, scale:
-        Execution pins, applied to the composition as a whole (member
-        pins are ignored so one composite runs under one config).
+    scale:
+        Scale pin, applied to the composition as a whole (member pins are
+        ignored so one composite runs under one config).
     """
 
     name: str
@@ -52,7 +52,6 @@ class CompositeScenario:
     description: str = ""
     tags: Tuple[str, ...] = ()
     mode: str = "product"
-    engine: str = "auto"
     scale: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -140,7 +139,6 @@ class CompositeScenario:
             "description": self.description,
             "tags": list(self.tags),
             "mode": self.mode,
-            "engine": self.engine,
             "scale": self.scale,
             "members": [member.to_dict() for member in self.members],
         }

@@ -2,7 +2,7 @@
 
 :class:`ScenarioRunner` turns declarative scenarios into pipeline runs
 through the existing execution subsystem — one
-:class:`~repro.exec.executor.SweepExecutor` per (config, engine), so a
+:class:`~repro.exec.executor.SweepExecutor` per scale, so a
 scenario campaign inherits everything the figure tier already has: process
 parallelism, content-keyed result caching, lockstep batched sweeps on the
 serial path and persistent resume through
@@ -29,7 +29,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.scenarios.strategy import (
     BisectionStrategy,
     degradations_from_accuracies,
 )
+from repro.utils.validation import check_engine
 
 
 @dataclass
@@ -105,14 +106,15 @@ class ScenarioRunner:
         Worker processes per executor (``0``/``1`` = serial, which routes
         whole grids through the lockstep batched SNN engine).
     engine:
-        Engine override; ``None`` defers to each scenario's own pin.
+        Execution engine of every scenario, ``"auto"`` (default) or
+        ``"scalar"`` (see :data:`repro.utils.validation.ENGINES`).
     cache:
         Shared result cache (pass the persistent shard cache from
         :func:`repro.store.open_shard_cache` for resumable campaigns).
     shard:
         This invocation's :class:`ShardSpec` (default: the full list).
     pipeline_factory:
-        Test hook — a callable ``(config, engine) -> factory`` replacing
+        Test hook — a callable ``(config, *, engine) -> factory`` replacing
         :class:`~repro.exec.executor.PipelineFromConfig`, letting tests
         drive scenarios through stub pipelines.
     resilience:
@@ -142,7 +144,7 @@ class ScenarioRunner:
         *,
         scale: Optional[str] = None,
         workers: int = 0,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         cache=None,
         shard: ShardSpec = FULL,
         pipeline_factory=None,
@@ -161,7 +163,7 @@ class ScenarioRunner:
                 )
         self.scale = scale
         self.workers = workers
-        self.engine = engine
+        self.engine = check_engine(engine)
         self.cache = cache
         self.shard = shard
         self.resilience = resilience
@@ -169,7 +171,7 @@ class ScenarioRunner:
         self.workdir = Path(workdir) if workdir is not None else None
         self.worker_id = worker_id or default_worker_id()
         self._pipeline_factory = pipeline_factory or PipelineFromConfig
-        self._executors: Dict[Tuple[str, str], SweepExecutor] = {}
+        self._executors: Dict[str, SweepExecutor] = {}
 
     # ------------------------------------------------------------------ config
     def config_for(self, scenario: Scenario) -> ExperimentConfig:
@@ -179,18 +181,13 @@ class ScenarioRunner:
             return ExperimentConfig.from_environment()
         return ExperimentConfig.from_scale(scale)
 
-    def engine_for(self, scenario: Scenario) -> str:
-        """The SNN engine a scenario runs under (CLI override wins)."""
-        return self.engine or scenario.engine
-
     def executor_for(self, scenario: Scenario) -> SweepExecutor:
-        """The shared executor for this scenario's (scale, engine) pair."""
+        """The shared executor for this scenario's scale."""
         config = self.config_for(scenario)
-        engine = self.engine_for(scenario)
-        key = (config.scale_name, engine)
+        key = config.scale_name
         if key not in self._executors:
             self._executors[key] = SweepExecutor(
-                pipeline_factory=self._pipeline_factory(config, engine=engine),
+                pipeline_factory=self._pipeline_factory(config, engine=self.engine),
                 workers=self.workers,
                 cache=self.cache,
                 policy=self.resilience,
@@ -228,7 +225,7 @@ class ScenarioRunner:
         result.title = scenario.title or scenario.name
         result.scale_name = self.config_for(scenario).scale_name
         result.strategy = scenario.strategy
-        result.engine = self.engine_for(scenario)
+        result.engine = self.engine
         result.shard = str(self.shard)
         result.wall_seconds = time.perf_counter() - start
         result.execution = stats.since(before)

@@ -3,8 +3,8 @@
 A :class:`ScenarioSpec` names everything one threat scenario needs — the
 attack *family* (which network parameter a supply fault corrupts), fixed
 parameters, a swept parameter grid, an evaluation strategy (dense grid or
-adaptive bisection), defenses to co-evaluate, and the engine/scale it runs
-at — as plain data.  Specs round-trip losslessly through ``dict`` / JSON /
+adaptive bisection), defenses to co-evaluate, and the scale it runs at —
+as plain data.  Specs round-trip losslessly through ``dict`` / JSON /
 YAML, so scenarios can live in version-controlled files and be validated
 before any pipeline run starts.
 
@@ -87,9 +87,6 @@ def check_scenario_name(name: str) -> str:
             "(starting with a letter or digit)"
         )
     return name
-
-#: Engine choices (mirrors ``repro.core.pipeline.ENGINES``).
-ENGINES = ("auto", "batched", "scalar")
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,6 @@ class ScenarioSpec:
     defenses:
         Defense names co-evaluated against every grid point (see
         :func:`repro.defenses.evaluation.residual_defense_factors`).
-    engine:
-        SNN engine for this scenario (``auto``/``batched``/``scalar``).
     scale:
         Optional scale preset pin; ``None`` defers to the runner/CLI.
     """
@@ -300,7 +295,6 @@ class ScenarioSpec:
     strategy: str = "grid"
     search: Optional[BisectionSettings] = None
     defenses: Tuple[str, ...] = ()
-    engine: str = "auto"
     scale: Optional[str] = None
 
     # ------------------------------------------------------------- validation
@@ -312,7 +306,6 @@ class ScenarioSpec:
                 f"known: {', '.join(sorted(FAMILIES))}"
             )
         check_in_choices(self.strategy, "strategy", STRATEGIES)
-        check_in_choices(self.engine, "engine", ENGINES)
         family = FAMILIES[self.family]
         # Freeze the mappings so the (frozen) spec is hashable-by-content
         # and cannot be mutated after validation.  Scalars are normalised
@@ -530,7 +523,6 @@ class ScenarioSpec:
             "grid": {key: list(values) for key, values in self.grid.items()},
             "strategy": self.strategy,
             "defenses": list(self.defenses),
-            "engine": self.engine,
             "scale": self.scale,
         }
         if self.search is not None:

@@ -63,7 +63,6 @@ from repro.snn.evaluation import (
 )
 from repro.snn.serving import (
     InputShapeError,
-    SERVING_ENGINES,
     ScoreResult,
     ScoringEngine,
     ServingEvaluation,
@@ -119,7 +118,6 @@ __all__ = [
     "save_snapshot",
     "snapshot_from_pipeline",
     "InputShapeError",
-    "SERVING_ENGINES",
     "ScoreResult",
     "ScoringEngine",
     "ServingEvaluation",

@@ -71,9 +71,10 @@ Entry points
 of one topology, checked by :func:`assert_same_topology`);
 :meth:`BatchedNetwork.present` mirrors
 :meth:`repro.snn.models.DiehlAndCook2015.present` for a batch.  The
-classification pipeline and the attack-campaign executor route through
-this module via ``engine="auto"|"batched"|"scalar"`` — see
-:mod:`repro.core.pipeline` and :mod:`repro.exec.snn_batch`.
+classification pipeline, the serving tier and the attack-campaign executor
+route through this module whenever :func:`resolve_engine` maps their
+``engine="auto"|"scalar"`` choice to ``"batched"`` — see
+:mod:`repro.core.pipeline` and :mod:`repro.exec.executor`.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def reduction_contract_holds() -> bool:
     on the equivalent stacked reductions (``axis=1`` of a ``(V, k, n)``
     array) visiting lanes in the same sequential order — true for every
     NumPy the project supports, but cheap to verify instead of assume.  The
-    check runs once per process; when it fails the ``auto`` engine quietly
-    stays on the scalar path and ``engine="batched"`` raises.
+    check runs once per process; when it fails, :func:`resolve_engine`
+    keeps ``"auto"`` on the scalar path.
     """
     global _REDUCTION_CONTRACT
     if _REDUCTION_CONTRACT is None:
@@ -137,6 +138,18 @@ def reduction_contract_holds() -> bool:
                 break
         _REDUCTION_CONTRACT = holds
     return _REDUCTION_CONTRACT
+
+
+def resolve_engine(engine: str) -> str:
+    """The SNN engine an ``engine=`` choice runs: ``"batched"`` or ``"scalar"``.
+
+    ``"auto"`` is the lockstep engine unless this NumPy fails
+    :func:`reduction_contract_holds`, where only the scalar reference can
+    honour the bit-identity contract; ``"scalar"`` always is the reference.
+    """
+    if engine == "auto" and reduction_contract_holds():
+        return "batched"
+    return "scalar"
 
 
 # --------------------------------------------------------------------------

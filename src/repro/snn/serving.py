@@ -27,9 +27,10 @@ Every public scoring entry point checks its input against the snapshot's
 input layer before any engine work and raises :class:`InputShapeError`
 when it does not fit, identically on both engines.
 
-Both engines (``"batched"``/``"scalar"``) produce bit-identical spike
-counts — the serving-parity suite (``tests/test_snn_snapshot.py``) pins
-this across every registered model variant.  Per-lane independence of the
+Both engines (the lockstep ``"batched"`` engine ``"auto"`` resolves to,
+and ``"scalar"``) produce bit-identical spike counts — the serving-parity
+suite (``tests/test_snn_snapshot.py``) pins this across every registered
+model variant.  Per-lane independence of the
 batched engine additionally makes :meth:`score_rasters` invariant under
 any partition of the example stream into chunks.
 """
@@ -43,11 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.snn.batched import (
-    BatchedNetwork,
-    BatchedSpikeMonitor,
-    reduction_contract_holds,
-)
+from repro.snn.batched import BatchedNetwork, BatchedSpikeMonitor, resolve_engine
 from repro.snn.encoding import PackedRasters, poisson_encode
 from repro.snn.evaluation import all_activity_prediction, classification_accuracy
 from repro.snn.network import SpikeMonitor
@@ -60,11 +57,7 @@ from repro.snn.snapshot import (
     prediction_digest,
 )
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_in_choices, check_positive
-
-#: Engine choices accepted by the serving tier (mirrors the pipeline's
-#: ``ENGINES``).
-SERVING_ENGINES = ("auto", "batched", "scalar")
+from repro.utils.validation import check_engine, check_positive
 
 
 class InputShapeError(ValueError):
@@ -112,9 +105,8 @@ class ScoringEngine:
     snapshot:
         The trained-state snapshot to serve.
     engine:
-        ``"auto"`` (default, lockstep-batched when available),
-        ``"batched"`` or ``"scalar"``.  Engine choice never changes results,
-        only speed.
+        ``"auto"`` (default, lockstep-batched when available) or
+        ``"scalar"``.  Engine choice never changes results, only speed.
     example_chunk:
         How many examples the batched path advances in lockstep per pass.
     attack:
@@ -132,9 +124,8 @@ class ScoringEngine:
         example_chunk: int = 64,
         attack=None,
     ) -> None:
-        check_in_choices(engine, "engine", SERVING_ENGINES)
+        self.engine = check_engine(engine)
         self.snapshot = snapshot
-        self.engine = engine
         self.example_chunk = int(check_positive(example_chunk, "example_chunk"))
         self.attack = attack
         self.network = hydrate_network(snapshot)
@@ -176,12 +167,9 @@ class ScoringEngine:
 
     @property
     def resolved_engine(self) -> str:
-        """The engine actually used: ``"batched"`` or ``"scalar"``."""
-        if self.engine == "scalar":
-            return "scalar"
-        if self.engine == "batched":
-            return "batched"
-        return "batched" if reduction_contract_holds() else "scalar"
+        """The engine actually used: ``"batched"`` or ``"scalar"``
+        (see :func:`~repro.snn.batched.resolve_engine`)."""
+        return resolve_engine(self.engine)
 
     def _batched_network(self) -> Tuple[BatchedNetwork, BatchedSpikeMonitor]:
         if self._batched is None:

@@ -60,3 +60,17 @@ def check_in_choices(value, name: str, choices: Iterable):
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices!r}, got {value!r}")
     return value
+
+
+#: The engine choices of both tiers: ``"auto"`` runs the fast engine (the
+#: compiled/batched circuit solver, the lockstep SNN engine when
+#: :func:`repro.snn.batched.reduction_contract_holds`), ``"scalar"`` forces
+#: the reference path.
+ENGINES = ("auto", "scalar")
+
+
+def check_engine(engine) -> str:
+    """Validate an ``engine=`` choice against :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}")
+    return engine

@@ -1,9 +1,11 @@
 """Every engine entry point rejects an unknown engine by name.
 
-The circuit tier accepts ``auto``/``compiled``/``scalar``; the SNN tier,
-scenario specs, the serving tier and the CLI accept ``auto``/``batched``/
-``scalar``.  Neither a retired choice (``sparse``) nor a made-up one may be
-accepted silently or fail later with an unnamed error.
+Both tiers — the circuit solver, the SNN pipeline, the serving tier, the
+figure context and the CLI — accept exactly ``auto``/``scalar``.  Neither
+a retired choice (``sparse``, ``compiled``, ``batched``) nor a made-up one
+may be accepted silently or fail later with an unnamed error.  Scenario
+specs carry no engine at all: the runner's engine applies to every
+scenario.
 """
 
 import pytest
@@ -11,10 +13,12 @@ import pytest
 from repro.analog import Circuit, make_system
 from repro.cli import build_parser
 from repro.core import ClassificationPipeline, ExperimentConfig
-from repro.scenarios import ScenarioSpec
+from repro.exec import CircuitSweepDispatcher
+from repro.figures import FigureContext
+from repro.scenarios import ScenarioRunner, ScenarioSpec
 from repro.snn.serving import ScoringEngine
 
-BAD_ENGINES = ("sparse", "warp-drive")
+BAD_ENGINES = ("sparse", "warp-drive", "batched", "compiled")
 
 
 def _divider() -> Circuit:
@@ -27,9 +31,11 @@ def _divider() -> Circuit:
 
 ENTRY_POINTS = {
     "make_system": lambda engine: make_system(_divider(), engine),
-    "ScenarioSpec": lambda engine: ScenarioSpec(
-        name="x", family="global_vdd", grid={"vdd": (0.9,)}, engine=engine
-    ),
+    "CircuitSweepDispatcher": lambda engine: CircuitSweepDispatcher(engine=engine),
+    "FigureContext": lambda engine: FigureContext(ExperimentConfig.tiny(), engine=engine),
+    # Checked when built: a pool worker would otherwise die on it in its
+    # initializer, and the runner would report a worker crash instead.
+    "ScenarioRunner": lambda engine: ScenarioRunner(scale="tiny", workers=2, engine=engine),
     "ClassificationPipeline": lambda engine: ClassificationPipeline(
         ExperimentConfig.tiny(), engine=engine
     ),
@@ -61,3 +67,10 @@ def test_cli_rejects_unknown_engines(command, engine, capsys):
     assert excinfo.value.code == 2
     error = capsys.readouterr().err
     assert "--engine" in error and repr(engine) in error
+
+
+def test_scenario_documents_reject_an_engine_pin():
+    document = {"name": "x", "family": "global_vdd", "grid": {"vdd": [0.9]}}
+    assert ScenarioSpec.from_dict(document).name == "x"
+    with pytest.raises(ValueError, match=r"unknown scenario field\(s\): engine"):
+        ScenarioSpec.from_dict({**document, "engine": "auto"})

@@ -15,6 +15,8 @@ from repro.core import ClassificationPipeline, ExperimentConfig
 from repro.core.reporting import format_execution_report
 from repro.core.results import ExperimentResult
 from repro.exec import ResultCache, SweepExecutor, attack_cache_key
+from repro.exec.resilience import ResiliencePolicy, RetryPolicy
+from repro.snn.batched import UnsupportedNetworkError
 
 
 @dataclasses.dataclass
@@ -159,6 +161,50 @@ class TestSerialExecutor:
         assert "slowest:" not in report
         assert "measured speedup" not in report
         assert "lockstep passes" in report and "1 (3 lanes)" in report
+
+    def test_a_single_attack_is_one_lockstep_pass_of_one_lane(self):
+        # Bisection probes map one attack at a time; on the lockstep engine
+        # each is a one-lane run_batch pass, not a per-task run.
+        pipeline = ClassificationPipeline(tiny_config())
+        assert pipeline.resolved_engine == "batched"
+        executor = SweepExecutor(pipeline)
+        executor.map([Attack5GlobalSupply(vdd=0.8)])
+        counters = executor.stats.counters()
+        assert (counters["lockstep_passes"], counters["lockstep_lanes"]) == (1, 1)
+        assert [timing.worker_mode for timing in executor.stats.timings] == ["batched"]
+
+    def test_a_lockstep_engine_error_comes_straight_out_of_map(self):
+        class RejectingPipeline(CountingPipeline):
+            resolved_engine = "batched"
+
+            def run_batch(self, attacks):
+                raise UnsupportedNetworkError("no lockstep mirror")
+
+        pipeline = RejectingPipeline()
+        executor = SweepExecutor(pipeline)
+        with pytest.raises(UnsupportedNetworkError, match="no lockstep mirror"):
+            executor.map([None, Attack5GlobalSupply(vdd=0.8)])
+        # No per-task retry: on this engine run() is a one-lane run_batch.
+        assert pipeline.calls == []
+        assert executor.stats.counters()["lockstep_passes"] == 0
+
+    def test_a_lockstep_pass_retries_under_the_policy(self):
+        class OnceFailingPipeline(CountingPipeline):
+            resolved_engine = "batched"
+            passes = 0
+
+            def run_batch(self, attacks):
+                self.passes += 1
+                if self.passes == 1:
+                    raise RuntimeError("transient")
+                return [ExperimentResult(attack_label="lane", accuracy=0.5) for _ in attacks]
+
+        policy = ResiliencePolicy(retry=RetryPolicy(max_retries=1, backoff_base=0.0))
+        pipeline = OnceFailingPipeline()
+        executor = SweepExecutor(pipeline, policy=policy)
+        assert executor.map([None])[0].accuracy == 0.5
+        assert (pipeline.passes, executor.stats.retries) == (2, 1)
+        assert executor.stats.counters()["lockstep_passes"] == 1
 
 
 class TestParallelParity:

@@ -95,8 +95,11 @@ class TestCampaign:
 class TestEncodingStreamCache:
     """Each pipeline draws its three attack-independent streams once."""
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_two_batches_encode_each_stream_once(self, engine, monkeypatch):
+    # The ids name the engine each choice resolves to.
+    @pytest.mark.parametrize(
+        "engine, resolved", [("auto", "batched"), ("scalar", "scalar")], ids=["batched", "scalar"]
+    )
+    def test_two_batches_encode_each_stream_once(self, engine, resolved, monkeypatch):
         from repro.snn import encoding
 
         encoded = []
@@ -117,6 +120,7 @@ class TestEncodingStreamCache:
         config = ExperimentConfig.smoke().with_overrides(time_steps=30)
         attack = Attack5GlobalSupply(vdd=0.85)
         pipeline = ClassificationPipeline(config, engine=engine)
+        assert pipeline.resolved_engine == resolved
         first = pipeline.run_batch([None])
         second = pipeline.run_batch([attack])
         assert sum(encoded) == 2 * 120 + 45 == 285

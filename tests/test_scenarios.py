@@ -41,6 +41,7 @@ from repro.scenarios import (
     load_scenario_file,
     scenario_names,
 )
+from repro.snn.batched import resolve_engine
 from repro.store import load_artifact, open_worker_cache
 
 # --------------------------------------------------------------------------
@@ -59,7 +60,6 @@ def _spec_document() -> dict:
         "grid": {"threshold_change": [0.1, 0.2], "fraction": [0.5, 1.0]},
         "strategy": "grid",
         "defenses": ["sizing32"],
-        "engine": "auto",
         "scale": "tiny",
     }
 
@@ -795,19 +795,20 @@ class TestCLIShardResume:
 
 class TestBisectionEngineParity:
     """Bisection probes are single-attack runs, which train on the lockstep
-    engine under ``batched``; the artifact must not depend on that."""
+    engine under ``auto``; the artifact must not depend on that."""
 
     def test_bisection_digests_match_across_engines(self, tmp_path, capsys):
+        assert resolve_engine("auto") == "batched"
         name = "inhibitory_collapse_search"
         digests = {}
-        for engine in ("batched", "scalar"):
+        for engine in ("auto", "scalar"):
             out = tmp_path / engine
             argv = ["scenarios", "run", name, "--scale", "tiny", "--engine", engine]
             assert main(argv + ["--out", str(out), "--quiet"]) == 0
             digests[engine] = _digests(out / f"scenario-{name}.json")
         capsys.readouterr()
-        assert digests["batched"]
-        assert digests["batched"] == digests["scalar"]
+        assert digests["auto"]
+        assert digests["auto"] == digests["scalar"]
 
 
 class TestShardCacheResilience:

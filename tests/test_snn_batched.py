@@ -185,7 +185,8 @@ class TestPipelineParity:
         assert pipeline.resolved_engine == expected
 
     def test_batched_inference_matches_scalar_runs(self, tiny_config, scalar_results):
-        pipeline = ClassificationPipeline(tiny_config, engine="batched")
+        pipeline = ClassificationPipeline(tiny_config, engine="auto")
+        assert pipeline.resolved_engine == "batched"
         for attack, reference in zip(self.ATTACKS, scalar_results):
             result = pipeline.run(attack)
             assert result.accuracy == reference.accuracy
@@ -193,7 +194,8 @@ class TestPipelineParity:
             assert result.fault_descriptions == reference.fault_descriptions
 
     def test_run_batch_matches_scalar_runs(self, tiny_config, scalar_results):
-        pipeline = ClassificationPipeline(tiny_config, engine="batched")
+        pipeline = ClassificationPipeline(tiny_config, engine="auto")
+        assert pipeline.resolved_engine == "batched"
         results = pipeline.run_batch(self.ATTACKS)
         for result, reference in zip(results, scalar_results):
             assert result.accuracy == reference.accuracy
@@ -241,9 +243,8 @@ class TestPipelineParity:
         assert self.bitwise(auto) == self.bitwise(scalar)
 
     def test_example_chunking_is_invisible(self, tiny_config, scalar_results):
-        pipeline = ClassificationPipeline(
-            tiny_config, engine="batched", example_chunk=7
-        )
+        pipeline = ClassificationPipeline(tiny_config, engine="auto", example_chunk=7)
+        assert pipeline.resolved_engine == "batched"
         result = pipeline.run(self.ATTACKS[2])
         assert result.accuracy == scalar_results[2].accuracy
 

@@ -40,6 +40,11 @@ from repro.store import classify_artifact_json, load_artifact
 TIME_STEPS = 40
 MAX_RATE = 63.75
 
+#: Both engine choices, with the engine each resolves to (the test ids).
+ENGINE_CHOICES = pytest.mark.parametrize(
+    "engine, resolved", [("auto", "batched"), ("scalar", "scalar")], ids=["batched", "scalar"]
+)
+
 
 def input_layer_name(network):
     for name, nodes in network.layers.items():
@@ -114,8 +119,10 @@ def test_saved_snapshot_scores_bit_identical_to_live_network(
     paths = save_snapshot(snapshot, tmp_path, name=f"variant-{name}")
     loaded = load_snapshot(paths.json_path)
 
-    for engine in ("scalar", "batched"):
-        result = ScoringEngine(loaded, engine=engine).score_rasters(rasters)
+    for engine, resolved in (("scalar", "scalar"), ("auto", "batched")):
+        scoring = ScoringEngine(loaded, engine=engine)
+        assert scoring.resolved_engine == resolved
+        result = scoring.score_rasters(rasters)
         assert np.array_equal(result.spike_counts, expected), (
             f"{name}/{engine}: served spike counts diverge from the live network"
         )
@@ -164,11 +171,13 @@ class TestPipelineRoundTrip:
             snapshot.metrics["mean_excitatory_spikes"] == live.mean_excitatory_spikes
         )
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_served_evaluation_is_bit_identical(self, tiny_snapshot_paths, engine):
+    @ENGINE_CHOICES
+    def test_served_evaluation_is_bit_identical(self, tiny_snapshot_paths, engine, resolved):
         paths, snapshot = tiny_snapshot_paths
         loaded = load_snapshot(paths.json_path)
-        evaluation = ScoringEngine(loaded, engine=engine).evaluate()
+        scoring = ScoringEngine(loaded, engine=engine)
+        assert scoring.resolved_engine == resolved
+        evaluation = scoring.evaluate()
         assert evaluation.accuracy == snapshot.metrics["accuracy"]
         assert evaluation.mean_spikes == snapshot.metrics["mean_excitatory_spikes"]
         assert (
@@ -217,13 +226,14 @@ class TestFaultInjectedServing:
             == snapshot.metrics["eval_predictions_sha256"]
         )
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    @ENGINE_CHOICES
     def test_under_attack_matches_manual_injection(
-        self, tiny_snapshot_paths, engine
+        self, tiny_snapshot_paths, engine, resolved
     ):
         paths, _ = tiny_snapshot_paths
         loaded = load_snapshot(paths.json_path)
         attacked = ScoringEngine(loaded, engine=engine).under_attack(self.ATTACK)
+        assert attacked.resolved_engine == resolved
         assert attacked.fault_records, "attack injected no faults"
         # The same (snapshot, attack) pair is a pure function: a second
         # composition corrupts the same fault sites and scores identically.
@@ -401,13 +411,14 @@ class TestSnapshotCli:
 
     def test_info_rescore_proves_cross_engine_parity(self, cli_export_dir, capsys):
         json_path = cli_export_dir / "snapshot-fig8.json"
-        for engine in ("batched", "scalar"):
+        for engine in ("auto", "scalar"):
             code = main(
                 ["snapshot", "info", str(json_path), "--rescore", "--engine", engine]
             )
             assert code == 0, f"--rescore failed on the {engine} engine"
         out = capsys.readouterr().out
-        assert "serving parity" in out
+        assert "serving parity (batched engine)" in out
+        assert "serving parity (scalar engine)" in out
 
     def test_report_lists_snapshot_with_provenance(self, cli_export_dir, capsys):
         assert main(["report", str(cli_export_dir)]) == 0
