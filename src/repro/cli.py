@@ -695,6 +695,7 @@ def _cmd_snapshot_info(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
     from repro.scenarios import CompositeScenario, iter_scenarios
+    from repro.scenarios.strategy import worst_case_cost
 
     rows = []
     for scenario in iter_scenarios():
@@ -705,7 +706,9 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
         else:
             family = scenario.family
         if scenario.strategy == "bisect":
-            size = f"<= 2+log2({len(next(iter(scenario.grid.values())))})"
+            # Runs on the scalar engine or a pool; passes on the lockstep one.
+            probes, passes = worst_case_cost(len(next(iter(scenario.grid.values()))))
+            size = f"<= {probes} ({passes} passes)"
         else:
             size = str(len(scenario.variants()))
         rows.append(

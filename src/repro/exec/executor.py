@@ -155,6 +155,8 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("lockstep_passes", "lockstep", "", "lockstep passes"),
     # Rendered inside the "lockstep passes" row, so it has no row label.
     Counter("lockstep_lanes", "lockstep", "", ""),
+    Counter("speculative_lanes", "lockstep", "", "speculative probe lanes"),
+    Counter("speculative_unused", "lockstep", "", "unused speculative lanes"),
 )
 
 
@@ -205,9 +207,14 @@ class ExecutionStats:
     microbatch_linger_flushes: int = 0
     microbatch_drain_flushes: int = 0
     #: Lockstep counters (filled by the serial path): ``run_batch`` passes
-    #: and the tasks (lanes) they evaluated.
+    #: and the tasks (lanes) they evaluated.  A bisection trains probes
+    #: ahead of its decisions in its first pass (filled by
+    #: :class:`~repro.scenarios.runner.ScenarioRunner`): the lanes it
+    #: trained that way, and those its search path never read.
     lockstep_passes: int = 0
     lockstep_lanes: int = 0
+    speculative_lanes: int = 0
+    speculative_unused: int = 0
 
     def record(self, timing: TaskTiming) -> None:
         """Account one finished task (cached or freshly executed)."""
@@ -294,14 +301,14 @@ class SweepExecutor:
         pool-rebuild budget or raised as
         :class:`~repro.exec.resilience.WorkerCrashError`.
 
-    On the serial path, a pipeline whose ``resolved_engine`` is
-    ``"batched"`` trains every pending batch, a batch of one included, in
-    one ``run_batch`` lockstep pass; any other pipeline runs task by task.
-    A task failure is only raised after the retry budget is exhausted, and
-    only after every sibling task has been drained into the cache.  With a
-    chaos plan installed, the serial path runs task by task so faults
-    inject per task (both routes are bit-identical by the engine parity
-    contract, so this changes timing only, never numbers).
+    When :attr:`lockstep` holds (serial, no chaos plan, a pipeline whose
+    ``resolved_engine`` is ``"batched"``), every pending batch, a batch of
+    one included, trains in one ``run_batch`` lockstep pass; otherwise the
+    in-process path runs task by task, so a chaos plan injects faults per
+    task (both routes are bit-identical by the engine parity contract, so
+    this changes timing only, never numbers).  A task failure is only
+    raised after the retry budget is exhausted, and only after every
+    sibling task has been drained into the cache.
     """
 
     def __init__(
@@ -357,6 +364,21 @@ class SweepExecutor:
     def parallel(self) -> bool:
         """True when batches are dispatched to a process pool."""
         return self.workers >= 2
+
+    @property
+    def lockstep(self) -> bool:
+        """True when a pending batch trains as one lockstep pass.
+
+        That takes serial execution, no chaos plan (chaos targets tasks,
+        so it needs the per-task loop) and a pipeline whose
+        ``resolved_engine`` is ``"batched"``.  Then a batch costs one pass
+        whatever its width; otherwise every task is a run of its own.
+        """
+        return (
+            not self.parallel
+            and self.policy.chaos is None
+            and getattr(self.pipeline, "resolved_engine", None) == "batched"
+        )
 
     def _cache_key(self, attack) -> str:
         """Scoped cache key: experiment-config namespace + attack content.
@@ -475,12 +497,7 @@ class SweepExecutor:
 
     def _run_serial(self, pending: Dict[str, object], total: int) -> None:
         self._beat()
-        # Chaos targets individual tasks, so a chaos plan forces the per-task
-        # loop: each task is then a separate injection point.
-        if (
-            self.policy.chaos is None
-            and getattr(self.pipeline, "resolved_engine", None) == "batched"
-        ):
+        if self.lockstep:
             self._run_serial_batched(pending, total)
             return
         done = 0

@@ -11,8 +11,10 @@ full scenario space its threat model supports *declarative*:
   or product composition; products fuse member grid points into compound
   :class:`~repro.attacks.attacks.CompositeAttack` faults on one network.
 * :mod:`repro.scenarios.strategy` — dense grids plus the adaptive
-  :class:`BisectionStrategy` that finds accuracy-collapse thresholds in
-  O(log n) pipeline runs.
+  :class:`BisectionStrategy` that finds accuracy-collapse thresholds in at
+  most ``max(1, ceil(log2(n - 1)) - 1)`` lockstep passes (2 for 8
+  candidates), or ``2 + ceil(log2(n - 1))`` runs on the scalar engine or
+  a process pool.
 * :mod:`repro.scenarios.registry` — the name → scenario registry behind
   ``python -m repro scenarios list|run|report``.
 * :mod:`repro.scenarios.library` — ≥8 registered scenarios beyond the

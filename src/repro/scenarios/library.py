@@ -10,7 +10,8 @@ ready-to-run scenarios spanning it:
   separate-domain Case-1 adversary),
 * attack-under-defense matrices built from the Sec. V countermeasures,
 * adaptive worst-case searches that locate accuracy-collapse thresholds
-  in O(log n) pipeline runs.
+  in 2 lockstep passes (or at most 5 pipeline runs elsewhere) instead of
+  an 8-point grid.
 
 Every entry is pure declarative data (:class:`ScenarioSpec` /
 :class:`CompositeScenario`); ``python -m repro scenarios list`` renders

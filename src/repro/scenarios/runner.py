@@ -20,7 +20,10 @@ unsplit run, because the numbers come from the same content-keyed cache
 entries either way.  One :class:`~repro.exec.shard.MergeReport` names
 whatever is still missing.  Adaptive (bisect) scenarios cannot split
 their probe sequence, so a whole scenario is owned by one static shard
-(stable name hash) or one elastic lease.
+(stable name hash) or one elastic lease.  Where the executor trains
+lockstep passes, the owner first trains the baseline and the search's
+next undecided probes in one pass; the search then reads them from the
+cache and reports exactly what a sequential search would.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -423,24 +426,57 @@ class ScenarioRunner:
         settings = scenario.search
         parameter = settings.parameter
         values = [float(v) for v in scenario.grid[parameter]]
-        baseline = executor.run_baseline()
+        attacks = [
+            scenario.build_attack({**dict(scenario.fixed), parameter: value})
+            for value in values
+        ]
+        attack_of = dict(zip(values, attacks))
+        strategy = BisectionStrategy(
+            parameter, target_degradation=settings.target_degradation
+        )
+        if executor.lockstep:
+            baseline, speculative = self._speculate(strategy, attacks, executor)
+        else:
+            baseline, speculative = executor.run_baseline(), []
         baseline_accuracy = float(baseline.accuracy)
         accuracies: Dict[float, float] = {}
 
         def degradation_of(value: float) -> float:
-            params = dict(scenario.fixed)
-            params[parameter] = value
-            attacked = executor.run_attack(scenario.build_attack(params))
+            attacked = executor.run_attack(attack_of[value])
             accuracies[value] = float(attacked.accuracy)
-            if baseline_accuracy == 0.0:
-                return 0.0
-            return (baseline_accuracy - attacked.accuracy) / baseline_accuracy
+            return degradations_from_accuracies([attacked.accuracy], baseline_accuracy)[0]
 
-        strategy = BisectionStrategy(
-            parameter, target_degradation=settings.target_degradation
-        )
         outcome = strategy.run(values, degradation_of)
+        executor.stats.speculative_unused += sum(
+            values[i] not in outcome.probes for i in speculative
+        )
         return self._assemble_bisect(scenario, outcome, baseline_accuracy, accuracies)
+
+    @staticmethod
+    def _speculate(
+        strategy: BisectionStrategy, attacks: Sequence, executor: SweepExecutor
+    ) -> Tuple[object, List[int]]:
+        """Train the baseline and the search's next undecided probes in one
+        lockstep pass; returns the baseline and the probe indices trained.
+
+        The plan reads the cache, with the degradations the search itself
+        would compute, so probes a grid or an earlier run already evaluated
+        steer it instead of being trained again, and a search the cache
+        settles trains nothing.
+        """
+        baseline, *cached = executor.peek_results([None] + list(attacks))
+        known: Dict[int, float] = {}
+        if baseline is not None:
+            hits = [i for i, result in enumerate(cached) if result is not None]
+            degradations = degradations_from_accuracies(
+                [cached[i].accuracy for i in hits], float(baseline.accuracy)
+            )
+            known = dict(zip(hits, degradations))
+        planned = strategy.plan(len(attacks), known)
+        baseline = executor.map([None] + [attacks[i] for i in planned])[0]
+        trained = [i for i in planned if cached[i] is None]
+        executor.stats.speculative_lanes += len(trained)
+        return baseline, trained
 
     def _assemble_bisect(
         self,

@@ -204,9 +204,11 @@ class BisectionSettings:
     negative ones (``-0.025 … -0.2``) or for a drooping supply
     (``0.975 … 0.8``).  The search assumes the relative degradation is
     monotone non-decreasing along that order and finds the first value
-    whose degradation reaches ``target_degradation`` with O(log n)
-    pipeline runs instead of n.  Values that are not strictly monotone in
-    either direction are rejected at validation time.
+    whose degradation reaches ``target_degradation`` in at most
+    ``max(1, ceil(log2(n - 1)) - 1)`` passes on the lockstep engine (2 for
+    8 candidates), or ``2 + ceil(log2(n - 1))`` pipeline runs on the scalar
+    engine or a process pool, instead of n runs.  Values that are not
+    strictly monotone in either direction are rejected at validation time.
     """
 
     target_degradation: float = 0.5

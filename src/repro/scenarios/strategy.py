@@ -2,7 +2,12 @@
 
 A dense grid answers "what does the whole response surface look like"; the
 adaptive :class:`BisectionStrategy` answers the campaign question the paper
-cares about — *where does accuracy collapse?* — in O(log n) pipeline runs.
+cares about — *where does accuracy collapse?* — cheaply.  On the lockstep
+engine a search costs passes, not runs: its baseline and first
+:data:`SPECULATIVE_PROBES` undecided probes train in one pass, so a cold
+search takes at most ``max(1, ceil(log2(n - 1)) - 1)`` passes (2 for 8
+candidates).  On the scalar engine or a process pool it costs runs: at most
+``2 + ceil(log2(n - 1))`` probes (see :func:`worst_case_cost`).
 It binary-searches the candidate values of one swept parameter — declared
 mildest corruption first — for the first value whose relative accuracy
 degradation reaches a target, assuming the degradation is monotone along
@@ -17,8 +22,9 @@ pipeline runs, and re-running a bisection resumes from the persistent cache.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -57,8 +63,52 @@ class BisectionOutcome:
         )
 
 
+#: Undecided probes a lockstep search trains ahead, beside its baseline, in
+#: its first pass: on a cold search, the first four levels of the tree.
+SPECULATIVE_PROBES = 5
+
+# A search state is a bracket ``(lo, hi)`` of candidate indices with
+# ``degradation(lo) < target <= degradation(hi)``; ``lo = -1`` and ``hi = n``
+# stand for "not measured yet".  A search over ``n`` candidates starts at
+# ``(-1, n)`` and is settled once ``hi - lo <= 1``, collapsing at ``hi``
+# (no collapse when ``hi == n``).
+
+
+def _probe_index(state: Tuple[int, int], n: int) -> Optional[int]:
+    """The candidate index ``state`` probes next (``None`` once settled)."""
+    lo, hi = state
+    if hi - lo <= 1:
+        return None
+    if hi == n:
+        # The most severe value decides whether a collapse exists at all.
+        return n - 1
+    if lo == -1:
+        # The mildest value may already collapse.
+        return 0
+    return (lo + hi) // 2
+
+
+def _next_state(state: Tuple[int, int], index: int, collapsed: bool) -> Tuple[int, int]:
+    """The state after probing ``index`` and measuring ``collapsed``."""
+    lo, hi = state
+    return (lo, index) if collapsed else (index, hi)
+
+
+def worst_case_cost(n: int) -> Tuple[int, int]:
+    """``(probes, lockstep passes)`` a cold search over ``n`` candidates needs.
+
+    Probes: the most severe value, the mildest, then ``ceil(log2(n - 1))``
+    halvings; each is one pipeline run on the scalar engine or a process
+    pool.  On the lockstep engine the first pass trains the baseline and
+    the first four levels, and every deeper probe is one more pass:
+    ``max(1, ceil(log2(n - 1)) - 1)`` passes.
+    """
+    probes = 1 if n == 1 else 2 + (n - 2).bit_length()
+    return probes, max(1, probes - 3)
+
+
 class BisectionStrategy:
-    """Find the smallest corruption that collapses accuracy, in O(log n) runs.
+    """Find the smallest corruption that collapses accuracy.
 
     Parameters
     ----------
@@ -72,8 +122,13 @@ class BisectionStrategy:
     The candidate values must be ordered from mildest to most severe
     corruption; the measured degradation is assumed monotone non-decreasing
     along that order.  Under that assumption the search returns exactly the
-    value a dense scan of the same candidates would return, with
-    ``<= 2 + ceil(log2(n))`` probes instead of ``n``.
+    value a dense scan of the same candidates would return, with at most
+    :func:`worst_case_cost` probes instead of ``n``.
+
+    The decision tree exists once, as ``_probe_index`` and ``_next_state``:
+    :meth:`run` follows it one measured probe at a time, and :meth:`plan`
+    walks it ahead over both outcomes to name the probes worth training
+    together.
     """
 
     def __init__(self, parameter: str, *, target_degradation: float = 0.5) -> None:
@@ -83,6 +138,33 @@ class BisectionStrategy:
             )
         self.parameter = parameter
         self.target_degradation = target_degradation
+
+    def _collapses(self, degradation: float) -> bool:
+        return degradation >= self.target_degradation
+
+    def plan(self, n: int, known: Mapping[int, float]) -> List[int]:
+        """The next undecided indices a search over ``n`` candidates may probe.
+
+        ``known`` maps candidate indices to degradations already measured.
+        The walk follows the real edge at every known index and, at an
+        unknown one, plans it and expands both outcomes, breadth first, up
+        to :data:`SPECULATIVE_PROBES` indices.  The plan is empty when the
+        known values settle the search, and never names a known index.
+        """
+        planned: List[int] = []
+        frontier = deque([(-1, n)])
+        while frontier and len(planned) < SPECULATIVE_PROBES:
+            state = frontier.popleft()
+            index = _probe_index(state, n)
+            if index is None:
+                continue
+            if index in known:
+                collapsed = self._collapses(known[index])
+                frontier.appendleft(_next_state(state, index, collapsed))
+            else:
+                planned.append(index)
+                frontier.extend(_next_state(state, index, c) for c in (True, False))
+        return planned
 
     def run(
         self,
@@ -97,40 +179,22 @@ class BisectionStrategy:
         values = [float(v) for v in values]
         if not values:
             raise ValueError("bisection needs at least one candidate value")
+        n = len(values)
         probes: Dict[float, float] = {}
-
-        def measure(index: int) -> float:
+        state = (-1, n)
+        while (index := _probe_index(state, n)) is not None:
             value = values[index]
             if value not in probes:
                 probes[value] = float(degradation_of(value))
-            return probes[value]
-
-        outcome = BisectionOutcome(
+            state = _next_state(state, index, self._collapses(probes[value]))
+        collapse_index = state[1] if state[1] < n else None
+        return BisectionOutcome(
             parameter=self.parameter,
             target_degradation=self.target_degradation,
-            collapse_value=None,
-            collapse_index=None,
+            collapse_value=None if collapse_index is None else values[collapse_index],
+            collapse_index=collapse_index,
             probes=probes,
         )
-        # The most severe value decides whether a collapse exists at all.
-        if measure(len(values) - 1) < self.target_degradation:
-            return outcome
-        # The mildest value may already collapse (lo == first collapse).
-        if measure(0) >= self.target_degradation:
-            outcome.collapse_value = values[0]
-            outcome.collapse_index = 0
-            return outcome
-        # Invariant: degradation(values[lo]) < target <= degradation(values[hi]).
-        lo, hi = 0, len(values) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if measure(mid) >= self.target_degradation:
-                hi = mid
-            else:
-                lo = mid
-        outcome.collapse_value = values[hi]
-        outcome.collapse_index = hi
-        return outcome
 
 
 def dense_collapse_index(

@@ -666,6 +666,24 @@ class _stub_factory:
         return _StubPipeline(config=self.config)
 
 
+@dataclass
+class _LockstepStubPipeline(_StubPipeline):
+    """The stub on the lockstep engine, counting its ``run_batch`` passes."""
+
+    resolved_engine = "batched"
+    batches: list = field(default_factory=list)
+
+    def run_batch(self, attacks) -> list:
+        self.batches.append(len(attacks))
+        return [self.run_baseline() if a is None else self.run(a) for a in attacks]
+
+
+@dataclass(frozen=True)
+class _lockstep_stub_factory(_stub_factory):
+    def __call__(self) -> _LockstepStubPipeline:
+        return _LockstepStubPipeline(config=self.config)
+
+
 def _grid_spec(name: str = "elastic-grid") -> ScenarioSpec:
     return ScenarioSpec(
         name=name,
@@ -770,6 +788,28 @@ class TestElasticRunner:
         assert second.complete
         assert second.execution["tasks_executed"] == 0
         assert second.metrics == first.metrics
+
+    def test_a_peer_rerunning_a_done_bisection_lease_trains_nothing(self, tmp_path):
+        # The owner's speculative pass runs inside its lease; a peer that
+        # finds the lease done plans nothing and assembles from the caches.
+        spec = _bisect_spec()
+        runners = {
+            worker: ScenarioRunner(
+                pipeline_factory=_lockstep_stub_factory,
+                cache=open_worker_cache(tmp_path, worker),
+                elastic=_policy(),
+                workdir=tmp_path,
+                worker_id=worker,
+            )
+            for worker in ("wa", "wb")
+        }
+        first = runners["wa"].run(spec)
+        second = runners["wb"].run(spec)
+        assert first.execution["speculative_lanes"] > 0
+        assert runners["wa"].executor_for(spec).pipeline.batches
+        assert runners["wb"].executor_for(spec).pipeline.batches == []
+        assert second.complete and second.metrics == first.metrics
+        assert second.execution["speculative_lanes"] == 0
 
     def test_elastic_bisect_held_by_live_peer_is_skipped(self, tmp_path):
         spec = _bisect_spec()

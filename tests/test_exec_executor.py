@@ -15,6 +15,7 @@ from repro.core import ClassificationPipeline, ExperimentConfig
 from repro.core.reporting import format_execution_report
 from repro.core.results import ExperimentResult
 from repro.exec import ResultCache, SweepExecutor, attack_cache_key
+from repro.exec.chaos import FaultPlan
 from repro.exec.resilience import ResiliencePolicy, RetryPolicy
 from repro.snn.batched import UnsupportedNetworkError
 
@@ -205,6 +206,39 @@ class TestSerialExecutor:
         assert executor.map([None])[0].accuracy == 0.5
         assert (pipeline.passes, executor.stats.retries) == (2, 1)
         assert executor.stats.counters()["lockstep_passes"] == 1
+
+
+class TestLockstepGate:
+    """``SweepExecutor.lockstep``: the one condition under which a batch
+    costs one pass, read by the serial path and by speculative searches."""
+
+    class LockstepPipeline(CountingPipeline):
+        resolved_engine = "batched"
+
+    def test_serial_batched_pipeline_without_chaos_is_lockstep(self):
+        assert SweepExecutor(self.LockstepPipeline()).lockstep
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"workers": 2}, {"policy": ResiliencePolicy(chaos=FaultPlan())}],
+        ids=["process-pool", "chaos-plan"],
+    )
+    def test_a_pool_or_a_chaos_plan_is_not_lockstep(self, kwargs):
+        assert not SweepExecutor(self.LockstepPipeline(), **kwargs).lockstep
+
+    def test_a_scalar_pipeline_is_not_lockstep(self):
+        assert not SweepExecutor(CountingPipeline()).lockstep
+        scalar = ClassificationPipeline(tiny_config(), engine="scalar")
+        assert not SweepExecutor(scalar).lockstep
+
+    def test_speculative_counters_show_in_the_report_only_when_nonzero(self):
+        executor = SweepExecutor(CountingPipeline())
+        executor.run_baseline()
+        assert "speculative" not in format_execution_report(executor.stats)
+        executor.stats.speculative_lanes, executor.stats.speculative_unused = 5, 1
+        report = format_execution_report(executor.stats)
+        assert "speculative probe lanes" in report
+        assert "unused speculative lanes" in report
 
 
 class TestParallelParity:

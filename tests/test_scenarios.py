@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.scenarios import (
     load_scenario_file,
     scenario_names,
 )
+from repro.scenarios.strategy import SPECULATIVE_PROBES, worst_case_cost
 from repro.snn.batched import resolve_engine
 from repro.store import load_artifact, open_worker_cache
 
@@ -489,6 +492,26 @@ class _crashing_factory(_fake_factory):
         return _CrashingPipeline(config=self.config)
 
 
+@dataclass
+class _LockstepCollapsePipeline(FakeCollapsePipeline):
+    """The stub on the lockstep engine: every batch is one ``run_batch`` pass."""
+
+    resolved_engine = "batched"
+    batches: list = field(default_factory=list)
+
+    def run_batch(self, attacks) -> list:
+        self.batches.append(list(attacks))
+        return [self.run_baseline() if a is None else self.run(a) for a in attacks]
+
+
+@dataclass(frozen=True)
+class _lockstep_factory(_fake_factory):
+    collapse_at: float = 0.1225
+
+    def __call__(self) -> _LockstepCollapsePipeline:
+        return _LockstepCollapsePipeline(config=self.config, collapse_at=self.collapse_at)
+
+
 def _array_digests(result) -> dict:
     return {
         name: (array.dtype.str, array.shape, hashlib.sha256(array.tobytes()).hexdigest())
@@ -524,6 +547,29 @@ class TestBisectionStrategy:
         )
         assert outcome.collapse_value == 0.1
         assert outcome.n_probes == 2
+
+
+    def test_plan_walks_the_search_tree_breadth_first(self):
+        strategy = BisectionStrategy("p", target_degradation=0.5)
+        assert strategy.plan(8, {}) == [7, 0, 3, 1, 5]
+        # Known values steer the walk: index 7 collapsed, index 0 did not.
+        assert strategy.plan(8, {7: 0.9, 0: 0.1}) == [3, 1, 5, 2, 4]
+        assert strategy.plan(8, {7: 0.1}) == []  # no collapse: settled
+
+    def test_worst_case_cost_is_tight(self):
+        # Over every monotone outcome (first collapse at k, or none): the
+        # longest path, and one pass plus the probes a cold plan missed.
+        for n in range(1, 65):
+            strategy = BisectionStrategy("p", target_degradation=0.5)
+            planned = set(strategy.plan(n, {}))
+            probes = passes = 0
+            for k in range(n + 1):
+                outcome = strategy.run(range(n), lambda v: float(v >= k))
+                path = [int(v) for v in outcome.probes]
+                probes = max(probes, len(path))
+                passes = max(passes, 1 + len(set(path) - planned))
+            assert worst_case_cost(n) == (probes, passes), n
+        assert worst_case_cost(8) == (5, 2)
 
 
 class TestBisectionVsDenseGrid:
@@ -587,6 +633,66 @@ class TestBisectionVsDenseGrid:
         assert result.metrics["collapse_found"] == 1.0
         # Every probe was a cache hit against the dense sweep's results.
         assert executed_after == executed_before
+
+
+class TestSpeculativeBisection:
+    """On the lockstep engine a search costs passes: its baseline and first
+    probes train in one pass, and it reports what a sequential search does."""
+
+    def _run(self, factory):
+        spec = get_scenario("inhibitory_collapse_search")
+        runner = ScenarioRunner(scale="tiny", pipeline_factory=factory)
+        return runner.run(spec), runner.executor_for(spec).pipeline
+
+    def test_eight_candidates_take_two_passes_and_the_baseline_shares_the_first(self):
+        result, pipeline = self._run(_lockstep_factory)
+        assert len(pipeline.batches) <= 2
+        assert pipeline.batches[0][0] is None
+        assert len(pipeline.batches[0]) == 1 + SPECULATIVE_PROBES
+        # Plan [7, 0, 3, 1, 5]; the path 7, 0, 3, 5, 4 never reads index 1.
+        counts = result.execution
+        assert (counts["speculative_lanes"], counts["speculative_unused"]) == (5, 1)
+        assert (counts["lockstep_passes"], counts["lockstep_lanes"]) == (2, 7)
+
+    def test_speculation_reports_exactly_the_sequential_search(self):
+        speculative, _ = self._run(_lockstep_factory)
+        sequential, _ = self._run(_fake_factory)
+        assert speculative.metrics == sequential.metrics
+        assert speculative.cases == sequential.cases
+        assert _array_digests(speculative) == _array_digests(sequential)
+        assert [t.rows for t in speculative.tables] == [t.rows for t in sequential.tables]
+        assert sequential.execution["speculative_lanes"] == 0
+
+    @pytest.mark.parametrize("collapse_at", [0.0, 0.04, 0.09, 0.1225, 0.16, 0.19, 0.3])
+    def test_measured_passes_stay_within_the_printed_bound(self, collapse_at, capsys):
+        assert main(["scenarios", "list"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("inhibitory_collapse_search ")
+        )
+        probes, passes = map(int, re.search(r"<= (\d+) \((\d+) passes\)", row).groups())
+        speculative, _ = self._run(partial(_lockstep_factory, collapse_at=collapse_at))
+        assert speculative.execution["lockstep_passes"] <= passes
+        assert speculative.metrics["n_probes"] <= probes
+
+    def test_a_search_the_cache_settles_trains_nothing_ahead(self):
+        # The grid covers exactly the search path 7, 0, 3, 5, 4: a plan that
+        # did not read the cache would still train index 1.
+        adaptive = get_scenario("inhibitory_collapse_search")
+        candidates = adaptive.grid["threshold_change"]
+        dense = ScenarioSpec(
+            name="dense",
+            family=adaptive.family,
+            fixed=adaptive.fixed,
+            grid={"threshold_change": tuple(candidates[i] for i in (7, 0, 3, 5, 4))},
+        )
+        runner = ScenarioRunner(scale="tiny", pipeline_factory=_lockstep_factory)
+        runner.run(dense)
+        result = runner.run(adaptive)
+        assert result.metrics["collapse_found"] == 1.0
+        counts = result.execution
+        assert (counts["tasks_executed"], counts["lockstep_passes"]) == (0, 0)
+        assert counts["speculative_lanes"] == 0
 
 
 class TestRunnerSharding:
