@@ -151,6 +151,11 @@ class TestEngineHotpath:
                 system, solution, times[step - 1], times[step], options, depth=0
             )
         benchmark.extra_info["newton_assemblies"] = system.stats.assemblies
+        # Wall time per Newton iteration, the cost the engine's per-iteration
+        # work (assembly, device evaluation, LU) is tuned against.
+        benchmark.extra_info["us_per_assembly"] = round(
+            benchmark.stats.stats.mean * 1e6 / system.stats.assemblies, 2
+        )
         benchmark.extra_info["lu_factorizations"] = system.stats.factorizations
         benchmark.extra_info["frozen_jacobian_accepts"] = system.stats.frozen_accepts
         assert len(result) == N_STEPS + 1

@@ -3,11 +3,12 @@
 The figure workloads run the *same circuit topology* many times with only
 parameter values changed (VDD grids, sizing factors, bias sweeps).
 :class:`BatchedCircuit` compiles B such variants side by side and advances
-them in lockstep: one Newton iteration assembles a stacked ``(B, N, N)``
-matrix — base linear patterns copied per variant, all B×M transistors
-evaluated in a single vectorised call, stamps scattered through shared
-flat-index maps with per-variant offsets — and solves every variant at once
-with batched ``np.linalg.solve``.
+them in lockstep.  Each solve stacks every variant's base linear matrix and
+source/companion right-hand side once; each Newton iteration then copies
+that stack into a ``(B, N, N)`` matrix and ``(B, N)`` RHS, evaluates all
+B×M transistors in a single vectorised call, scatters their stamps through
+the compiled maps with per-variant offsets, and solves every variant at
+once with batched ``np.linalg.solve``.
 
 Entry points:
 
@@ -31,13 +32,15 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analog.compiled import CompiledCircuit, EngineStats
+from repro.analog.compiled import CompiledCircuit, EngineStats, scatter
 from repro.analog.dc import DCSweepResult, OperatingPoint, _solution_to_op
 from repro.analog.devices import CurrentSource, VoltageSource
 from repro.analog.mna import (
     ConvergenceError,
     SolverOptions,
     StampState,
+    _clip,
+    _max_reduce,
     newton_solve,
     seed_solution_vector,
 )
@@ -115,14 +118,23 @@ class BatchedCircuit:
         self.n_nodes = reference.n_nodes
         self.is_nonlinear = reference.is_nonlinear
         self.stats = EngineStats()
-        # Stacked workspaces and per-variant flat offsets.
+        # Stacked flat workspaces (matrix then RHS per variant, the layout of
+        # CompiledCircuit) and the per-variant stamp blocks.
         b, n = self.batch_size, self.size
-        self._matrix = np.zeros((b, n, n))
-        self._matrix_offsets = np.arange(b, dtype=np.intp) * (n * n)
-        self._rhs = np.zeros((b, n))
+        work = n * n + n
+        self._work = np.zeros((b, work))
+        self._matrix = self._work[:, : n * n].reshape(b, n, n)
+        self._rhs = self._work[:, n * n :]
+        self._solve_base = np.zeros((b, work))
         self._padded_guess = np.zeros((b, n + 1))
         self._padded_prev = np.zeros((b, n + 1))
-        self._rhs_offsets = np.arange(b, dtype=np.intp) * n
+        self._block = np.zeros((b, len(reference._block)))
+        self._components = self._block[:, :-1].reshape(b, *reference._components.shape)
+        self._maps = reference.scatter_maps(b)
+        self._cap_target = (
+            (n * n + reference._cap_rhs_idx)[None, :]
+            + np.arange(b, dtype=np.intp)[:, None] * work
+        )
         # Per-variant parameter stacks of the MOSFETs.
         self._mosfet_params = (
             None
@@ -134,25 +146,25 @@ class BatchedCircuit:
         self._cap_values = np.stack([m._cap_values for m in self.members])
 
     # ---------------------------------------------------------------- assembly
-    def _assemble(
+    def _begin_solve(
         self,
         analysis: str,
         time: float,
         dt: float,
         previous: Optional[np.ndarray],
-        guess: np.ndarray,
         gmin: float,
-    ) -> tuple:
-        """One lockstep assembly into the stacked ``(B, N, N)`` workspace."""
-        matrix, rhs = self._matrix, self._rhs
+    ) -> None:
+        """Build every variant's linear matrix, source/companion RHS and gmin.
+
+        The lockstep counterpart of :meth:`CompiledCircuit.begin_solve`:
+        built once per solve, copied per iteration by :meth:`_assemble`.
+        """
+        base = self._solve_base
         key = self.reference.step_key(analysis, dt)
         for b, member in enumerate(self.members):
-            matrix[b] = member._base_for(key, analysis, dt)
-            row = rhs[b]
-            row.fill(0.0)
-            member._assemble_source_rhs(row, time)
+            base[b] = member._base_for(key, analysis, dt)
+            member._assemble_source_rhs(base[b, self.size * self.size :], time)
         reference = self.reference
-        rhs_flat = rhs.ravel()
         if analysis == "transient" and previous is not None:
             prev = self._padded_prev
             prev[:, : self.size] = previous
@@ -161,26 +173,23 @@ class BatchedCircuit:
                     prev[:, reference._cap_a_gather] - prev[:, reference._cap_b_gather]
                 )
                 np.add.at(
-                    rhs_flat,
-                    reference._cap_rhs_idx[None, :] + self._rhs_offsets[:, None],
+                    base.ravel(),
+                    self._cap_target,
                     reference._cap_rhs_sign * injection[:, reference._cap_rhs_src],
                 )
-        mosfets = reference._mosfets
+        self._block[:, -1] = gmin
+
+    def _assemble(self, guess: np.ndarray) -> tuple:
+        """One lockstep assembly at ``guess`` into the stacked workspace."""
+        np.copyto(self._work, self._solve_base)
+        mosfets = self.reference._mosfets
         if mosfets is not None:
             padded = self._padded_guess
             padded[:, : self.size] = guess
-            mat_comp, rhs_comp = mosfets.evaluate(padded, self._mosfet_params)
-            mosfets.scatter(
-                matrix.ravel(),
-                rhs_flat,
-                mat_comp,
-                rhs_comp,
-                matrix_offsets=self._matrix_offsets,
-                rhs_offsets=self._rhs_offsets,
-            )
-        matrix.reshape(self.batch_size, -1)[:, reference._node_diag_flat] += gmin
+            mosfets.evaluate(padded, self._components, self._mosfet_params)
+        scatter(self._work.ravel(), self._block.ravel(), self._maps)
         self.stats.assemblies += self.batch_size
-        return matrix, rhs
+        return self._matrix, self._rhs
 
     # ------------------------------------------------------------------ newton
     def solve_point(
@@ -204,24 +213,25 @@ class BatchedCircuit:
         """
         x = guess.copy()
         active = np.ones(self.batch_size, dtype=bool)
+        n_nodes = self.n_nodes
+        self._begin_solve(analysis, time, dt, previous, options.gmin)
+        sixth, third = options.max_iterations // 6, options.max_iterations // 3
         for iteration in range(options.max_iterations):
-            matrix, rhs = self._assemble(
-                analysis, time, dt, previous, x, options.gmin
-            )
+            matrix, rhs = self._assemble(x)
             x_new = np.linalg.solve(matrix, rhs[..., None])[..., 0]
             if not self.is_nonlinear:
                 return x_new
             delta = x_new - x
-            node_delta = delta[:, : self.n_nodes]
+            node_delta = delta[:, :n_nodes]
             step_limit = options.max_voltage_step
-            if iteration >= options.max_iterations // 3:
+            if iteration >= third:
                 step_limit *= 0.25
-            elif iteration >= options.max_iterations // 6:
+            elif iteration >= sixth:
                 step_limit *= 0.5
-            np.clip(node_delta, -step_limit, step_limit, out=node_delta)
+            _clip(node_delta, -step_limit, step_limit, out=node_delta)
             x[active] += delta[active]
-            max_delta = np.max(np.abs(node_delta), axis=1)
-            scale = np.max(np.abs(x[:, : self.n_nodes]), axis=1)
+            max_delta = _max_reduce(np.abs(node_delta), axis=1)
+            scale = _max_reduce(np.abs(x[:, :n_nodes]), axis=1)
             tolerance = options.voltage_tolerance + (
                 options.relative_tolerance * np.maximum(scale, 1.0)
             )

@@ -8,14 +8,19 @@ with scalar ``stamp()`` calls:
 * **Split linear/nonlinear assembly** — the matrix stamps of resistors,
   voltage-source incidence rows and (per time step) capacitor companion
   conductances never change, so they are pre-assembled into one *base
-  matrix* per ``(analysis, dt)`` and the per-iteration work reduces to one
-  ``memcpy`` plus the source and MOSFET re-stamps.
+  matrix* per ``(analysis, dt)``.  The independent sources and the
+  capacitor companion injections depend only on the solve's time, step,
+  previous solution and source values, so :meth:`CompiledCircuit.begin_solve`
+  builds them into the right-hand side once per Newton *solve*.  Matrix and
+  RHS share one flat workspace, and each iteration is one ``memcpy`` of the
+  solve's base plus the MOSFET stamps.
 * **Vectorised device evaluation** — all MOSFETs are evaluated at once:
-  terminal voltages are gathered through precomputed index arrays, the
-  device model runs as NumPy array math
-  (:func:`repro.analog.mosfet.channel_current_array`), and the resulting
-  conductance/current stamps are scattered with ``np.add.at`` against
-  precomputed flat-index maps.
+  terminal voltages are gathered through one precomputed ``(3, M)`` index
+  array, the device model runs as NumPy array math
+  (:func:`repro.analog.mosfet.channel_stamps_array`) into one flat component
+  block, and a single ``np.add.at`` against precomputed index maps
+  scatters the matrix stamps, the RHS stamps and gmin in the order of the
+  scalar engine's passes, so every sum keeps its float order.
 * **LU reuse** — for linear circuits the factorisation of the (constant)
   matrix is cached per ``(analysis, dt, gmin)`` and each step costs one
   back-substitution; for nonlinear transients the factors of the last
@@ -27,7 +32,8 @@ with scalar ``stamp()`` calls:
 
 Device *values* that only affect the right-hand side (independent source
 values/waveforms) may change freely between solves — ``dc_sweep`` relies on
-this.  Topology and R/C/transistor parameters are frozen at compile time.
+this — but not within one: each solve reads them once.  Topology and
+R/C/transistor parameters are frozen at compile time.
 
 The compiler knows exactly the device types the paper's netlists use —
 :class:`~repro.analog.devices.Resistor`, ``Capacitor``, ``VoltageSource``,
@@ -56,7 +62,7 @@ from repro.analog.devices import (
     VoltageSource,
 )
 from repro.analog.mna import MNASystem, SolverOptions, StampState
-from repro.analog.mosfet import MOSFET, channel_current_array
+from repro.analog.mosfet import MOSFET, channel_stamps_array
 from repro.analog.netlist import Circuit
 from repro.utils.validation import check_engine
 
@@ -123,22 +129,16 @@ class EngineStats:
 class _MOSFETGroup:
     """Every MOSFET of the circuit, evaluated as one array operation.
 
-    The group stores, per transistor, the padded gather indices of its
-    terminals plus two precomputed scatter maps: matrix entries addressed by
-    flat index into the dense workspace, and RHS entries addressed by row.
-    Each scatter entry selects one *component* (``di/dvd``, ``di/dvg`` or
-    ``di/dvs`` for the matrix, ``i_eq`` for the RHS) and a sign.
-
-    :meth:`evaluate` broadcasts: with a padded voltage vector of shape
-    ``(size+1,)`` components come out ``(C, M)``; with a batch of vectors
-    ``(B, size+1)`` (and optionally stacked per-variant ``params``) they come
-    out ``(C, B, M)`` and :meth:`scatter` lands them in stacked ``(B, N, N)``
-    workspaces through per-variant flat offsets.
+    The group stores the padded gather indices of every transistor's
+    terminals as one ``(3, M)`` array (rows drain, gate, source) and the
+    per-device parameter arrays.  :meth:`evaluate` broadcasts: a padded
+    voltage vector of shape ``(size+1,)`` fills a ``(4, M)`` component
+    block, a batch of vectors ``(B, size+1)`` with stacked per-variant
+    ``params`` fills ``(B, 4, M)``.  The owning system scatters the block
+    (see :meth:`CompiledCircuit.scatter_maps`).
     """
 
     def __init__(self, system: MNASystem, devices: Sequence[MOSFET]) -> None:
-        self.devices = list(devices)
-        self._buffer_cache: Dict[tuple, tuple] = {}
         size = system.size
 
         def gather_index(node: str) -> int:
@@ -146,13 +146,16 @@ class _MOSFETGroup:
             idx = system.index_of(node)
             return size if idx < 0 else idx
 
-        self._d = np.array([gather_index(m.nodes[0]) for m in devices], np.intp)
-        self._g = np.array([gather_index(m.nodes[1]) for m in devices], np.intp)
-        self._s = np.array([gather_index(m.nodes[2]) for m in devices], np.intp)
+        self._gather = np.array(
+            [[gather_index(m.nodes[k]) for m in devices] for k in range(3)],
+            dtype=np.intp,
+        )
         #: Per-device parameter arrays (stacked across a batch).
         self.params: Dict[str, np.ndarray] = {
-            "sign": np.array(
-                [1.0 if m.parameters.polarity == "nmos" else -1.0 for m in devices]
+            # Repeated over the (vd, vg, vs) rows: see channel_stamps_array.
+            "sign": np.tile(
+                [1.0 if m.parameters.polarity == "nmos" else -1.0 for m in devices],
+                (3, 1),
             ),
             "beta": np.array([m.beta for m in devices]),
             "vth0": np.array([m.parameters.vth0 for m in devices]),
@@ -164,102 +167,23 @@ class _MOSFETGroup:
                 ]
             ),
         }
-        # (row, col, component, device, sign) and (row, component, device,
-        # sign); ground rows and columns are left out.
-        matrix_entries: List[Tuple[int, int, int, int, float]] = []
-        rhs_entries: List[Tuple[int, int, int, float]] = []
-        for i, mosfet in enumerate(devices):
-            d, g, s = (system.index_of(node) for node in mosfet.nodes)
-            # Components: 0 = di/dvd, 1 = di/dvg, 2 = di/dvs; KCL rows at the
-            # drain (+) and source (-), mirroring MOSFET.stamp.
-            for row, sign in ((d, 1.0), (s, -1.0)):
-                if row < 0:
-                    continue
-                for comp, col in enumerate((d, g, s)):
-                    if col >= 0:
-                        matrix_entries.append((row, col, comp, i, sign))
-                rhs_entries.append((row, 0, i, -sign))  # -i_eq at d, +i_eq at s
-        self._mat_flat = np.array(
-            [r * size + c for r, c, _, _, _ in matrix_entries], dtype=np.intp
-        )
-        self._mat_comp = np.array([e[2] for e in matrix_entries], dtype=np.intp)
-        self._mat_dev = np.array([e[3] for e in matrix_entries], dtype=np.intp)
-        self._mat_sign = np.array([e[4] for e in matrix_entries], dtype=float)
-        self._rhs_idx = np.array([e[0] for e in rhs_entries], dtype=np.intp)
-        self._rhs_comp = np.array([e[1] for e in rhs_entries], dtype=np.intp)
-        self._rhs_dev = np.array([e[2] for e in rhs_entries], dtype=np.intp)
-        self._rhs_sign = np.array([e[3] for e in rhs_entries], dtype=float)
-
-    def _component_buffers(self, batch_shape: tuple) -> Tuple[np.ndarray, np.ndarray]:
-        """Reusable output buffers (avoids an ``np.stack`` per iteration)."""
-        buffers = self._buffer_cache.get(batch_shape)
-        if buffers is None:
-            count = len(self.devices)
-            buffers = (
-                np.empty((3, *batch_shape, count)),
-                np.empty((1, *batch_shape, count)),
-            )
-            self._buffer_cache[batch_shape] = buffers
-        return buffers
 
     def evaluate(
-        self, padded: np.ndarray, params: Optional[Dict[str, np.ndarray]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(matrix_components, rhs_components)`` for ``padded``."""
+        self,
+        padded: np.ndarray,
+        out: np.ndarray,
+        params: Optional[Dict[str, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Fill ``out`` with ``(di/dvd, di/dvg, di/dvs, i_eq)`` at ``padded``."""
         p = params or self.params
-        vd = padded[..., self._d]
-        vg = padded[..., self._g]
-        vs = padded[..., self._s]
-        i_ds, di_dvd, di_dvg, di_dvs = channel_current_array(
-            vd,
-            vg,
-            vs,
+        return channel_stamps_array(
+            padded[..., self._gather],
+            out,
             sign=p["sign"],
             beta=p["beta"],
             vth0=p["vth0"],
             lambda_=p["lambda_"],
             n_vt=p["n_vt"],
-        )
-        i_eq = i_ds - di_dvd * vd - di_dvg * vg - di_dvs * vs
-        mat_comp, rhs_comp = self._component_buffers(padded.shape[:-1])
-        mat_comp[0], mat_comp[1], mat_comp[2] = di_dvd, di_dvg, di_dvs
-        rhs_comp[0] = i_eq
-        return mat_comp, rhs_comp
-
-    def scatter(
-        self,
-        matrix_flat: np.ndarray,
-        rhs: np.ndarray,
-        mat_comp: np.ndarray,
-        rhs_comp: np.ndarray,
-        *,
-        matrix_offsets: Optional[np.ndarray] = None,
-        rhs_offsets: Optional[np.ndarray] = None,
-    ) -> None:
-        """Accumulate evaluated components into (possibly batched) workspaces."""
-        if mat_comp.ndim == 2:  # single variant: components are (C, M)
-            np.add.at(
-                matrix_flat,
-                self._mat_flat,
-                self._mat_sign * mat_comp[self._mat_comp, self._mat_dev],
-            )
-            np.add.at(
-                rhs,
-                self._rhs_idx,
-                self._rhs_sign * rhs_comp[self._rhs_comp, self._rhs_dev],
-            )
-            return
-        # Batched: components are (C, B, M); advanced indexing with the
-        # batch slice in the middle yields (E, B) -> transpose to (B, E).
-        mat_values = self._mat_sign * mat_comp[self._mat_comp, :, self._mat_dev].T
-        np.add.at(
-            matrix_flat,
-            self._mat_flat[None, :] + matrix_offsets[:, None],
-            mat_values,
-        )
-        rhs_values = self._rhs_sign * rhs_comp[self._rhs_comp, :, self._rhs_dev].T
-        np.add.at(
-            rhs, self._rhs_idx[None, :] + rhs_offsets[:, None], rhs_values
         )
 
     def stacked_params(
@@ -272,12 +196,24 @@ class _MOSFETGroup:
         }
 
 
+def scatter(work: np.ndarray, block: np.ndarray, maps: tuple) -> None:
+    """Add the stamps held in ``block`` into ``work`` (both flat arrays).
+
+    ``maps`` is ``(target, source, sign)`` from
+    :meth:`CompiledCircuit.scatter_maps`; ``np.add.at`` adds the entries in
+    map order, so every workspace entry sums its stamps in a fixed order.
+    """
+    target, source, sign = maps
+    np.add.at(work, target, sign * block[source])
+
+
 class CompiledCircuit(MNASystem):
     """An :class:`MNASystem` with compiled (split + vectorised) assembly.
 
     Drop-in compatible with every solver entry point (``newton_solve``,
-    transient/DC analyses): only :meth:`assemble` and :meth:`solve_assembled`
-    are overridden.  See the module docstring for what is precomputed.
+    transient/DC analyses): :meth:`begin_solve`, :meth:`assemble` and
+    :meth:`solve_assembled` are overridden.  See the module docstring for
+    what is precomputed.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -291,9 +227,18 @@ class CompiledCircuit(MNASystem):
         self._solve_iterations = 0
         self._linear_signature: Optional[tuple] = None
         self._last_key: tuple = ("dc", 0.0)
+        self._key_dt: Optional[float] = None
+        self._transient_key: tuple = ()
         self._padded_guess = np.zeros(self.size + 1)
         self._padded_prev = np.zeros(self.size + 1)
         self._zero_padded = np.zeros(self.size + 1)
+        # One flat workspace: the matrix followed by the RHS, so a single
+        # copy and a single scatter assemble both.
+        n = self.size
+        self._work = np.zeros(n * n + n)
+        self._matrix = self._work[: n * n].reshape(n, n)
+        self._rhs = self._work[n * n :]
+        self._solve_base = np.zeros(n * n + n)
         self._compile(circuit)
 
     # ------------------------------------------------------------- compilation
@@ -303,12 +248,13 @@ class CompiledCircuit(MNASystem):
         self._vsrc: List[Tuple[VoltageSource, int]] = []
         self._isrc: List[Tuple[CurrentSource, int, int]] = []
         caps: List[Capacitor] = []
-        # The constant linear stamps, summed once into a dense matrix.
-        self._static_matrix = np.zeros((size, size))
+        # The constant linear stamps, summed once into a flat matrix block
+        # with a zero RHS tail (the workspace layout).
+        self._static_block = np.zeros(size * size + size)
 
         def add_static(row: int, col: int, value: float) -> None:
             if row >= 0 and col >= 0:
-                self._static_matrix[row, col] += value
+                self._static_block[row * size + col] += value
 
         for device in circuit.devices:
             kind = type(device)
@@ -372,16 +318,60 @@ class CompiledCircuit(MNASystem):
         self._mosfets: Optional[_MOSFETGroup] = (
             _MOSFETGroup(self, mosfets) if mosfets else None
         )
+        # The per-iteration stamps come from one flat block: the (4, M)
+        # MOSFET components (di/dvd, di/dvg, di/dvs, i_eq) and a trailing
+        # gmin slot.  Each scatter entry is (workspace index, block index,
+        # sign): the MOSFET matrix entries at the drain (+) and source (-)
+        # KCL rows mirroring MOSFET.stamp, then -i_eq at the drain and +i_eq
+        # at the source, then gmin on every node diagonal, so each entry sums
+        # in the order of the matrix, RHS and gmin passes of MNASystem.
+        m = len(mosfets)
+        self._block = np.zeros(4 * m + 1)
+        self._components = self._block[: 4 * m].reshape(4, m)
+        matrix_entries: List[Tuple[int, int, float]] = []
+        rhs_entries: List[Tuple[int, int, float]] = []
+        for i, mosfet in enumerate(mosfets):
+            d, g, s = (self.index_of(node) for node in mosfet.nodes)
+            for row, sign in ((d, 1.0), (s, -1.0)):
+                if row < 0:
+                    continue
+                for comp, col in enumerate((d, g, s)):
+                    if col >= 0:
+                        matrix_entries.append((row * size + col, comp * m + i, sign))
+                rhs_entries.append((size * size + row, 3 * m + i, -sign))
+        gmin_entries = [(int(flat), 4 * m, 1.0) for flat in self._node_diag_flat]
+        entries = matrix_entries + rhs_entries + gmin_entries
+        self._scatter_target = np.array([e[0] for e in entries], dtype=np.intp)
+        self._scatter_source = np.array([e[1] for e in entries], dtype=np.intp)
+        self._scatter_sign = np.array([e[2] for e in entries], dtype=float)
+        self._maps = self.scatter_maps(1)
+
+    def scatter_maps(self, batch: int) -> tuple:
+        """``(target, source, sign)`` of :func:`scatter` for ``batch`` systems.
+
+        The maps address ``batch`` workspaces and component blocks stacked
+        back to back, each laid out as this system's own.
+        """
+        offsets = np.arange(batch, dtype=np.intp)[:, None]
+        target = self._scatter_target + offsets * len(self._work)
+        source = self._scatter_source + offsets * len(self._block)
+        return target.ravel(), source.ravel(), np.tile(self._scatter_sign, batch)
 
     # ----------------------------------------------------------- base matrices
     def step_key(self, analysis: str, dt: float) -> tuple:
         """The cache key of one ``(analysis, dt)`` configuration."""
-        return ("dc", 0.0) if analysis == "dc" else ("transient", _dt_key(dt))
+        if analysis == "dc":
+            return ("dc", 0.0)
+        if dt != self._key_dt:  # the last key is kept: _dt_key is not free
+            self._key_dt = dt
+            self._transient_key = ("transient", _dt_key(dt))
+        return self._transient_key
 
     def _base_for(self, key: tuple, analysis: str, dt: float) -> np.ndarray:
+        """The flat linear matrix block of ``key`` with a zero RHS tail."""
         base = self._base_cache.pop(key, None)  # re-insert below: LRU order
         if base is None:
-            base = self._static_matrix.copy()
+            base = self._static_block.copy()
             if len(self._cap_values):
                 geq = (
                     np.full_like(self._cap_values, GMIN)
@@ -389,7 +379,7 @@ class CompiledCircuit(MNASystem):
                     else self._cap_values / dt
                 )
                 np.add.at(
-                    base.ravel(),
+                    base,
                     self._cap_mat_flat,
                     self._cap_mat_sign * geq[self._cap_mat_src],
                 )
@@ -430,28 +420,42 @@ class CompiledCircuit(MNASystem):
                 self._cap_rhs_sign * injection[self._cap_rhs_src],
             )
 
-    def assemble(self, state: StampState, options: SolverOptions) -> tuple:
-        """Compiled replacement of :meth:`MNASystem.assemble` (same contract)."""
+    def begin_solve(self, state: StampState, options: SolverOptions) -> None:
+        """Build the solve's linear matrix, source/companion RHS and gmin.
+
+        They depend on ``(analysis, time, dt, previous, gmin)`` and source
+        values only, never on the Newton iterate, so each solve builds them
+        once and :meth:`assemble` copies them per iteration.
+        """
         analysis = state.analysis
         key = self.step_key(analysis, state.dt)
-        matrix, rhs = self._matrix, self._rhs
-        np.copyto(matrix, self._base_for(key, analysis, state.dt))
-        rhs.fill(0.0)
+        base = self._solve_base
+        np.copyto(base, self._base_for(key, analysis, state.dt))
+        rhs = base[self.size * self.size :]
         self._assemble_source_rhs(rhs, state.time)
         if analysis == "transient":
             self._assemble_companion_rhs(rhs, state)
-        if self._mosfets is not None:
-            padded = self._padded(state.guess, self._padded_guess)
-            mat_comp, rhs_comp = self._mosfets.evaluate(padded)
-            self._mosfets.scatter(matrix.ravel(), rhs, mat_comp, rhs_comp)
         gmin = state.gmin if state.gmin else options.gmin
-        matrix.flat[self._node_diag_flat] += gmin
+        self._block[-1] = gmin
         self._last_key = key
         # A circuit without MOSFETs has an iteration-independent matrix, so
         # its LU factors can be cached exactly.
         self._linear_signature = (key, gmin) if self._mosfets is None else None
+
+    def assemble(self, state: StampState, options: SolverOptions) -> tuple:
+        """Compiled replacement of :meth:`MNASystem.assemble` (same contract).
+
+        Assembles at ``state.guess`` on top of what the last
+        :meth:`begin_solve` built.
+        """
+        work = self._work
+        np.copyto(work, self._solve_base)
+        if self._mosfets is not None:
+            padded = self._padded(state.guess, self._padded_guess)
+            self._mosfets.evaluate(padded, self._components)
+        scatter(work, self._block, self._maps)
         self.stats.assemblies += 1
-        return matrix, rhs
+        return self._matrix, self._rhs
 
     # ----------------------------------------------------------------- solving
     def _factor(self, matrix: np.ndarray) -> Optional[tuple]:
@@ -533,6 +537,7 @@ class CompiledCircuit(MNASystem):
         ):
             return None
         state.guess = solution
+        self.begin_solve(state, options)
         matrix, rhs = self.assemble(state, options)
         predicted = self._back_substitute(self._frozen_lu, rhs)
         if not np.all(np.isfinite(predicted)):

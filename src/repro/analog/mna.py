@@ -22,6 +22,16 @@ from repro.analog.devices import Device
 from repro.analog.netlist import Circuit, is_ground
 
 
+# The ufuncs behind np.clip and np.max, called directly: the wrappers cost
+# more than the work on a vector of a few tens of unknowns.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # pragma: no cover - NumPy 1.x
+    from numpy.core.umath import clip as _clip
+
+_max_reduce = np.maximum.reduce
+
+
 class ConvergenceError(RuntimeError):
     """Raised when Newton-Raphson fails to converge."""
 
@@ -94,6 +104,15 @@ class MNASystem:
         return {name: float(solution[i]) for name, i in self.node_index.items()}
 
     # ---------------------------------------------------------------- assembly
+    def begin_solve(self, state: "StampState", options: SolverOptions) -> None:
+        """Hook called once at the start of every Newton solve.
+
+        A subclass may build here what stays fixed through one solve: what
+        depends on the time, step, previous solution and gmin of ``state``
+        and on the source values, but not on the iterate.  The reference
+        engine stamps everything per iteration, so it does nothing here.
+        """
+
     def assemble(self, state: "StampState", options: SolverOptions) -> tuple:
         """Assemble the (linearised) MNA matrix and right-hand side.
 
@@ -270,8 +289,11 @@ def newton_solve(
     Falls back to gmin stepping if the plain iteration does not converge.
     """
     options = options or SolverOptions()
+    # No copy here: _newton_iterate copies the guess before it iterates.
     guess = (
-        np.zeros(system.size) if initial_guess is None else np.array(initial_guess, dtype=float)
+        np.zeros(system.size)
+        if initial_guess is None
+        else np.asarray(initial_guess, dtype=float)
     )
     try:
         return _newton_iterate(system, state, guess, options, gmin=0.0)
@@ -293,8 +315,15 @@ def _newton_iterate(
     gmin: float,
 ) -> np.ndarray:
     nonlinear = system.is_nonlinear
+    n_nodes = system.n_nodes
     x = guess.copy()
     state.gmin = gmin
+    system.begin_solve(state, options)
+    # Progressive damping: if the iteration has not settled after a sixth
+    # (a third) of the budget, typically a regenerative feedback loop
+    # bouncing between two states, halve (quarter) the accepted step to
+    # force convergence.
+    sixth, third = options.max_iterations // 6, options.max_iterations // 3
     for iteration in range(options.max_iterations):
         state.guess = x
         matrix, rhs = system.assemble(state, options)
@@ -302,21 +331,21 @@ def _newton_iterate(
         if not nonlinear:
             return x_new
         delta = x_new - x
-        node_delta = delta[: system.n_nodes]
-        # Progressive damping: if the iteration has not settled after a third
-        # of the budget (typically a regenerative feedback loop bouncing
-        # between two states), shrink the accepted step to force convergence.
+        if not n_nodes:
+            return x + delta
         step_limit = options.max_voltage_step
-        if iteration >= options.max_iterations // 3:
+        if iteration >= third:
             step_limit *= 0.25
-        elif iteration >= options.max_iterations // 6:
+        elif iteration >= sixth:
             step_limit *= 0.5
-        if len(node_delta):
-            np.clip(node_delta, -step_limit, step_limit, out=node_delta)
-        x = x + delta
-        max_delta = float(np.max(np.abs(node_delta))) if len(node_delta) else 0.0
-        scale = float(np.max(np.abs(x[: system.n_nodes]))) if system.n_nodes else 1.0
-        if max_delta <= options.voltage_tolerance + options.relative_tolerance * max(scale, 1.0):
+        node_delta = delta[:n_nodes]
+        _clip(node_delta, -step_limit, step_limit, out=node_delta)
+        x += delta  # x is this solve's own copy
+        max_delta = float(_max_reduce(np.abs(node_delta)))
+        scale = float(_max_reduce(np.abs(x[:n_nodes])))
+        if max_delta <= options.voltage_tolerance + options.relative_tolerance * max(
+            scale, 1.0
+        ):
             return x
     raise ConvergenceError(
         f"Newton-Raphson failed to converge for circuit {system.circuit.name!r} "

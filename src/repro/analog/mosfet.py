@@ -89,60 +89,82 @@ def _sigmoid(x: float) -> float:
     return ex / (1.0 + ex)
 
 
-def softplus_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_softplus` (agrees with the scalar form to ~1e-31)."""
-    return np.where(x > 35.0, x, np.log1p(np.exp(np.minimum(x, 35.0))))
+# Constants of the array model as 0-d arrays: a ufunc call converts a
+# Python float operand on every call, which costs more than the arithmetic on
+# a circuit's few transistors.
+_ZERO, _HALF, _ONE, _SOFTPLUS_CUT, _GMIN = (
+    np.array(value) for value in (0.0, 0.5, 1.0, 35.0, GMIN)
+)
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_sigmoid` (both branches evaluate ``exp(-|x|)``)."""
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-
-def channel_current_array(
-    vd: np.ndarray,
-    vg: np.ndarray,
-    vs: np.ndarray,
+def channel_stamps_array(
+    v: np.ndarray,
+    out: np.ndarray,
     *,
     sign: np.ndarray,
     beta: np.ndarray,
     vth0: np.ndarray,
     lambda_: np.ndarray,
     n_vt: np.ndarray,
-):
-    """Vectorised :meth:`MOSFET.channel_current` over arrays of transistors.
+) -> np.ndarray:
+    """Vectorised Newton linearisation of :meth:`MOSFET.stamp`.
 
-    Every argument broadcasts; ``sign`` is ``+1`` for NMOS and ``-1`` for
-    PMOS (a PMOS is an NMOS with negated terminal voltages and reversed
-    current).  Returns ``(i_ds, di/dvd, di/dvg, di/dvs)`` with the same
-    region selection (triode vs saturation, drain/source swap) as the
-    scalar reference implementation.
+    ``v`` stacks the terminal voltages of ``M`` transistors as rows
+    ``(vd, vg, vs)`` of shape ``(..., 3, M)``.  ``sign`` has the same shape
+    and holds each transistor's polarity in all three rows: ``+1`` for NMOS
+    and ``-1`` for PMOS (a PMOS is an NMOS with negated terminal voltages
+    and reversed current).  The other parameters are ``(M,)`` or ``(..., M)``
+    arrays.  Writes the rows ``(di/dvd, di/dvg, di/dvs, i_eq)`` into ``out``
+    of shape ``(..., 4, M)`` and returns it; ``i_eq = i_ds - di/dvd*vd -
+    di/dvg*vg - di/dvs*vs`` is the companion current of ``MOSFET.stamp``.
+    The region selection (triode vs saturation, drain/source swap) is that
+    of the scalar reference model.
     """
-    vdn, vgn, vsn = sign * vd, sign * vg, sign * vs
-    swap = vdn < vsn
-    lo = np.minimum(vdn, vsn)  # effective source (lower terminal)
-    vgs = vgn - lo
+    vn = v * sign
+    vdn, vgn, vsn = vn[..., 0, :], vn[..., 1, :], vn[..., 2, :]
+    # The higher terminal acts as the drain; a swapped device gets the
+    # exact factors swapped = 1, kept = 0 and flip = -1 instead of np.where.
+    swapped = (vdn < vsn).astype(float)
+    kept = _ONE - swapped
+    flip = kept - swapped
+    vgs = vgn - np.minimum(vdn, vsn)
     vds = np.abs(vdn - vsn)
     x = (vgs - vth0) / n_vt
-    veff = n_vt * softplus_array(x)
-    dveff = sigmoid_array(x)
-    clm = 1.0 + lambda_ * vds
+    # Smooth overdrive n*Vt*softplus(x) and its slope sigmoid(x), both in
+    # overflow-safe form; the two sigmoid branches share exp(-|x|).
+    veff = n_vt * np.where(
+        x > _SOFTPLUS_CUT, x, np.log1p(np.exp(np.minimum(x, _SOFTPLUS_CUT)))
+    )
+    ex = np.exp(-np.abs(x))
+    dveff = np.where(x >= _ZERO, _ONE, ex) / (_ONE + ex)
+    clm = _ONE + lambda_ * vds
     # Branchless region selection: with vm = min(vds, veff) the triode
     # expressions evaluate to the saturation ones at vm == veff, so the
     # explicit triode/saturation split of the scalar model collapses to
-    # min/max (identical values in both regions).
+    # min (identical values in both regions; veff - vm is max(veff - vds, 0)).
     vm = np.minimum(vds, veff)
-    half = veff - 0.5 * vm
-    ids = beta * half * vm * clm
+    bhv = beta * (veff - _HALF * vm) * vm  # shared by ids and gds
     gm = beta * vm * clm * dveff
-    gds = beta * np.maximum(veff - vds, 0.0) * clm + beta * half * vm * lambda_
-    gds = np.maximum(gds, 0.0) + GMIN
-    i_ds = sign * np.where(swap, -ids, ids)
-    di_dvd = np.where(swap, gm + gds, gds)
-    di_dvg = np.where(swap, -gm, gm)
-    di_dvs = np.where(swap, -gds, -(gm + gds))
-    return i_ds, di_dvd, di_dvg, di_dvs
+    gds = beta * (veff - vm) * clm + bhv * lambda_
+    gds = np.maximum(gds, _ZERO) + _GMIN
+    # A swapped device exchanges drain and source, which moves gm from
+    # di/dvs to di/dvd and negates the current.
+    di_dvd, di_dvg, di_dvs, i_eq = (
+        out[..., 0, :],
+        out[..., 1, :],
+        out[..., 2, :],
+        out[..., 3, :],
+    )
+    np.add(gds, np.multiply(swapped, gm, out=di_dvd), out=di_dvd)
+    np.multiply(flip, gm, out=di_dvg)
+    np.add(gds, np.multiply(kept, gm, out=di_dvs), out=di_dvs)
+    np.negative(di_dvs, out=di_dvs)
+    i_ds = sign[..., 0, :] * (flip * (bhv * clm))
+    terms = out[..., :3, :] * v
+    np.subtract(i_ds, terms[..., 0, :], out=i_eq)
+    np.subtract(i_eq, terms[..., 1, :], out=i_eq)
+    np.subtract(i_eq, terms[..., 2, :], out=i_eq)
+    return out
 
 
 class MOSFET(Device):

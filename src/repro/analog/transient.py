@@ -97,6 +97,7 @@ class _TraceRecorder:
         # Ground (index -1) would alias the last unknown under fancy
         # indexing; gather it anyway and mask the column to zero afterwards.
         self._grounded = indices < 0
+        self._any_grounded = bool(self._grounded.any())
         self._node_indices = np.where(self._grounded, 0, indices)
         self._branch_indices = np.array(
             [system.branch_index_of(device) for device in self._devices],
@@ -113,7 +114,7 @@ class _TraceRecorder:
         self._times[i] = time
         if len(self._nodes):
             column = solution[self._node_indices]
-            if self._grounded.any():
+            if self._any_grounded:
                 column[self._grounded] = 0.0
             self._node_buf[:, i] = column
         if len(self._devices):
@@ -236,10 +237,10 @@ def transient_analysis(
     recorder.append(0.0, initial)
     solution = initial
     for step in range(1, len(times)):
-        solution = _advance(
-            system, solution, times[step - 1], times[step], options, depth=0
-        )
-        recorder.append(times[step], solution)
+        # Python floats: cheaper than NumPy scalars in the per-step arithmetic.
+        t_start, t_stop = times.item(step - 1), times.item(step)
+        solution = _advance(system, solution, t_start, t_stop, options, depth=0)
+        recorder.append(t_stop, solution)
 
     return recorder.finalise(circuit.name)
 

@@ -10,7 +10,14 @@ from repro.analog import (
     dc_sweep,
     transient_analysis,
 )
-from repro.analog.mna import ConvergenceError, MNASystem, SolverOptions
+from repro.analog.compiled import CompiledCircuit
+from repro.analog.mna import (
+    ConvergenceError,
+    MNASystem,
+    SolverOptions,
+    StampState,
+    newton_solve,
+)
 from repro.analog.mosfet import NMOS_65NM, PMOS_65NM
 
 
@@ -19,6 +26,15 @@ def voltage_divider(r_top="1k", r_bottom="1k", supply=1.0):
     circuit.add_voltage_source("V1", "in", "0", supply)
     circuit.add_resistor("R1", "in", "out", r_top)
     circuit.add_resistor("R2", "out", "0", r_bottom)
+    return circuit
+
+
+def cmos_inverter(vin=0.0):
+    circuit = Circuit("inv")
+    circuit.add_voltage_source("VDD", "vdd", "0", 1.0)
+    circuit.add_voltage_source("VIN", "in", "0", vin)
+    circuit.add_mosfet("MP", "out", "in", "vdd", PMOS_65NM, width="400n", length="65n")
+    circuit.add_mosfet("MN", "out", "in", "0", NMOS_65NM, width="520n", length="65n")
     return circuit
 
 
@@ -143,3 +159,104 @@ class TestNonlinearSolver:
         options = SolverOptions(max_iterations=1, gmin_stepping=(1e-3,))
         with pytest.raises(ConvergenceError):
             dc_operating_point(circuit, options=options)
+
+
+class TestCompiledRHSIsBuiltPerSolve:
+    """The compiled engine builds sources and capacitor companions once per
+    Newton solve; no solve may see the right-hand side of another."""
+
+    @pytest.mark.parametrize(
+        "build, source, values",
+        [
+            (voltage_divider, "V1", [0.0, 0.5, 2.0]),
+            (cmos_inverter, "VIN", list(np.linspace(0.0, 1.0, 11))),
+        ],
+    )
+    def test_dc_sweep_matches_fresh_solves(self, build, source, values):
+        circuit = build()
+        sweep = dc_sweep(circuit, source, values, engine="auto")
+        guess = None
+        for value, op in zip(values, sweep.operating_points):
+            circuit[source].value = value
+            fresh = CompiledCircuit(circuit)
+            solution = newton_solve(fresh, StampState(system=fresh), guess)
+            assert op.node_voltages == fresh.solution_as_dict(solution)
+            guess = solution
+
+    @pytest.mark.parametrize("build, source", [(voltage_divider, "V1"), (cmos_inverter, "VIN")])
+    def test_source_change_between_solves_on_one_state(self, build, source):
+        circuit = build()
+        system = CompiledCircuit(circuit)
+        state = StampState(system=system)
+        first = newton_solve(system, state)
+        circuit[source].value = 0.75
+        second = newton_solve(system, state, first)
+        fresh = CompiledCircuit(circuit)
+        expected = newton_solve(fresh, StampState(system=fresh), first)
+        np.testing.assert_array_equal(second, expected)
+        assert not np.array_equal(second, first)
+
+    def test_gmin_stepping_rereads_the_sources(self):
+        calls = []
+
+        def vin(time):
+            # NaN on the first read fails the plain solve; gmin stepping
+            # must then read the source again for each of its solves.
+            calls.append(time)
+            return float("nan") if len(calls) == 1 else 0.3
+
+        system = CompiledCircuit(cmos_inverter(vin))
+        options = SolverOptions()
+        with np.errstate(invalid="ignore"):
+            solution = newton_solve(system, StampState(system=system), options=options)
+        assert len(calls) == 1 + len(options.gmin_stepping)
+        reference = dc_operating_point(cmos_inverter(0.3), engine="scalar")
+        op = system.solution_as_dict(solution)
+        for node in ("in", "out", "vdd"):
+            assert op[node] == pytest.approx(reference[node], abs=1e-5)
+
+    def test_subdivided_step_builds_its_own_rhs(self, monkeypatch):
+        # An RC-loaded inverter under a pulse: every sub-step has its own
+        # time, dt, source value and previous solution.  The step to 30 ns
+        # fails once and is split into four, the last of which ends at the
+        # same time as the failed solve; the scalar engine, which stamps
+        # everything per iteration, is the reference.
+        def build():
+            circuit = cmos_inverter(
+                PulseSource(0, 1, delay="20n", rise="10n", fall="10n", width="50n", period="200n")
+            )
+            circuit.add_capacitor("CL", "out", "0", "5f")
+            return circuit
+
+        failed, solved_dts = [], []
+
+        def failing_once_at_30n(system, state, guess=None, options=None):
+            if state.analysis == "transient":
+                if state.time == pytest.approx(30e-9) and not failed:
+                    # One damped iteration from the previous solution cannot
+                    # follow the 1 V input edge: the solve builds the step's
+                    # RHS, then fails.
+                    failed.append(state.dt)
+                    one_iteration = SolverOptions(max_iterations=1, gmin_stepping=(1e-12,))
+                    newton_solve(system, state, state.previous, one_iteration)
+                    raise AssertionError("the forced failure converged")
+                solved_dts.append(state.dt)
+            return newton_solve(system, state, guess, options)
+
+        monkeypatch.setattr("repro.analog.transient.newton_solve", failing_once_at_30n)
+        results = {}
+        for engine in ("auto", "scalar"):
+            failed.clear()
+            solved_dts.clear()
+            results[engine] = transient_analysis(
+                build(),
+                stop_time="100n",
+                time_step="10n",
+                use_initial_conditions=True,
+                engine=engine,
+            )
+            assert failed == [pytest.approx(10e-9)]
+            assert solved_dts.count(pytest.approx(2.5e-9)) == 4
+        np.testing.assert_allclose(
+            results["auto"].voltage("out"), results["scalar"].voltage("out"), atol=1e-5
+        )
