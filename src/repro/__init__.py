@@ -31,36 +31,25 @@ see ``docs/architecture.md`` and ``docs/scenarios.md`` for the full
 picture.
 """
 
-from repro import (
-    analog,
-    attacks,
-    circuits,
-    core,
-    datasets,
-    defenses,
-    exec,
-    figures,
-    neurons,
-    scenarios,
-    snn,
-    store,
-    utils,
-)
+from repro.utils.lazy import attach
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "analog",
-    "circuits",
-    "neurons",
-    "snn",
-    "datasets",
-    "attacks",
-    "defenses",
-    "core",
-    "exec",
-    "figures",
-    "scenarios",
-    "store",
-    "utils",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submodules=[
+        "analog",
+        "circuits",
+        "neurons",
+        "snn",
+        "datasets",
+        "attacks",
+        "defenses",
+        "core",
+        "exec",
+        "figures",
+        "scenarios",
+        "store",
+        "utils",
+    ],
+)

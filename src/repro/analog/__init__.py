@@ -28,56 +28,26 @@ nonlinear device equations, not by table lookup.  The paper's testbenches
 have at most a few tens of unknowns, so every solve is a dense LU.
 """
 
-from repro.analog.devices import (
-    Capacitor,
-    CurrentSource,
-    PulseSource,
-    Resistor,
-    VoltageSource,
-)
-from repro.analog.mosfet import MOSFET, MOSFETParameters, NMOS_65NM, PMOS_65NM
-from repro.analog.netlist import Circuit
-from repro.analog.compiled import CompiledCircuit, EngineStats, make_system
-from repro.analog.batch import (
-    BatchedCircuit,
-    TopologyMismatchError,
-    batched_dc_sweep,
-    batched_operating_points,
-    batched_transient_analysis,
-    shares_topology,
-)
-from repro.analog.dc import OperatingPoint, dc_operating_point, dc_sweep
-from repro.analog.transient import TransientResult, transient_analysis
-from repro.analog.waveform import Waveform, detect_spikes, threshold_crossings
-from repro.analog.units import parse_value
+from repro.utils.lazy import attach
 
-__all__ = [
-    "Capacitor",
-    "CurrentSource",
-    "PulseSource",
-    "Resistor",
-    "VoltageSource",
-    "MOSFET",
-    "MOSFETParameters",
-    "NMOS_65NM",
-    "PMOS_65NM",
-    "Circuit",
-    "CompiledCircuit",
-    "EngineStats",
-    "make_system",
-    "BatchedCircuit",
-    "TopologyMismatchError",
-    "batched_dc_sweep",
-    "batched_operating_points",
-    "batched_transient_analysis",
-    "shares_topology",
-    "OperatingPoint",
-    "dc_operating_point",
-    "dc_sweep",
-    "TransientResult",
-    "transient_analysis",
-    "Waveform",
-    "detect_spikes",
-    "threshold_crossings",
-    "parse_value",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "devices": ["Capacitor", "CurrentSource", "PulseSource", "Resistor", "VoltageSource"],
+        "mosfet": ["MOSFET", "MOSFETParameters", "NMOS_65NM", "PMOS_65NM"],
+        "netlist": ["Circuit"],
+        "compiled": ["CompiledCircuit", "EngineStats", "make_system"],
+        "batch": [
+            "BatchedCircuit",
+            "TopologyMismatchError",
+            "batched_dc_sweep",
+            "batched_operating_points",
+            "batched_transient_analysis",
+            "shares_topology",
+        ],
+        "dc": ["OperatingPoint", "dc_operating_point", "dc_sweep"],
+        "transient": ["TransientResult", "transient_analysis"],
+        "waveform": ["Waveform", "detect_spikes", "threshold_crossings"],
+        "units": ["parse_value"],
+    },
+)

@@ -287,6 +287,8 @@ def newton_solve(
     """Solve the (possibly nonlinear) MNA system by damped Newton-Raphson.
 
     Falls back to gmin stepping if the plain iteration does not converge.
+    With no gmin steps (``options.gmin_stepping`` empty) the plain
+    iteration's error is raised instead.
     """
     options = options or SolverOptions()
     # No copy here: _newton_iterate copies the guess before it iterates.
@@ -298,7 +300,8 @@ def newton_solve(
     try:
         return _newton_iterate(system, state, guess, options, gmin=0.0)
     except (ConvergenceError, np.linalg.LinAlgError):
-        pass
+        if not options.gmin_stepping:
+            raise
     # gmin stepping: solve with a heavily damped system first, then relax.
     solution = guess
     for gmin in options.gmin_stepping:

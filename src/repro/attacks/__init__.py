@@ -12,42 +12,23 @@ network-level parameter corruption and packages the paper's five attacks:
   figures (accuracy vs theta change, vs threshold change x fraction, vs VDD).
 """
 
-from repro.attacks.threat import (
-    AdversaryAccess,
-    PowerDomain,
-    PowerDomainScheme,
-    ThreatModel,
-)
-from repro.attacks.injector import FaultInjector, FaultRecord, FaultSiteSelection
-from repro.attacks.attacks import (
-    Attack1InputSpikeCorruption,
-    Attack2ExcitatoryThreshold,
-    Attack3InhibitoryThreshold,
-    Attack4BothLayerThreshold,
-    Attack5GlobalSupply,
-    CompositeAttack,
-    NoAttack,
-    PowerAttack,
-)
-from repro.attacks.campaign import AttackCampaign, AttackOutcome, AttackSweep
+from repro.utils.lazy import attach
 
-__all__ = [
-    "AdversaryAccess",
-    "PowerDomain",
-    "PowerDomainScheme",
-    "ThreatModel",
-    "FaultInjector",
-    "FaultRecord",
-    "FaultSiteSelection",
-    "PowerAttack",
-    "NoAttack",
-    "Attack1InputSpikeCorruption",
-    "Attack2ExcitatoryThreshold",
-    "Attack3InhibitoryThreshold",
-    "Attack4BothLayerThreshold",
-    "Attack5GlobalSupply",
-    "CompositeAttack",
-    "AttackCampaign",
-    "AttackOutcome",
-    "AttackSweep",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "threat": ["AdversaryAccess", "PowerDomain", "PowerDomainScheme", "ThreatModel"],
+        "injector": ["FaultInjector", "FaultRecord", "FaultSiteSelection"],
+        "attacks": [
+            "Attack1InputSpikeCorruption",
+            "Attack2ExcitatoryThreshold",
+            "Attack3InhibitoryThreshold",
+            "Attack4BothLayerThreshold",
+            "Attack5GlobalSupply",
+            "CompositeAttack",
+            "NoAttack",
+            "PowerAttack",
+        ],
+        "campaign": ["AttackCampaign", "AttackOutcome", "AttackSweep"],
+    },
+)

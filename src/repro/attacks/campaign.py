@@ -112,7 +112,10 @@ class AttackCampaign:
     Parameters
     ----------
     pipeline:
-        The evaluation pipeline (see protocol above).
+        The evaluation pipeline (see protocol above).  It may be omitted
+        when ``executor`` is given: the campaign then uses the executor's
+        pipeline, which the executor builds only when a sweep has an
+        uncached attack to train, so a fully cached campaign builds none.
     executor:
         Optional pre-configured :class:`SweepExecutor`.  It must wrap the
         *same* pipeline as the campaign (sweeps execute through the
@@ -127,14 +130,14 @@ class AttackCampaign:
 
     def __init__(
         self,
-        pipeline,
+        pipeline=None,
         *,
         executor: Optional[SweepExecutor] = None,
         workers: int = 0,
     ) -> None:
-        self.pipeline = pipeline
         if (
             executor is not None
+            and pipeline is not None
             and executor._pipeline is not None
             and executor._pipeline is not pipeline
         ):
@@ -148,8 +151,8 @@ class AttackCampaign:
     # -------------------------------------------------------------- evaluation
     def _evaluate(
         self, attacks: Sequence[Optional[PowerAttack]]
-    ) -> Tuple[float, List[ExperimentResult]]:
-        """Baseline accuracy plus one result per attack, from one batch.
+    ) -> Tuple[ExperimentResult, List[ExperimentResult]]:
+        """The baseline result plus one result per attack, from one batch.
 
         The leading ``None`` puts the baseline in the batch (it is evaluated
         first on the serial path), so every attacked result can carry its
@@ -157,7 +160,7 @@ class AttackCampaign:
         the baseline from it instead of issuing a second lookup.
         """
         baseline, *results = self.executor.map([None, *attacks])
-        return baseline.accuracy, results
+        return baseline, results
 
     # ------------------------------------------------------------ Fig. 7b
     @staticmethod
@@ -177,12 +180,12 @@ class AttackCampaign:
     ) -> AttackSweep:
         """Attack 1: accuracy vs per-spike membrane-charge (theta) change."""
         attacks = self.attack1_theta_attacks(theta_changes)
-        baseline_accuracy, results = self._evaluate(attacks)
+        baseline, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack1_theta_sweep",
             parameter="theta_change",
             values=np.asarray(theta_changes, dtype=float),
-            baseline_accuracy=baseline_accuracy,
+            baseline_accuracy=baseline.accuracy,
         )
         for attack, result in zip(attacks, results):
             if attack is None:
@@ -232,7 +235,7 @@ class AttackCampaign:
         attacks = self.layer_threshold_attacks(
             layer, threshold_changes, fractions, selection=selection
         )
-        baseline_accuracy, results = self._evaluate(attacks)
+        baseline, results = self._evaluate(attacks)
         accuracies = np.array([result.accuracy for result in results]).reshape(
             (len(threshold_changes), len(fractions))
         )
@@ -243,8 +246,8 @@ class AttackCampaign:
             row_values=np.asarray(threshold_changes, dtype=float),
             column_values=np.asarray(fractions, dtype=float),
             accuracies=accuracies,
-            baseline_accuracy=baseline_accuracy,
-            scale_name=self.pipeline.config.scale_name,
+            baseline_accuracy=baseline.accuracy,
+            scale_name=baseline.scale_name,
             metadata={"layer": layer, "selection": selection.value},
         )
 
@@ -265,12 +268,12 @@ class AttackCampaign:
     ) -> AttackSweep:
         """Attack 4: accuracy vs threshold change applied to both layers."""
         attacks = self.both_layers_attacks(threshold_changes)
-        baseline_accuracy, results = self._evaluate(attacks)
+        baseline, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack4_both_layers",
             parameter="threshold_change",
             values=np.asarray(threshold_changes, dtype=float),
-            baseline_accuracy=baseline_accuracy,
+            baseline_accuracy=baseline.accuracy,
         )
         for attack, result in zip(attacks, results):
             sweep.outcomes.append(AttackOutcome(attack=attack, result=result))
@@ -305,12 +308,12 @@ class AttackCampaign:
         attacks = self.global_vdd_attacks(
             vdd_values, neuron_type=neuron_type, parameter_map=parameter_map
         )
-        baseline_accuracy, results = self._evaluate(attacks)
+        baseline, results = self._evaluate(attacks)
         sweep = AttackSweep(
             name="attack5_global_vdd",
             parameter="vdd",
             values=np.asarray(vdd_values, dtype=float),
-            baseline_accuracy=baseline_accuracy,
+            baseline_accuracy=baseline.accuracy,
         )
         for vdd, attack, result in zip(vdd_values, attacks, results):
             if attack is None:

@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog import Circuit, dc_sweep
+from repro.analog.dc import dc_sweep
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM, PMOS_65NM
+from repro.analog.netlist import Circuit
 from repro.circuits.ota import OTASizing, add_five_transistor_ota
 from repro.utils.validation import check_positive
 

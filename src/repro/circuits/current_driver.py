@@ -16,9 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog import Circuit, dc_operating_point
+from repro.analog.dc import dc_operating_point
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM
+from repro.analog.netlist import Circuit
 from repro.analog.units import ValueLike, parse_value
+from repro.exec.circuits import CircuitSweepDispatcher
 from repro.utils.validation import check_positive
 
 #: Default reference resistor chosen so the nominal output is ~200 nA at 1 V.
@@ -144,8 +146,6 @@ def amplitude_vs_vdd(
     ``engine`` picks the solver backend; ``"scalar"`` runs the serial
     per-point reference path.
     """
-    from repro.exec.circuits import CircuitSweepDispatcher
-
     values = [parse_value(v) for v in vdd_values]
     circuits = [
         build_current_driver(

@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analog import Circuit, PulseSource, transient_analysis
+from repro.analog.devices import PulseSource
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM, PMOS_65NM
+from repro.analog.netlist import Circuit
+from repro.analog.transient import transient_analysis
 from repro.analog.units import ValueLike, parse_value
 from repro.circuits.inverter import InverterSizing, add_inverter
 from repro.circuits.ota import OTASizing, add_five_transistor_ota

@@ -12,9 +12,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog import Circuit, dc_sweep
+from repro.analog.dc import dc_sweep
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM, PMOS_65NM
+from repro.analog.netlist import Circuit
 from repro.analog.units import ValueLike, parse_value
+from repro.exec.circuits import CircuitSweepDispatcher
 from repro.utils.validation import check_positive
 
 #: Default device widths chosen so the inverter trips near VDD/2 at VDD = 1 V.
@@ -155,8 +157,6 @@ def threshold_vs_vdd(
     :func:`repro.analog.compiled.make_system`); ``"scalar"`` runs the serial
     reference path.
     """
-    from repro.exec.circuits import CircuitSweepDispatcher
-
     vdds = [parse_value(v) for v in vdd_values]
     circuits = [
         build_inverter(v, sizing=sizing, nmos_params=nmos_params, pmos_params=pmos_params)

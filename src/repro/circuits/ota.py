@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analog import Circuit
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM, PMOS_65NM
+from repro.analog.netlist import Circuit
 from repro.utils.validation import check_positive
 
 

@@ -14,10 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog import Circuit, dc_operating_point
+from repro.analog.dc import dc_operating_point
 from repro.analog.mosfet import MOSFETParameters, NMOS_65NM, PMOS_65NM
+from repro.analog.netlist import Circuit
 from repro.analog.units import ValueLike, parse_value
 from repro.circuits.ota import OTASizing, add_five_transistor_ota
+from repro.exec.circuits import CircuitSweepDispatcher
 from repro.utils.validation import check_positive
 
 
@@ -135,8 +137,6 @@ def amplitude_vs_vdd(
     regulated-driver topology); ``engine`` picks the solver backend, and
     ``"scalar"`` runs the serial path.
     """
-    from repro.exec.circuits import CircuitSweepDispatcher
-
     values = [parse_value(v) for v in vdd_values]
     reference = (design or RobustDriverDesign()).reference_voltage
     circuits = [

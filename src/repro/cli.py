@@ -89,7 +89,7 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import (
@@ -106,20 +106,11 @@ from repro.exec.elastic import (
     default_worker_id,
 )
 from repro.exec.resilience import ResiliencePolicy, RetryPolicy
-from repro.figures import FigureContext, figure_names, get_figure, iter_figures
-from repro.store import (
-    PersistentResultCache,
-    StoredArtifact,
-    classify_artifact_json,
-    git_revision,
-    load_artifact,
-    open_shard_cache,
-    open_worker_cache,
-    save_figure_result,
-    save_scenario_result,
-)
 from repro.utils.tables import format_table
 from repro.utils.validation import ENGINES
+
+if TYPE_CHECKING:
+    from repro.store import StoredArtifact
 
 #: File name of the persistent executor cache inside a results directory.
 CACHE_FILENAME = "cache.json"
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures",
         nargs="*",
         metavar="FIGURE",
-        help=f"figure names ({', '.join(figure_names())})",
+        help="figure names (see 'python -m repro list')",
     )
     run.add_argument("--all", action="store_true", help="run every registered figure")
     _add_scale_workers_engine(run)
@@ -392,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from repro.figures import iter_figures
+
     rows = []
     for spec in iter_figures():
         tier = "pipeline" if spec.uses_pipeline else "circuit"
@@ -409,6 +402,8 @@ def _cmd_list() -> int:
 
 
 def _resolve_figures(names: Sequence[str], run_all: bool) -> List[str]:
+    from repro.figures import figure_names
+
     if run_all:
         return figure_names()
     if not names:
@@ -453,6 +448,9 @@ def _resilience_from_args(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.figures import FigureContext, get_figure
+    from repro.store import PersistentResultCache, git_revision, save_figure_result
+
     names = _resolve_figures(args.figures, args.all)
     if args.scale is not None:
         config = ExperimentConfig.from_scale(args.scale)
@@ -513,6 +511,8 @@ def _load_artifacts(
     :func:`~repro.store.load_artifact`.  JSON that is not an artifact of
     ``kinds`` (caches, stray configs) is skipped silently.
     """
+    from repro.store import classify_artifact_json, load_artifact
+
     loaded: List[Tuple[Path, StoredArtifact]] = []
     failures: List[str] = []
     for json_path in sorted(results_dir.glob(pattern)):
@@ -624,6 +624,7 @@ def _cmd_snapshot_export(args: argparse.Namespace) -> int:
 def _cmd_snapshot_info(args: argparse.Namespace) -> int:
     from repro.snn.serving import ScoringEngine
     from repro.snn.snapshot import snapshot_from_artifact
+    from repro.store import load_artifact
 
     json_path = Path(args.snapshot_path)
     try:
@@ -694,7 +695,8 @@ def _cmd_snapshot_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
-    from repro.scenarios import CompositeScenario, iter_scenarios
+    from repro.scenarios.composite import CompositeScenario
+    from repro.scenarios.registry import iter_scenarios
     from repro.scenarios.strategy import worst_case_cost
 
     rows = []
@@ -732,11 +734,8 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 
 def _resolve_scenarios(args: argparse.Namespace) -> List[str]:
-    from repro.scenarios import (
-        load_scenario_file,
-        register_scenario,
-        scenario_names,
-    )
+    from repro.scenarios.registry import register_scenario, scenario_names
+    from repro.scenarios.spec import load_scenario_file
 
     for path in args.file:
         try:
@@ -769,7 +768,9 @@ def _resolve_scenarios(args: argparse.Namespace) -> List[str]:
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     from repro.exec.shard import FULL, ShardSpec
-    from repro.scenarios import ScenarioRunner, get_scenario
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.runner import ScenarioRunner
+    from repro.store import git_revision, open_shard_cache, open_worker_cache, save_scenario_result
 
     names = _resolve_scenarios(args)
     if args.elastic and args.shard:

@@ -10,13 +10,13 @@
 * :mod:`repro.core.reporting` — plain-text execution and artifact reports.
 """
 
-from repro.core.config import ExperimentConfig
-from repro.core.pipeline import ClassificationPipeline
-from repro.core.results import AttackGridResult, ExperimentResult
+from repro.utils.lazy import attach
 
-__all__ = [
-    "ExperimentConfig",
-    "ClassificationPipeline",
-    "ExperimentResult",
-    "AttackGridResult",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "config": ["ExperimentConfig"],
+        "pipeline": ["ClassificationPipeline"],
+        "results": ["AttackGridResult", "ExperimentResult"],
+    },
+)

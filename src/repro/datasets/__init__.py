@@ -12,17 +12,12 @@ rate-coded image task preserves the relative accuracy-degradation trends
 * :mod:`repro.datasets.loaders` — shuffled batching helpers.
 """
 
-from repro.datasets.digits import (
-    DIGIT_SKELETONS,
-    SyntheticDigits,
-    render_digit,
-)
-from repro.datasets.loaders import DataLoader, train_test_split
+from repro.utils.lazy import attach
 
-__all__ = [
-    "DIGIT_SKELETONS",
-    "SyntheticDigits",
-    "render_digit",
-    "DataLoader",
-    "train_test_split",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "digits": ["DIGIT_SKELETONS", "SyntheticDigits", "render_digit"],
+        "loaders": ["DataLoader", "train_test_split"],
+    },
+)

@@ -16,29 +16,21 @@
   threshold defenses through the classification pipeline (executor-backed).
 """
 
-from repro.defenses.robust_driver import RobustDriverDefense
-from repro.defenses.bandgap_threshold import BandgapThresholdDefense
-from repro.defenses.sizing import SizingDefense, SizingSweepPoint
-from repro.defenses.comparator_neuron import ComparatorNeuronDefense
-from repro.defenses.dummy_detector import DetectionOutcome, DummyNeuronDetector
-from repro.defenses.evaluation import (
-    DefendedAccuracyPoint,
-    DefenseAccuracyEvaluator,
-    residual_defense_factors,
-)
-from repro.defenses.overhead import DefenseOverhead, overhead_report
+from repro.utils.lazy import attach
 
-__all__ = [
-    "DefendedAccuracyPoint",
-    "DefenseAccuracyEvaluator",
-    "RobustDriverDefense",
-    "BandgapThresholdDefense",
-    "SizingDefense",
-    "SizingSweepPoint",
-    "ComparatorNeuronDefense",
-    "DummyNeuronDetector",
-    "DetectionOutcome",
-    "DefenseOverhead",
-    "overhead_report",
-    "residual_defense_factors",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "robust_driver": ["RobustDriverDefense"],
+        "bandgap_threshold": ["BandgapThresholdDefense"],
+        "sizing": ["SizingDefense", "SizingSweepPoint"],
+        "comparator_neuron": ["ComparatorNeuronDefense"],
+        "dummy_detector": ["DetectionOutcome", "DummyNeuronDetector"],
+        "evaluation": [
+            "DefendedAccuracyPoint",
+            "DefenseAccuracyEvaluator",
+            "residual_defense_factors",
+        ],
+        "overhead": ["DefenseOverhead", "overhead_report"],
+    },
+)

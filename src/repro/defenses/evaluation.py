@@ -108,7 +108,9 @@ class DefenseAccuracyEvaluator:
     Parameters
     ----------
     pipeline:
-        The classification pipeline (campaign pipeline protocol).
+        The classification pipeline (campaign pipeline protocol).  It may be
+        omitted when ``executor`` is given; the executor then builds its
+        pipeline only when an attack is not in its cache.
     executor:
         Optional shared :class:`SweepExecutor`; results (in particular the
         baseline and the undefended attack) are cached across calls.
@@ -118,12 +120,11 @@ class DefenseAccuracyEvaluator:
 
     def __init__(
         self,
-        pipeline,
+        pipeline=None,
         *,
         executor: Optional[SweepExecutor] = None,
         workers: int = 0,
     ) -> None:
-        self.pipeline = pipeline
         self.executor = executor or SweepExecutor(pipeline, workers=workers)
 
     @staticmethod

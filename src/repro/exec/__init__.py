@@ -57,81 +57,45 @@ from shared mutable RNG state, so results do not depend on which worker runs
 which task or in what order.
 """
 
-from repro.exec.cache import ResultCache, attack_cache_key
-from repro.exec.chaos import CHAOS_PLANS, Fault, FaultPlan, InjectedFault, load_fault_plan
-from repro.exec.circuits import CircuitSweepDispatcher
-from repro.exec.elastic import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_LEASE_TTL,
-    ElasticPolicy,
-    ElasticScheduler,
-    Lease,
-    LeaseBoard,
-    LeaseCorruptionError,
-    build_chunks,
-    default_worker_id,
-    find_stale_artifacts,
-    sweep_expired_leases,
-    sweep_stale_artifacts,
-    whole_chunk,
-)
-from repro.exec.executor import (
-    ExecutionStats,
-    PipelineFromConfig,
-    SweepExecutor,
-    TaskTiming,
-    default_worker_count,
-)
-from repro.exec.microbatch import DEFAULT_LINGER, FLUSH_CAUSES, Microbatcher
-from repro.exec.resilience import (
-    ResilienceExecutorError,
-    ResiliencePolicy,
-    RetryPolicy,
-    StragglerPolicy,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
-from repro.exec.shard import FULL, Chunk, MergeReport, ShardSpec, merge_report
+from repro.utils.lazy import attach
 
-__all__ = [
-    "CHAOS_PLANS",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_LINGER",
-    "FLUSH_CAUSES",
-    "FULL",
-    "Microbatcher",
-    "Chunk",
-    "ElasticPolicy",
-    "ElasticScheduler",
-    "Fault",
-    "FaultPlan",
-    "InjectedFault",
-    "Lease",
-    "LeaseBoard",
-    "LeaseCorruptionError",
-    "MergeReport",
-    "ShardSpec",
-    "build_chunks",
-    "default_worker_id",
-    "find_stale_artifacts",
-    "merge_report",
-    "sweep_expired_leases",
-    "sweep_stale_artifacts",
-    "whole_chunk",
-    "CircuitSweepDispatcher",
-    "ResultCache",
-    "attack_cache_key",
-    "load_fault_plan",
-    "ExecutionStats",
-    "PipelineFromConfig",
-    "ResilienceExecutorError",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "StragglerPolicy",
-    "SweepExecutor",
-    "TaskTiming",
-    "TaskTimeoutError",
-    "WorkerCrashError",
-    "default_worker_count",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "cache": ["ResultCache", "attack_cache_key"],
+        "chaos": ["CHAOS_PLANS", "Fault", "FaultPlan", "InjectedFault", "load_fault_plan"],
+        "circuits": ["CircuitSweepDispatcher"],
+        "elastic": [
+            "DEFAULT_CHUNK_SIZE",
+            "DEFAULT_LEASE_TTL",
+            "ElasticPolicy",
+            "ElasticScheduler",
+            "Lease",
+            "LeaseBoard",
+            "LeaseCorruptionError",
+            "build_chunks",
+            "default_worker_id",
+            "find_stale_artifacts",
+            "sweep_expired_leases",
+            "sweep_stale_artifacts",
+            "whole_chunk",
+        ],
+        "executor": [
+            "ExecutionStats",
+            "PipelineFromConfig",
+            "SweepExecutor",
+            "TaskTiming",
+            "default_worker_count",
+        ],
+        "microbatch": ["DEFAULT_LINGER", "FLUSH_CAUSES", "Microbatcher"],
+        "resilience": [
+            "ResilienceExecutorError",
+            "ResiliencePolicy",
+            "RetryPolicy",
+            "StragglerPolicy",
+            "TaskTimeoutError",
+            "WorkerCrashError",
+        ],
+        "shard": ["FULL", "Chunk", "MergeReport", "ShardSpec", "merge_report"],
+    },
+)

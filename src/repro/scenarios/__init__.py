@@ -26,53 +26,38 @@ full scenario space its threat model supports *declarative*:
   splitting and persistent resume.
 """
 
-from repro.scenarios.composite import CompositeScenario
-from repro.scenarios.registry import (
-    Scenario,
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner
-from repro.scenarios.spec import (
-    FAMILIES,
-    AttackFamily,
-    BisectionSettings,
-    ScenarioSpec,
-    ScenarioVariant,
-    load_scenario_file,
-)
-from repro.scenarios.strategy import (
-    BisectionOutcome,
-    BisectionStrategy,
-    degradations_from_accuracies,
-    dense_collapse_index,
+from repro.utils.lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "composite": ["CompositeScenario"],
+        "registry": [
+            "Scenario",
+            "get_scenario",
+            "iter_scenarios",
+            "register_scenario",
+            "scenario_names",
+            "unregister_scenario",
+        ],
+        "runner": ["ScenarioResult", "ScenarioRunner"],
+        "spec": [
+            "FAMILIES",
+            "AttackFamily",
+            "BisectionSettings",
+            "ScenarioSpec",
+            "ScenarioVariant",
+            "load_scenario_file",
+        ],
+        "strategy": [
+            "BisectionOutcome",
+            "BisectionStrategy",
+            "degradations_from_accuracies",
+            "dense_collapse_index",
+        ],
+    },
 )
 
 # Importing the library registers the built-in scenarios as a side effect
 # (mirroring how repro.figures registers the paper's figures on import).
 from repro.scenarios import library  # noqa: E402,F401  (registration import)
-
-__all__ = [
-    "AttackFamily",
-    "BisectionOutcome",
-    "BisectionSettings",
-    "BisectionStrategy",
-    "CompositeScenario",
-    "FAMILIES",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "ScenarioVariant",
-    "degradations_from_accuracies",
-    "dense_collapse_index",
-    "get_scenario",
-    "iter_scenarios",
-    "load_scenario_file",
-    "register_scenario",
-    "scenario_names",
-    "unregister_scenario",
-]

@@ -29,96 +29,48 @@ run without PyTorch:
   under an injected fault) without any training.
 """
 
-from repro.snn.batched import (
-    BatchedNetwork,
-    BatchedNetworkError,
-    BatchedSpikeMonitor,
-    BatchedStateMonitor,
-    NetworkTopologyMismatchError,
-    reduction_contract_holds,
-    UnsupportedNetworkError,
-)
-from repro.snn.encoding import (
-    bernoulli_encode,
-    NonFiniteIntensityError,
-    poisson_encode,
-    poisson_encode_batch,
-    regular_rate_encode,
-)
-from repro.snn.nodes import (
-    AdaptiveLIFNodes,
-    InputNodes,
-    LIFNodes,
-    Nodes,
-)
-from repro.snn.topology import Connection
-from repro.snn.learning import NoOp, PostPre, WeightDependentPostPre
-from repro.snn.network import Network, SpikeMonitor, StateMonitor
-from repro.snn.models import DiehlAndCook2015, DiehlAndCookParameters, MODEL_VARIANTS
-from repro.snn.evaluation import (
-    all_activity_prediction,
-    assign_labels,
-    classification_accuracy,
-    proportion_weighting_prediction,
-)
-from repro.snn.serving import (
-    InputShapeError,
-    ScoreResult,
-    ScoringEngine,
-    ServingEvaluation,
-)
-from repro.snn.snapshot import (
-    NetworkSnapshot,
-    SnapshotError,
-    capture_snapshot,
-    hydrate_network,
-    load_snapshot,
-    prediction_digest,
-    save_snapshot,
-    snapshot_from_pipeline,
-)
+from repro.utils.lazy import attach
 
-__all__ = [
-    "BatchedNetwork",
-    "BatchedNetworkError",
-    "BatchedSpikeMonitor",
-    "BatchedStateMonitor",
-    "NetworkTopologyMismatchError",
-    "UnsupportedNetworkError",
-    "reduction_contract_holds",
-    "NonFiniteIntensityError",
-    "bernoulli_encode",
-    "poisson_encode",
-    "poisson_encode_batch",
-    "regular_rate_encode",
-    "MODEL_VARIANTS",
-    "Nodes",
-    "InputNodes",
-    "LIFNodes",
-    "AdaptiveLIFNodes",
-    "Connection",
-    "NoOp",
-    "PostPre",
-    "WeightDependentPostPre",
-    "Network",
-    "SpikeMonitor",
-    "StateMonitor",
-    "DiehlAndCook2015",
-    "DiehlAndCookParameters",
-    "assign_labels",
-    "all_activity_prediction",
-    "proportion_weighting_prediction",
-    "classification_accuracy",
-    "NetworkSnapshot",
-    "SnapshotError",
-    "capture_snapshot",
-    "hydrate_network",
-    "load_snapshot",
-    "prediction_digest",
-    "save_snapshot",
-    "snapshot_from_pipeline",
-    "InputShapeError",
-    "ScoreResult",
-    "ScoringEngine",
-    "ServingEvaluation",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "batched": [
+            "BatchedNetwork",
+            "BatchedNetworkError",
+            "BatchedSpikeMonitor",
+            "BatchedStateMonitor",
+            "NetworkTopologyMismatchError",
+            "reduction_contract_holds",
+            "UnsupportedNetworkError",
+        ],
+        "encoding": [
+            "bernoulli_encode",
+            "NonFiniteIntensityError",
+            "poisson_encode",
+            "poisson_encode_batch",
+            "regular_rate_encode",
+        ],
+        "nodes": ["AdaptiveLIFNodes", "InputNodes", "LIFNodes", "Nodes"],
+        "topology": ["Connection"],
+        "learning": ["NoOp", "PostPre", "WeightDependentPostPre"],
+        "network": ["Network", "SpikeMonitor", "StateMonitor"],
+        "models": ["DiehlAndCook2015", "DiehlAndCookParameters", "MODEL_VARIANTS"],
+        "evaluation": [
+            "all_activity_prediction",
+            "assign_labels",
+            "classification_accuracy",
+            "proportion_weighting_prediction",
+        ],
+        "serving": ["InputShapeError", "ScoreResult", "ScoringEngine", "ServingEvaluation"],
+        "snapshot": [
+            "NetworkSnapshot",
+            "SnapshotError",
+            "capture_snapshot",
+            "hydrate_network",
+            "load_snapshot",
+            "prediction_digest",
+            "save_snapshot",
+            "snapshot_from_pipeline",
+        ],
+    },
+)

@@ -59,7 +59,7 @@ import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -68,8 +68,10 @@ from repro.core.config import ExperimentConfig
 from repro.core.results import ExperimentResult
 from repro.exec.cache import ResultCache
 from repro.exec.executor import COUNTERS
-from repro.figures import FigureResult, FigureSpec
 from repro.utils.serialization import atomic_write_json, atomic_write_npz, to_jsonable
+
+if TYPE_CHECKING:
+    from repro.figures import FigureResult, FigureSpec
 
 #: Version of the artifact document layout.  Bump on breaking changes.
 SCHEMA_VERSION = 1

@@ -11,23 +11,19 @@ simulator, SNN framework, attack pipeline and benchmark harness:
 * :mod:`repro.utils.serialization` — JSON-friendly result serialisation.
 """
 
-from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.tables import format_table
-from repro.utils.validation import (
-    check_fraction,
-    check_in_choices,
-    check_positive,
-    check_positive_int,
-    check_range,
-)
+from repro.utils.lazy import attach
 
-__all__ = [
-    "RandomState",
-    "ensure_rng",
-    "format_table",
-    "check_fraction",
-    "check_in_choices",
-    "check_positive",
-    "check_positive_int",
-    "check_range",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    names={
+        "rng": ["RandomState", "ensure_rng"],
+        "tables": ["format_table"],
+        "validation": [
+            "check_fraction",
+            "check_in_choices",
+            "check_positive",
+            "check_positive_int",
+            "check_range",
+        ],
+    },
+)

@@ -10,7 +10,7 @@ from repro.analog import (
     dc_sweep,
     transient_analysis,
 )
-from repro.analog.compiled import CompiledCircuit
+from repro.analog.compiled import CompiledCircuit, make_system
 from repro.analog.mna import (
     ConvergenceError,
     MNASystem,
@@ -159,6 +159,24 @@ class TestNonlinearSolver:
         options = SolverOptions(max_iterations=1, gmin_stepping=(1e-3,))
         with pytest.raises(ConvergenceError):
             dc_operating_point(circuit, options=options)
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_empty_gmin_stepping_raises_the_plain_solve_error(self, engine):
+        # One damped iteration from the solution before a 1 V input edge
+        # cannot follow it.  With no gmin steps to fall back on, the solve
+        # must fail instead of returning the unconverged guess.
+        circuit = cmos_inverter(
+            PulseSource(0, 1, delay="20n", rise="10n", fall="10n", width="50n", period="200n")
+        )
+        circuit.add_capacitor("CL", "out", "0", "5f")
+        system = make_system(circuit, engine=engine)
+        before = newton_solve(system, StampState(system=system, time=20e-9))
+        state = StampState(
+            system=system, analysis="transient", time=30e-9, dt=10e-9, previous=before
+        )
+        one_iteration = SolverOptions(max_iterations=1, gmin_stepping=())
+        with pytest.raises(ConvergenceError):
+            newton_solve(system, state, before, one_iteration)
 
 
 class TestCompiledRHSIsBuiltPerSolve:

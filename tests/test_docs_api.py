@@ -49,6 +49,7 @@ class TestApiDocsBuild:
             "repro_snn_serving.md",
             "repro_exec_microbatch.md",
             "repro_analog_compiled.md",
+            "repro_utils_lazy.md",
         ):
             assert (out / page).exists(), f"missing API page {page}"
         spec_page = (out / "repro_scenarios_spec.md").read_text()

@@ -481,6 +481,34 @@ class TestScopedCacheAndFailures:
             AttackCampaign(pipeline_b, executor=executor)
         AttackCampaign(pipeline_a, executor=executor)  # same pipeline: fine
 
+    def test_fully_cached_sweeps_build_no_pipeline(self):
+        # A resumed run finds every result in the cache; a campaign or a
+        # defense evaluator built on the executor alone must not build (and
+        # so render the dataset of) a pipeline to read them.
+        from repro.attacks import AttackCampaign
+        from repro.defenses import DefenseAccuracyEvaluator
+
+        class CountingFactory:
+            config = CountingConfig()
+            built = 0
+
+            def __call__(self):
+                self.built += 1
+                return CountingPipeline()
+
+        factory, cache = CountingFactory(), ResultCache()
+        residuals = {"sizing": -0.05}
+        warm = SweepExecutor(pipeline_factory=factory, cache=cache)
+        AttackCampaign(executor=warm).sweep_layer_threshold("excitatory", (-0.2,), (0.5,))
+        DefenseAccuracyEvaluator(executor=warm).evaluate_threshold_defenses(residuals)
+        assert factory.built == 1
+
+        resumed = SweepExecutor(pipeline_factory=factory, cache=cache)
+        AttackCampaign(executor=resumed).sweep_layer_threshold("excitatory", (-0.2,), (0.5,))
+        DefenseAccuracyEvaluator(executor=resumed).evaluate_threshold_defenses(residuals)
+        assert factory.built == 1
+        assert resumed.stats.tasks_executed == 0
+
     @pytest.mark.parametrize("workers", [2, 0], ids=["parallel", "serial"])
     def test_parallel_failure_preserves_completed_siblings(self, workers, tmp_path):
         # The stub is not a ClassificationPipeline, so the workers need an
